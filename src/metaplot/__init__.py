@@ -50,10 +50,7 @@ from .ingest import (
 from .numerics import (
     Probability,
     arctanh,
-    erf,
-    erfc,
     std_normal_cdf,
-    std_normal_pdf,
     std_normal_quantile,
     std_normal_sf,
 )
@@ -109,8 +106,6 @@ __all__ = [
     "build_plot",
     "classify",
     "curve_points",
-    "erf",
-    "erfc",
     "gap_decomposition",
     "generate_cohort",
     "group_complete_studies",
@@ -126,7 +121,6 @@ __all__ = [
     "render_svg_pplot",
     "render_svg_zpanel",
     "std_normal_cdf",
-    "std_normal_pdf",
     "std_normal_quantile",
     "std_normal_sf",
     "summarize_group",

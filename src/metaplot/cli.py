@@ -14,14 +14,16 @@ import argparse
 import hashlib
 import json
 import os
+import statistics
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from ._version import __version__
 from .cohort import CohortConfig, gap_decomposition, gap_over_seeds
 from .fisher import AggregationMode, summarize_studies, summarize_z
 from .gaussian import (
-    DEFAULT_THRESHOLDS as DEFAULT_TAIL_THRESHOLDS,
+    DEFAULT_THRESHOLDS,
     GaussianSpec,
     PRESETS,
     format_auc,
@@ -29,7 +31,7 @@ from .gaussian import (
     ratio_table,
 )
 from .ingest import CorrelationClass, ParseFailure, group_complete_studies, parse_records
-from .pplot import ClassifyThresholds, PlotClass, build_plot
+from .pplot import DEFAULT_CLASSIFY_THRESHOLDS, ClassifyThresholds, PlotClass, build_plot
 from .report import (
     AuditMetadata,
     AuditReport,
@@ -119,11 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the study-level n instead of summing per-record n within a class",
     )
-    audit.add_argument("--null-frac-max", type=float, default=None,
+    audit.add_argument("--null-frac-max", type=float,
+                       default=DEFAULT_CLASSIFY_THRESHOLDS.null_max_frac_below,
                        help="max fraction of p-values below alpha for a null verdict")
-    audit.add_argument("--null-ks-min", type=float, default=None,
+    audit.add_argument("--null-ks-min", type=float,
+                       default=DEFAULT_CLASSIFY_THRESHOLDS.null_min_ks_p,
                        help="min KS p-value for a null verdict")
-    audit.add_argument("--effect-frac-min", type=float, default=None,
+    audit.add_argument("--effect-frac-min", type=float,
+                       default=DEFAULT_CLASSIFY_THRESHOLDS.effect_min_frac_below,
                        help="min fraction of p-values below alpha for an effect verdict")
     audit.add_argument("--format", default="json,md,svg")
     audit.set_defaults(func=run_audit)
@@ -136,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     tails.add_argument("--other-sigma", type=float, default=1.0)
     tails.add_argument(
         "--thresholds",
-        default=",".join(f"{t:g}" for t in DEFAULT_TAIL_THRESHOLDS),
+        default=",".join(f"{t:g}" for t in DEFAULT_THRESHOLDS),
         help="comma-separated ascending thresholds in reference SD units",
     )
     tails.add_argument("--out", default="metaplot-out")
@@ -165,28 +170,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _classify_thresholds(args: argparse.Namespace) -> ClassifyThresholds:
-    defaults = ClassifyThresholds()
-    return ClassifyThresholds(
-        null_max_frac_below=(
-            defaults.null_max_frac_below if args.null_frac_max is None else args.null_frac_max
-        ),
-        null_min_ks_p=(
-            defaults.null_min_ks_p if args.null_ks_min is None else args.null_ks_min
-        ),
-        effect_min_frac_below=(
-            defaults.effect_min_frac_below
-            if args.effect_frac_min is None
-            else args.effect_frac_min
-        ),
-    )
-
-
 def run_audit(args: argparse.Namespace) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise CliValidationError(f"--alpha must lie in (0, 1), got {args.alpha}")
     formats = _parse_formats(args.format)
-    thresholds = _classify_thresholds(args)
+    try:
+        thresholds = ClassifyThresholds(
+            args.null_frac_max, args.null_ks_min, args.effect_frac_min
+        )
+    except ValueError as exc:
+        raise CliValidationError(f"bad classify threshold: {exc}") from exc
     mode = AggregationMode(args.agg)
 
     csv_bytes = Path(args.input).read_bytes()  # OSError -> exit 1 before any output
@@ -227,11 +220,7 @@ def run_audit(args: argparse.Namespace) -> int:
         "sided": "one" if args.one_sided else "two",
         "agg": mode.value,
         "shared_n": bool(args.shared_n),
-        "classify_thresholds": {
-            "null_max_frac_below": thresholds.null_max_frac_below,
-            "null_min_ks_p": thresholds.null_min_ks_p,
-            "effect_min_frac_below": thresholds.effect_min_frac_below,
-        },
+        "classify_thresholds": asdict(thresholds),
         "format": sorted(formats),
         "studies_retained": grouping.retained_count,
         "studies_dropped": grouping.dropped_count,
@@ -350,8 +339,8 @@ def run_simulate(args: argparse.Namespace) -> int:
         reports = gap_over_seeds(config, seeds)
         unadj = [r.gap_unadjusted for r in reports]
         adj = [r.gap_adjusted for r in reports]
-        mean_u, sd_u = _mean_sd(unadj)
-        mean_a, sd_a = _mean_sd(adj)
+        mean_u, sd_u = statistics.fmean(unadj), statistics.stdev(unadj)
+        mean_a, sd_a = statistics.fmean(adj), statistics.stdev(adj)
         print(f"unadjusted gap: {mean_u:.6f} +- {sd_u:.6f} over {args.seeds} seeds")
         print(f"adjusted gap:   {mean_a:.6f} +- {sd_a:.6f} over {args.seeds} seeds")
         payload["results"] = [r.to_dict() for r in reports]
@@ -365,15 +354,6 @@ def run_simulate(args: argparse.Namespace) -> int:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
         (out_dir / "gap.json").write_text(text + "\n", encoding="utf-8")
     return EXIT_OK
-
-
-def _mean_sd(values: list[float]) -> tuple[float, float]:
-    n = len(values)
-    mean = sum(values) / n
-    if n < 2:
-        return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, var ** 0.5
 
 
 def main(argv: list[str] | None = None) -> int:

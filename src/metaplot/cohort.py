@@ -37,10 +37,10 @@ __all__ = [
 class Pcg32:
     """PCG-XSH-RR 32-bit generator (M.E. O'Neill), 64-bit state.
 
-    Self-contained so simulated cohorts replay bit-identically on any
-    platform or language. Uniform doubles come from (u32 + 0.5) / 2^32,
-    which never produces 0 or 1; normals use the inverse-CDF method via
-    std_normal_quantile, keeping the whole chain reproducible.
+    The integer stream is exact and identical everywhere. Uniform doubles
+    come from (u32 + 0.5) / 2^32, which never produces 0 or 1; normals use
+    the inverse-CDF method via std_normal_quantile, so simulated cohorts
+    replay bit-identically for the same CPython and C math library.
     """
 
     _MULT = 6364136223846793005

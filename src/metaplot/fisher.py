@@ -119,15 +119,10 @@ def summarize_group(
     per-record arctanh(r) values and report mean_r = tanh(mean z) so that
     fisher_z == arctanh(mean_r) holds in both modes.
     """
-    recs = group.records_for(cls)
-    if not recs:
-        raise ValueError(f"study {group.study_id!r} has no {cls.value} records")
-    _, n = aggregate_study(group, cls, shared_n=shared_n)
-    if mode is AggregationMode.MEAN_R:
-        mean_r = sum(rec.r for rec in recs) / len(recs)
-    else:
-        mean_z = sum(arctanh(rec.r) for rec in recs) / len(recs)
-        mean_r = math.tanh(mean_z)
+    mean_r, n = aggregate_study(group, cls, shared_n=shared_n)
+    if mode is AggregationMode.MEAN_Z:
+        recs = group.records_for(cls)
+        mean_r = math.tanh(sum(arctanh(rec.r) for rec in recs) / len(recs))
     stats = r_to_pvalue(mean_r, n, two_sided=two_sided)
     return StudySummary(
         study_id=group.study_id,

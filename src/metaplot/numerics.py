@@ -1,20 +1,20 @@
-"""Standard normal special functions, self-contained and bit-reproducible.
+"""Standard normal special functions on top of the standard library.
 
-Everything in this module is plain double-precision Python (no numpy, no
-scipy), so results are identical across platforms and the rest of the
-package can rely on them for deterministic artifacts.
+The error function comes from the platform C library through math.erfc,
+and the normal quantile from statistics.NormalDist. Results are therefore
+byte-identical for the same CPython build and C math library, not across
+every platform; the golden artifacts in tests/golden and the mpmath and
+scipy oracle tests guard that accuracy and determinism.
 """
 
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 __all__ = [
     "Probability",
-    "erf",
-    "erfc",
     "arctanh",
-    "std_normal_pdf",
     "std_normal_cdf",
     "std_normal_sf",
     "std_normal_quantile",
@@ -23,7 +23,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+_STD_NORMAL = NormalDist()
 
 
 class Probability(float):
@@ -45,150 +45,40 @@ def _require_finite(name: str, x: float) -> float:
     return x
 
 
-def _erf_series(x: float) -> float:
-    # erf(x) = 2x e^(-x^2)/sqrt(pi) * sum_k (2x^2)^k / (1*3*5*...*(2k+1))
-    # All terms positive, so no cancellation; used for |x| < 2.
-    xx = 2.0 * x * x
-    term = 1.0
-    total = 1.0
-    k = 0
-    while term > total * 1e-18:
-        k += 1
-        term *= xx / (2 * k + 1)
-        total += term
-    return _TWO_OVER_SQRT_PI * x * math.exp(-x * x) * total
-
-
-def _erfc_cf(x: float) -> float:
-    # erfc(x) = e^(-x^2)/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    # Continued fraction with a_n = n/2, b_n = x, evaluated by the modified
-    # Lentz scheme; rapid convergence for x >= 2.
-    tiny = 1e-300
-    f = x if x != 0.0 else tiny
-    c = f
-    d = 0.0
-    for i in range(1, 300):
-        a = i / 2.0
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
-        c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) / math.sqrt(math.pi) / f
-
-
-def erf(x: float) -> float:
-    """Error function, absolute error below 1e-14 on [-6, 6].
-
-    Power series with positive terms for |x| < 2, continued-fraction erfc
-    for larger arguments (both classical; see Abramowitz & Stegun 7.1.5
-    and 7.1.14).
-    """
-    x = _require_finite("x", x)
-    ax = abs(x)
-    v = _erf_series(ax) if ax < 2.0 else 1.0 - _erfc_cf(ax)
-    return math.copysign(v, x)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function 1 - erf(x), accurate in both tails."""
-    x = _require_finite("x", x)
-    if x >= 2.0:
-        return _erfc_cf(x)
-    if x <= -2.0:
-        return 2.0 - _erfc_cf(-x)
-    return 1.0 - erf(x)
-
-
 def arctanh(r: float) -> float:
     """Inverse hyperbolic tangent, 0.5 * ln((1+r)/(1-r)), for |r| < 1.
 
-    Evaluated as 0.5*(log1p(r) - log1p(-r)) to stay accurate near the
-    endpoints.
+    Delegates to math.atanh once the range is checked: math.atanh returns
+    NaN for a NaN argument instead of raising.
     """
     r = float(r)
     if not abs(r) < 1.0:  # also rejects NaN
         raise ValueError(f"arctanh requires |r| < 1, got {r!r}")
-    return 0.5 * (math.log1p(r) - math.log1p(-r))
-
-
-def std_normal_pdf(x: float) -> float:
-    """Density of the standard normal distribution."""
-    x = _require_finite("x", x)
-    return math.exp(-0.5 * x * x) / _SQRT_2PI
+    return math.atanh(r)
 
 
 def std_normal_cdf(x: float) -> Probability:
     """P(X <= x) for X ~ Normal(0, 1)."""
     x = _require_finite("x", x)
-    return Probability(0.5 * erfc(-x / _SQRT2))
+    return Probability(0.5 * math.erfc(-x / _SQRT2))
 
 
 def std_normal_sf(x: float) -> Probability:
     """Survival function P(X > x) for X ~ Normal(0, 1)."""
     x = _require_finite("x", x)
-    return Probability(0.5 * erfc(x / _SQRT2))
-
-
-# Coefficients of Acklam's rational approximation to the normal quantile,
-# used only as the starting point for Newton polishing below.
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-             -2.759285104469687e+02, 1.383577518672690e+02,
-             -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-             -1.556989798598866e+02, 6.680131188771972e+01,
-             -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-             -2.400758277161838e+00, -2.549732539343734e+00,
-             4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01,
-             2.445134137142996e+00, 3.754408661907416e+00)
-_ACKLAM_PLOW = 0.02425
-
-
-def _quantile_seed(p: float) -> float:
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < _ACKLAM_PLOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p > 1.0 - _ACKLAM_PLOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-                ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-           (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    return Probability(0.5 * math.erfc(x / _SQRT2))
 
 
 def std_normal_quantile(p: float) -> float:
     """Inverse of the standard normal CDF for 0 < p < 1.
 
-    Acklam's rational approximation gives the starting value, then Newton
-    steps on the CDF drive the residual to machine precision, which makes
-    quantile/CDF round trips hold by construction.
+    statistics.NormalDist.inv_cdf implements Wichura's algorithm AS241
+    (Appl. Stat. 37, 1988), accurate to a few ulps across (0, 1).
     """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile requires 0 < p < 1, got {p!r}")
-    x = _quantile_seed(p)
-    for _ in range(3):
-        err = std_normal_cdf(x) - p
-        slope = std_normal_pdf(x)
-        if slope <= 0.0:
-            break
-        step = err / slope
-        x -= step
-        if abs(step) <= 1e-15 * max(1.0, abs(x)):
-            break
-    return x
+    return _STD_NORMAL.inv_cdf(p)
 
 
 def kolmogorov_sf(t: float) -> Probability:

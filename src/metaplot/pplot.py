@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -23,7 +23,7 @@ from .numerics import Probability, kolmogorov_sf
 __all__ = [
     "PlotClass",
     "ClassifyThresholds",
-    "DEFAULT_THRESHOLDS",
+    "DEFAULT_CLASSIFY_THRESHOLDS",
     "PlotDiagnostics",
     "PValuePlot",
     "ks_uniform",
@@ -55,8 +55,14 @@ class ClassifyThresholds:
     null_min_ks_p: float = 0.05
     effect_min_frac_below: float = 0.5
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0.0 <= value <= 1.0:  # also rejects NaN
+                raise ValueError(f"{f.name} must lie in [0, 1], got {value!r}")
 
-DEFAULT_THRESHOLDS = ClassifyThresholds()
+
+DEFAULT_CLASSIFY_THRESHOLDS = ClassifyThresholds()
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,7 @@ def classify(
     min_p: float,
     alpha: float,
     n: int,
-    thresholds: ClassifyThresholds = DEFAULT_THRESHOLDS,
+    thresholds: ClassifyThresholds = DEFAULT_CLASSIFY_THRESHOLDS,
 ) -> PlotClass:
     """Three-way reading of a p-value plot.
 
@@ -147,7 +153,7 @@ def build_plot(
     p_values: Iterable[float],
     alpha: float = 0.05,
     cls: CorrelationClass | None = None,
-    thresholds: ClassifyThresholds = DEFAULT_THRESHOLDS,
+    thresholds: ClassifyThresholds = DEFAULT_CLASSIFY_THRESHOLDS,
 ) -> PValuePlot:
     """Rank-order p-values and attach uniformity diagnostics.
 

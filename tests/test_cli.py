@@ -98,6 +98,16 @@ def test_audit_bad_alpha_exit_2(null_csv, tmp_path, capsys):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "7"])
+@pytest.mark.parametrize("flag", ["--null-frac-max", "--null-ks-min", "--effect-frac-min"])
+def test_audit_bad_classify_threshold_exit_2(null_csv, tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    code = main(["audit", "--input", str(null_csv), "--out", str(out), flag, value])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_audit_report_echoes_config(null_csv, tmp_path):
     out = tmp_path / "out"
     main(

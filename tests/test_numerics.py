@@ -1,9 +1,11 @@
 """Special-function checks against independent oracles.
 
 The frozen oracle table in tests/oracles/erf_table.json was computed once
-with 40-digit arbitrary-precision arithmetic (mpmath); scipy serves as a
-second, independently implemented reference for the survival and
-Kolmogorov functions.
+with 40-digit arbitrary-precision arithmetic (mpmath) and checks the C
+library's math.erf / math.erfc that the normal functions are built on;
+mpmath also serves live as the quantile oracle, and scipy as a second,
+independently implemented reference for the survival and Kolmogorov
+functions.
 """
 
 import json
@@ -11,6 +13,7 @@ import math
 import random
 from pathlib import Path
 
+import mpmath
 import pytest
 from scipy.special import kolmogorov as scipy_kolmogorov
 from scipy.stats import norm as scipy_norm
@@ -18,11 +21,8 @@ from scipy.stats import norm as scipy_norm
 from metaplot.numerics import (
     Probability,
     arctanh,
-    erf,
-    erfc,
     kolmogorov_sf,
     std_normal_cdf,
-    std_normal_pdf,
     std_normal_quantile,
     std_normal_sf,
 )
@@ -46,34 +46,32 @@ def test_probability_rejects_out_of_range(bad):
 
 def test_erf_matches_50_point_oracle():
     for x, expected in ORACLE_TABLE:
-        assert erf(x) == pytest.approx(expected, abs=1e-12)
+        assert math.erf(x) == pytest.approx(expected, abs=1e-12)
 
 
 def test_erf_trivial_values():
-    assert erf(0.0) == 0.0
-    assert erf(1.0) == pytest.approx(0.8427007929, abs=1e-10)
-    assert erf(-2.0) == -erf(2.0)
+    assert math.erf(0.0) == 0.0
+    assert math.erf(1.0) == pytest.approx(0.8427007929, abs=1e-10)
+    assert math.erf(-2.0) == -math.erf(2.0)
 
 
 def test_erf_odd_symmetry_and_range():
     rng = random.Random(4242)
     for _ in range(500):
         x = rng.uniform(-6.0, 6.0)
-        assert erf(-x) == pytest.approx(-erf(x), abs=1e-15)
-        assert -1.0 <= erf(x) <= 1.0
+        assert math.erf(-x) == pytest.approx(-math.erf(x), abs=1e-15)
+        assert -1.0 <= math.erf(x) <= 1.0
 
 
-def test_erf_rejects_non_finite():
+def test_sf_rejects_non_finite():
     for bad in (float("inf"), float("-inf"), float("nan")):
-        with pytest.raises(ValueError):
-            erf(bad)
         with pytest.raises(ValueError):
             std_normal_sf(bad)
 
 
 def test_erfc_complements_erf():
     for x in (-5.0, -1.3, 0.0, 0.4, 2.7, 6.0):
-        assert erfc(x) == pytest.approx(1.0 - erf(x), abs=1e-14)
+        assert math.erfc(x) == pytest.approx(1.0 - math.erf(x), abs=1e-14)
 
 
 def test_sf_paper_tail_values():
@@ -137,15 +135,25 @@ def test_quantile_round_trip_1000_points():
         assert std_normal_quantile(std_normal_cdf(x)) == pytest.approx(x, abs=1e-8)
 
 
+def test_quantile_matches_mpmath():
+    # Forward relative error of q = quantile(p): the 50-digit residual
+    # (Phi(q) - p) / phi(q) is the distance from q to the exact quantile.
+    # Grid over (0, 1) plus log-spaced tails down to 1e-300 (lower) and
+    # 1e-15 (upper, where 1 - p is still representable).
+    ps = [i / 1001 for i in range(1, 1001)]
+    ps += [10.0 ** (-3 - 297 * k / 399) for k in range(400)]
+    ps += [1.0 - 10.0 ** (-3 - 12 * k / 99) for k in range(100)]
+    with mpmath.workdps(50):
+        for p in ps:
+            q = mpmath.mpf(std_normal_quantile(p))
+            rel = (mpmath.ncdf(q) - mpmath.mpf(p)) / mpmath.npdf(q) / q
+            assert abs(rel) <= 1e-14, p
+
+
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1])
 def test_quantile_rejects_boundary(bad):
     with pytest.raises(ValueError):
         std_normal_quantile(bad)
-
-
-def test_pdf_peak_and_symmetry():
-    assert std_normal_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-15)
-    assert std_normal_pdf(1.7) == std_normal_pdf(-1.7)
 
 
 def test_arctanh_closed_form():

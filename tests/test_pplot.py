@@ -6,7 +6,7 @@ from scipy.stats import kstest
 
 from metaplot.pplot import (
     ClassifyThresholds,
-    DEFAULT_THRESHOLDS,
+    DEFAULT_CLASSIFY_THRESHOLDS,
     PlotClass,
     build_plot,
     classify,
@@ -114,7 +114,7 @@ def test_all_small_pvalues_classified_effect():
 
 
 def test_classify_rule_table():
-    t = DEFAULT_THRESHOLDS
+    t = DEFAULT_CLASSIFY_THRESHOLDS
     assert (
         classify(0.0, 0.9, 0.3, 0.05, 27, t) is PlotClass.NULL_CONSISTENT
     )
