@@ -35,12 +35,14 @@ from .pplot import DEFAULT_CLASSIFY_THRESHOLDS, ClassifyThresholds, PlotClass, b
 from .report import (
     AuditMetadata,
     AuditReport,
+    json_block,
     pplot_filename,
     render_json,
     render_markdown,
     render_svg_gaussians,
     render_svg_pplot,
     render_svg_zpanel,
+    tail_table_to_dict,
 )
 
 EXIT_OK = 0
@@ -283,8 +285,6 @@ def run_tails(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if "json" in formats:
-        from .report import _tail_table_to_dict  # single schema for tables
-
         payload = {
             "config": {
                 "subcommand": "tails",
@@ -292,10 +292,9 @@ def run_tails(args: argparse.Namespace) -> int:
                 "thresholds": thresholds,
             },
             "tool_version": __version__,
-            "table": _tail_table_to_dict(table),
+            "table": tail_table_to_dict(table),
         }
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-        (out_dir / "tails.json").write_text(text + "\n", encoding="utf-8")
+        (out_dir / "tails.json").write_bytes((json_block(payload) + "\n").encode("utf-8"))
     if "svg" in formats:
         sigma_max = max(ref.sigma, other.sigma)
         lo = min(ref.mu, other.mu) - 4.0 * sigma_max
@@ -351,8 +350,7 @@ def run_simulate(args: argparse.Namespace) -> int:
     if "json" in formats:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-        (out_dir / "gap.json").write_text(text + "\n", encoding="utf-8")
+        (out_dir / "gap.json").write_bytes((json_block(payload) + "\n").encode("utf-8"))
     return EXIT_OK
 
 

@@ -207,20 +207,22 @@ def parse_records(source: Source, strict: bool = False) -> ParseResult:
     fixed in one pass. With strict=True the first bad row raises.
     """
     reader = csv.reader(io.StringIO(_as_text(source), newline=""))
-    header = next(reader, None)
-    _check_header(header)
     records: list[StudyRecord] = []
     errors: list[RowError] = []
-    for row in reader:
-        if not row or all(not f.strip() for f in row):
-            continue  # blank line
-        line = reader.line_num
-        try:
-            records.append(_parse_row(row))
-        except ValueError as exc:
-            if strict:
-                raise ParseFailure(f"row {line}: {exc}") from exc
-            errors.append(RowError(line=line, message=str(exc)))
+    try:
+        _check_header(next(reader, None))
+        for row in reader:
+            if not row or all(not f.strip() for f in row):
+                continue  # blank line
+            line = reader.line_num
+            try:
+                records.append(_parse_row(row))
+            except ValueError as exc:
+                if strict:
+                    raise ParseFailure(f"row {line}: {exc}") from exc
+                errors.append(RowError(line=line, message=str(exc)))
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ParseFailure(f"row {reader.line_num}: {exc}") from exc
     return ParseResult(records=records, errors=errors)
 
 

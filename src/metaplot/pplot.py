@@ -96,10 +96,15 @@ def ks_uniform(p_values: Sequence[float]) -> tuple[float, Probability]:
     if not p_values:
         raise ValueError("ks_uniform requires at least one value")
     ps = sorted(float(p) for p in p_values)
-    n = len(ps)
     for p in ps:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p-value outside [0, 1]: {p!r}")
+    return _ks_sorted(ps)
+
+
+def _ks_sorted(ps: Sequence[float]) -> tuple[float, Probability]:
+    # ps: non-empty, every value in [0, 1], sorted ascending
+    n = len(ps)
     d_plus = max((i + 1) / n - p for i, p in enumerate(ps))
     d_minus = max(p - i / n for i, p in enumerate(ps))
     d = max(d_plus, d_minus)
@@ -177,7 +182,7 @@ def build_plot(
             stacklevel=2,
         )
     ps.sort()
-    ks_stat, ks_p = ks_uniform(ps)
+    ks_stat, ks_p = _ks_sorted(ps)
     frac = Probability(sum(1 for p in ps if p < alpha) / n)
     min_p = Probability(ps[0])
     diagnostics = PlotDiagnostics(

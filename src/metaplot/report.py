@@ -6,6 +6,17 @@ All output is byte-deterministic: no timestamps, no randomness, fixed
 float formatting, sorted JSON keys. JSON keeps full float precision;
 display rounding (p-values at 4 decimals, tail areas at 5, ratios one
 decimal below 10 and integers above) only happens in Markdown and SVG.
+
+The JSON format is the stdlib's `json.dumps(d, sort_keys=True, indent=2,
+allow_nan=False)` plus a newline, byte for byte, where `d` is the report's
+dict form. CPython's C encoder only runs with `indent=None`, so the indented
+one is pure Python and cost more than any other layer of a large audit.
+`render_json` therefore writes the report itself: small sections go through
+`json.dumps` (`json_block`), and the two bulk arrays, per-study summaries and
+plot points, are written from one row template each, with strings escaped by
+the encoder's own `encode_basestring_ascii` and numbers by `float.__repr__`
+and `int.__repr__`, as `json.dumps` writes them. The tests re-encode its
+output with the stdlib and require the same bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +24,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Iterable, Mapping, Sequence
 from xml.sax.saxutils import escape
 
 from ._version import __version__
@@ -27,6 +39,8 @@ from .pplot import PlotClass, PlotDiagnostics, PValuePlot
 __all__ = [
     "AuditMetadata",
     "AuditReport",
+    "json_block",
+    "tail_table_to_dict",
     "render_json",
     "parse_json",
     "render_markdown",
@@ -59,18 +73,10 @@ class AuditReport:
 # ---------------------------------------------------------------------------
 # JSON
 
-
-def _summary_to_dict(s: StudySummary) -> dict[str, Any]:
-    return {
-        "study_id": s.study_id,
-        "class": s.cls.value,
-        "mean_r": s.mean_r,
-        "n": s.n,
-        "fisher_z": s.fisher_z,
-        "se": s.se,
-        "z_score": s.z_score,
-        "p_value": float(s.p_value),
-    }
+# How json.dumps writes a string (with ensure_ascii), a float and an int.
+_str = encode_basestring_ascii
+_float = float.__repr__
+_int = int.__repr__
 
 
 def _summary_from_dict(d: Mapping[str, Any]) -> StudySummary:
@@ -112,20 +118,14 @@ def _zsummary_from_dict(d: Mapping[str, Any]) -> ZSummary:
     )
 
 
-def _plot_to_dict(p: PValuePlot) -> dict[str, Any]:
-    d = p.diagnostics
+def _diagnostics_to_dict(d: PlotDiagnostics) -> dict[str, Any]:
     return {
-        "class": p.cls.value if p.cls is not None else None,
-        "alpha": p.alpha,
-        "points": [[rank, pv] for rank, pv in p.points],
-        "diagnostics": {
-            "ks_statistic": d.ks_statistic,
-            "ks_p": float(d.ks_p),
-            "slope_fit": d.slope_fit,
-            "frac_below_alpha": float(d.frac_below_alpha),
-            "min_p": float(d.min_p),
-            "classification": d.classification.value,
-        },
+        "ks_statistic": d.ks_statistic,
+        "ks_p": float(d.ks_p),
+        "slope_fit": d.slope_fit,
+        "frac_below_alpha": float(d.frac_below_alpha),
+        "min_p": float(d.min_p),
+        "classification": d.classification.value,
     }
 
 
@@ -150,7 +150,8 @@ def _spec_to_dict(s: GaussianSpec) -> dict[str, Any]:
     return {"label": s.label, "mu": s.mu, "sigma": s.sigma}
 
 
-def _tail_table_to_dict(t: TailTable) -> dict[str, Any]:
+def tail_table_to_dict(t: TailTable) -> dict[str, Any]:
+    """The JSON form of a tail table, shared by report.json and tails.json."""
     return {
         "ref": _spec_to_dict(t.ref),
         "other": _spec_to_dict(t.other),
@@ -184,23 +185,6 @@ def _tail_table_from_dict(d: Mapping[str, Any]) -> TailTable:
     )
 
 
-def report_to_dict(report: AuditReport) -> dict[str, Any]:
-    return {
-        "metadata": {
-            "input_sha256": report.metadata.input_sha256,
-            "tool_version": report.metadata.tool_version,
-            "config": report.metadata.config,
-        },
-        "summaries": {
-            tag: [_summary_to_dict(s) for s in ss] for tag, ss in report.summaries.items()
-        },
-        "z_panels": {tag: _zsummary_to_dict(z) for tag, z in report.z_panels.items()},
-        "plots": {tag: _plot_to_dict(p) for tag, p in report.plots.items()},
-        "tail_tables": [_tail_table_to_dict(t) for t in report.tail_tables],
-        "gap_report": report.gap_report.to_dict() if report.gap_report else None,
-    }
-
-
 def report_from_dict(d: Mapping[str, Any]) -> AuditReport:
     meta = d["metadata"]
     return AuditReport(
@@ -220,10 +204,99 @@ def report_from_dict(d: Mapping[str, Any]) -> AuditReport:
     )
 
 
+def json_block(value: Any, pad: str = "") -> str:
+    """`json.dumps(value, sort_keys=True, indent=2, allow_nan=False)`, with
+    every line after the first prefixed by `pad` so that it nests in a
+    document indented the same way. Exact, because JSON text never holds a
+    raw newline inside a string."""
+    text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+    return text.replace("\n", "\n" + pad)
+
+
+def _require_finite(*values: float) -> None:
+    for v in values:
+        if not math.isfinite(v):
+            # the error json.dumps raises with allow_nan=False
+            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+
+
+def _write_array(out: list[str], rows: list[str], pad: str) -> None:
+    out += ("[\n", ",\n".join(rows), f"\n{pad}]") if rows else ("[]",)
+
+
+def _write_summaries(out: list[str], summaries: Iterable[StudySummary]) -> None:
+    rows = []
+    for s in summaries:
+        _require_finite(s.mean_r, s.fisher_z, s.se, s.z_score, s.p_value)
+        rows.append(
+            f'      {{\n        "class": {_str(s.cls.value)},\n'
+            f'        "fisher_z": {_float(s.fisher_z)},\n'
+            f'        "mean_r": {_float(s.mean_r)},\n'
+            f'        "n": {_int(s.n)},\n'
+            f'        "p_value": {_float(s.p_value)},\n'
+            f'        "se": {_float(s.se)},\n'
+            f'        "study_id": {_str(s.study_id)},\n'
+            f'        "z_score": {_float(s.z_score)}\n      }}'
+        )
+    _write_array(out, rows, "    ")
+
+
+def _write_plot(out: list[str], plot: PValuePlot) -> None:
+    cls = plot.cls.value if plot.cls is not None else None
+    diagnostics = json_block(_diagnostics_to_dict(plot.diagnostics), "      ")
+    out.append(
+        f'{{\n      "alpha": {json_block(plot.alpha)},\n'
+        f'      "class": {json_block(cls)},\n'
+        f'      "diagnostics": {diagnostics},\n'
+        '      "points": '
+    )
+    rows = []
+    for rank, p in plot.points:
+        _require_finite(p)
+        rows.append(f"        [\n          {_int(rank)},\n          {_float(p)}\n        ]")
+    _write_array(out, rows, "      ")
+    out.append("\n    }")
+
+
+def _write_by_tag(
+    out: list[str], by_tag: Mapping[str, Any], write: Callable[[list[str], Any], None]
+) -> None:
+    """A top-level field's object: one entry per class tag, in sorted order."""
+    sep = "{\n"
+    for tag, value in sorted(by_tag.items()):
+        out.append(f"{sep}    {_str(tag)}: ")
+        write(out, value)
+        sep = ",\n"
+    out.append("\n  }" if by_tag else "{}")
+
+
 def render_json(report: AuditReport) -> bytes:
-    """Deterministic JSON encoding: sorted keys, full float precision."""
-    text = json.dumps(report_to_dict(report), sort_keys=True, indent=2, allow_nan=False)
-    return (text + "\n").encode("utf-8")
+    """Deterministic JSON encoding: sorted keys, full float precision.
+
+    The top-level fields are written in sorted key order; see the module
+    docstring for the format and how the bulk arrays are written.
+    """
+    meta = report.metadata
+    metadata = {
+        "input_sha256": meta.input_sha256,
+        "tool_version": meta.tool_version,
+        "config": meta.config,
+    }
+    gap = report.gap_report.to_dict() if report.gap_report is not None else None
+    out = [
+        f'{{\n  "gap_report": {json_block(gap, "  ")},\n'
+        f'  "metadata": {json_block(metadata, "  ")},\n  "plots": '
+    ]
+    _write_by_tag(out, report.plots, _write_plot)
+    out.append(',\n  "summaries": ')
+    _write_by_tag(out, report.summaries, _write_summaries)
+    tail_tables = [tail_table_to_dict(t) for t in report.tail_tables]
+    z_panels = {tag: _zsummary_to_dict(z) for tag, z in report.z_panels.items()}
+    out.append(
+        f',\n  "tail_tables": {json_block(tail_tables, "  ")},\n'
+        f'  "z_panels": {json_block(z_panels, "  ")}\n}}\n'
+    )
+    return "".join(out).encode("utf-8")
 
 
 def parse_json(data: bytes | str) -> AuditReport:

@@ -70,6 +70,19 @@ def test_audit_bad_rows_exit_2_with_row_numbers(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_audit_oversized_field_exit_2_without_outputs(tmp_path, capsys):
+    bad = tmp_path / "big.csv"
+    bad.write_text(
+        "study_id,author,year,title,journal,class,r,n\n"
+        f"s1,A,2000,{'t' * 200_000},,ICC,0.2,10\n"
+    )
+    out = tmp_path / "out"
+    code = main(["audit", "--input", str(bad), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert "error: row 2: field larger than field limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_audit_incomplete_studies_reported(tmp_path, capsys):
     csv = tmp_path / "partial.csv"
     csv.write_text(

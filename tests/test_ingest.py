@@ -98,6 +98,13 @@ def test_non_utf8_rejected():
         parse_records(b"\xff\xfe\x00bad")
 
 
+def test_oversized_field_is_positioned_parse_failure():
+    # csv.reader refuses a field over csv.field_size_limit() (131,072 by default)
+    text = rows("s1,A,2000,,,ICC,0.2,10", f"s2,B,2001,{'t' * 200_000},,ICC,0.2,10")
+    with pytest.raises(ParseFailure, match="row 3: field larger than field limit"):
+        parse_records(text)
+
+
 def test_record_validation_direct():
     with pytest.raises(ValueError):
         StudyRecord("", "A", 2000, None, None, CorrelationClass.ICC, 0.1, 10)

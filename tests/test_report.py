@@ -1,13 +1,17 @@
+import dataclasses
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaplot.cohort import GapReport
-from metaplot.fisher import summarize_studies, summarize_z
+from metaplot.fisher import StudySummary, summarize_studies, summarize_z
 from metaplot.gaussian import GaussianSpec, PRESETS, ratio_table
 from metaplot.ingest import CorrelationClass, group_complete_studies, parse_records
-from metaplot.pplot import build_plot
+from metaplot.numerics import Probability
+from metaplot.pplot import PlotClass, PlotDiagnostics, PValuePlot, build_plot
 from metaplot.report import (
     AuditMetadata,
     AuditReport,
@@ -56,6 +60,112 @@ def test_json_round_trip_with_optional_sections(null_csv):
     )
     report = build_report(null_csv, tail_tables=[tails], gap_report=gap)
     assert parse_json(render_json(report)) == report
+
+
+def optional_sections():
+    # the far spec makes the last ratio overflow into the "inf" token
+    tails = ratio_table(*PRESETS["g"], [0.0, 1.0, 2.0, 3.0])
+    far = ratio_table(GaussianSpec("ref", 0, 1), GaussianSpec("far", -60.0, 0.5), [0.0])
+    gap = GapReport(
+        gap_unadjusted=-16.6,
+        gap_adjusted=-3.8,
+        coefficients=(28.6, -3.8, 2.0),
+        residual_sd=1.1,
+    )
+    return {"tail_tables": [tails, far], "gap_report": gap}
+
+
+def assert_stdlib_bytes(report):
+    """render_json writes what the stdlib indent=2 encoder writes."""
+    text = render_json(report).decode("utf-8")
+    oracle = json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False)
+    assert text == oracle + "\n"
+
+
+@pytest.mark.parametrize("fixture", ["null_csv", "effect_csv"])
+@pytest.mark.parametrize("optional", [False, True])
+def test_json_matches_stdlib_encoder(fixture, optional, request):
+    sections = optional_sections() if optional else {}
+    report = build_report(request.getfixturevalue(fixture), **sections)
+    assert_stdlib_bytes(report)
+    assert parse_json(render_json(report)) == report
+
+
+def test_json_empty_report_matches_stdlib_encoder():
+    report = AuditReport(
+        metadata=AuditMetadata(input_sha256="", tool_version="0.1.0"),
+        summaries={},
+        z_panels={},
+        plots={},
+    )
+    assert_stdlib_bytes(report)
+    assert parse_json(render_json(report)) == report
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308]
+)
+unit = st.floats(0.0, 1.0) | st.sampled_from([-0.0, 5e-324, 1.0])
+texts = st.text() | st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "\U0001f600", "\ud800"])
+tags = st.sampled_from([c.value for c in CorrelationClass])
+study_summaries = st.builds(
+    StudySummary,
+    study_id=texts,
+    cls=st.sampled_from(CorrelationClass),
+    mean_r=finite,
+    n=st.integers(),
+    fisher_z=finite,
+    se=finite,
+    z_score=finite,
+    p_value=unit.map(Probability),
+)
+pvalue_plots = st.builds(
+    PValuePlot,
+    cls=st.none() | st.sampled_from(CorrelationClass),
+    alpha=finite,
+    points=st.lists(st.tuples(st.integers(), unit)).map(tuple),
+    diagnostics=st.builds(
+        PlotDiagnostics,
+        ks_statistic=finite,
+        ks_p=unit.map(Probability),
+        slope_fit=finite,
+        frac_below_alpha=unit.map(Probability),
+        min_p=unit.map(Probability),
+        classification=st.sampled_from(PlotClass),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    input_name=texts,
+    summaries=st.dictionaries(tags, st.lists(study_summaries, max_size=4).map(tuple)),
+    plots=st.dictionaries(tags, pvalue_plots),
+)
+def test_json_matches_stdlib_encoder_for_any_report(input_name, summaries, plots):
+    report = AuditReport(
+        metadata=AuditMetadata(
+            input_sha256="e" * 64, tool_version="0.1.0", config={"input": input_name}
+        ),
+        summaries=summaries,
+        z_panels={},
+        plots=plots,
+    )
+    assert_stdlib_bytes(report)
+    assert parse_json(render_json(report)) == report
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_rejects_non_finite_floats(null_csv, bad):
+    report = build_report(null_csv)
+    ss = report.summaries["ICC"]
+    summaries = {**report.summaries, "ICC": (dataclasses.replace(ss[0], z_score=bad), *ss[1:])}
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        render_json(dataclasses.replace(report, summaries=summaries))
+    plot = report.plots["ECC"]
+    plots = {**report.plots, "ECC": dataclasses.replace(plot, points=((1, bad),))}
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        render_json(dataclasses.replace(report, plots=plots))
 
 
 def test_json_byte_deterministic(null_csv):
