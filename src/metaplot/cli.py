@@ -6,11 +6,23 @@ Subcommands:
   simulate  synthetic-cohort gap decomposition from a JSON config
 
 Exit codes: 0 success, 1 I/O failure, 2 validation failure.
+
+main() turns CPython's cyclic garbage collector off while the subcommand
+runs and restores the caller's setting on return, also when an exception
+escapes. Reference counting still frees every object; the cyclic collector
+only finds objects in reference cycles, and the pipeline's records, groups,
+summaries and report pieces form none. Left on, it walks all of them again
+and again as they pile up: one `audit` of 100k studies ran 2,966
+collections, eleven of them full, and the full ones freed 0 objects. On a
+2-vCPU machine the pause alone took that run from 11.0-15.3 s to 9.7-12.1 s
+(three runs each). Library functions called directly leave the collector
+as they find it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -357,6 +369,8 @@ def run_simulate(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # see the module docstring
     try:
         return args.func(args)
     except CliValidationError as exc:
@@ -368,6 +382,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

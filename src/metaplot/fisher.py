@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 HISTOGRAM_BIN_WIDTH = 0.5
+_SQRT2 = math.sqrt(2.0)
 
 
 class AggregationMode(str, Enum):
@@ -113,27 +114,9 @@ def summarize_group(
     shared_n: bool = False,
     two_sided: bool = True,
 ) -> StudySummary:
-    """Full per-study pipeline for one correlation class.
-
-    MEAN_R: average the r values, then transform. MEAN_Z: average the
-    per-record arctanh(r) values and report mean_r = tanh(mean z) so that
-    fisher_z == arctanh(mean_r) holds in both modes.
-    """
-    mean_r, n = aggregate_study(group, cls, shared_n=shared_n)
-    if mode is AggregationMode.MEAN_Z:
-        recs = group.records_for(cls)
-        mean_r = math.tanh(sum(arctanh(rec.r) for rec in recs) / len(recs))
-    stats = r_to_pvalue(mean_r, n, two_sided=two_sided)
-    return StudySummary(
-        study_id=group.study_id,
-        cls=cls,
-        mean_r=mean_r,
-        n=n,
-        fisher_z=stats.fisher_z,
-        se=stats.se,
-        z_score=stats.z_score,
-        p_value=stats.p_value,
-    )
+    """Full per-study pipeline for one correlation class of one study."""
+    return summarize_studies([group], cls, mode=mode, shared_n=shared_n,
+                             two_sided=two_sided)[0]
 
 
 def summarize_studies(
@@ -143,10 +126,41 @@ def summarize_studies(
     shared_n: bool = False,
     two_sided: bool = True,
 ) -> list[StudySummary]:
-    return [
-        summarize_group(g, cls, mode=mode, shared_n=shared_n, two_sided=two_sided)
-        for g in groups
-    ]
+    """Per-study pipeline for one correlation class, one summary per group.
+
+    MEAN_R: average the r values, then transform. MEAN_Z: average the
+    per-record arctanh(r) values and report mean_r = tanh(mean z) so that
+    fisher_z == arctanh(mean_r) holds in both modes. n is as in
+    aggregate_study; the rest is r_to_pvalue, inlined with the same
+    checks and the same floating-point operations in the same order.
+    """
+    mean_z = mode is AggregationMode.MEAN_Z
+    out: list[StudySummary] = []
+    for group in groups:
+        recs = group.by_class.get(cls)
+        if not recs:
+            raise ValueError(f"study {group.study_id!r} has no {cls.value} records")
+        if mean_z:
+            mean_r = math.tanh(sum([arctanh(rec.r) for rec in recs]) / len(recs))
+        else:
+            mean_r = sum([rec.r for rec in recs]) / len(recs)
+        n = group.study_n if shared_n else sum([rec.n for rec in recs])
+        if n < 4:
+            raise ValueError("sample size must exceed 3")
+        if not abs(mean_r) < 1.0:  # also rejects NaN
+            raise ValueError(f"arctanh requires |r| < 1, got {mean_r!r}")
+        fisher_z = math.atanh(mean_r)
+        se = 1.0 / math.sqrt(n - 3)
+        z_score = fisher_z / se
+        # 0.5 * erfc is std_normal_sf; doubling it rounds as r_to_pvalue does
+        # when erfc is subnormal
+        if two_sided:
+            p = min(1.0, 2.0 * (0.5 * math.erfc(abs(z_score) / _SQRT2)))
+        else:
+            p = 0.5 * math.erfc(z_score / _SQRT2)
+        out.append(StudySummary(group.study_id, cls, mean_r, n, fisher_z, se, z_score,
+                                Probability(p)))
+    return out
 
 
 def _quantile(sorted_values: list[float], q: float) -> float:

@@ -41,6 +41,10 @@ class CorrelationClass(str, Enum):
     IEC = "IEC"  # instrument score vs. explicit measure
 
 
+_CLASS_BY_TAG = {c.value: c for c in CorrelationClass}
+_CLASS_COUNT = len(_CLASS_BY_TAG)
+
+
 class ParseFailure(ValueError):
     """Raised for unusable input (bad header/encoding, or strict-mode rows)."""
 
@@ -102,10 +106,6 @@ class StudyGroup:
         return self.by_class.get(cls, ())
 
     @property
-    def is_complete(self) -> bool:
-        return all(self.by_class.get(c) for c in CorrelationClass)
-
-    @property
     def study_n(self) -> int:
         """Per-study sample size: the largest record n in the group.
 
@@ -163,7 +163,7 @@ def _check_header(header: list[str] | None) -> None:
 def _parse_row(row: list[str]) -> StudyRecord:
     if len(row) != len(REQUIRED_COLUMNS):
         raise ValueError(f"expected {len(REQUIRED_COLUMNS)} fields, got {len(row)}")
-    study_id, author, year_s, title, journal, cls_s, r_s, n_s = (f.strip() for f in row)
+    study_id, author, year_s, title, journal, cls_s, r_s, n_s = map(str.strip, row)
     problems: list[str] = []
     year = 0
     r = 0.0
@@ -172,11 +172,9 @@ def _parse_row(row: list[str]) -> StudyRecord:
         year = int(year_s)
     except ValueError:
         problems.append(f"unparseable year {year_s!r}")
-    try:
-        cls = CorrelationClass(cls_s)
-    except ValueError:
+    cls = _CLASS_BY_TAG.get(cls_s)
+    if cls is None:
         problems.append(f"unknown class tag {cls_s!r} (expected ICC, ECC, or IEC)")
-        cls = CorrelationClass.ICC
     try:
         r = float(r_s)
     except ValueError:
@@ -187,16 +185,7 @@ def _parse_row(row: list[str]) -> StudyRecord:
         problems.append(f"unparseable sample size {n_s!r}")
     if problems:
         raise ValueError("; ".join(problems))
-    return StudyRecord(
-        study_id=study_id,
-        author=author,
-        year=year,
-        title=title or None,
-        journal=journal or None,
-        cls=cls,
-        r=r,
-        n=n,
-    )
+    return StudyRecord(study_id, author, year, title or None, journal or None, cls, r, n)
 
 
 def parse_records(source: Source, strict: bool = False) -> ParseResult:
@@ -212,8 +201,8 @@ def parse_records(source: Source, strict: bool = False) -> ParseResult:
     try:
         _check_header(next(reader, None))
         for row in reader:
-            if not row or all(not f.strip() for f in row):
-                continue  # blank line
+            if not "".join(row).strip():
+                continue  # blank line, or only whitespace fields
             line = reader.line_num
             try:
                 records.append(_parse_row(row))
@@ -240,12 +229,12 @@ def group_complete_studies(records: Iterable[StudyRecord]) -> GroupingReport:
     groups: list[StudyGroup] = []
     dropped: list[tuple[str, str]] = []
     for study_id in sorted(buckets):
-        by_class = {cls: tuple(recs) for cls, recs in buckets[study_id].items()}
-        group = StudyGroup(study_id=study_id, by_class=by_class)
-        if group.is_complete:
-            groups.append(group)
+        bucket = buckets[study_id]  # holds only classes with at least one record
+        if len(bucket) == _CLASS_COUNT:
+            by_class = {cls: tuple(recs) for cls, recs in bucket.items()}
+            groups.append(StudyGroup(study_id, by_class))
         else:
-            missing = [c.value for c in CorrelationClass if not by_class.get(c)]
+            missing = [c.value for c in CorrelationClass if c not in bucket]
             dropped.append((study_id, f"missing class(es): {', '.join(missing)}"))
 
     return GroupingReport(

@@ -311,6 +311,11 @@ def pplot_filename(tag: str) -> str:
     return f"pplot_{tag}.svg"
 
 
+def _md_cell(text: str) -> str:
+    # A raw "|" would end the cell and a line break would end the row.
+    return text.replace("|", "\\|").replace("\r", " ").replace("\n", " ")
+
+
 def _md_summary_table(tag: str, summaries: Sequence[StudySummary]) -> list[str]:
     lines = [
         f"### {tag} study summaries",
@@ -320,7 +325,7 @@ def _md_summary_table(tag: str, summaries: Sequence[StudySummary]) -> list[str]:
     ]
     for s in summaries:
         lines.append(
-            f"| {s.study_id} | {s.mean_r:.4f} | {s.n} | {s.fisher_z:.4f} "
+            f"| {_md_cell(s.study_id)} | {s.mean_r:.4f} | {s.n} | {s.fisher_z:.4f} "
             f"| {s.se:.4f} | {s.z_score:.4f} | {s.p_value:.4f} |"
         )
     lines.append("")

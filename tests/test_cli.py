@@ -1,9 +1,11 @@
+import gc
 import json
 import subprocess
 import sys
 
 import pytest
 
+import metaplot.cli
 from metaplot.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
 pytestmark = pytest.mark.usefixtures("no_color")
@@ -102,6 +104,48 @@ def test_audit_format_selection(null_csv, tmp_path):
     )
     assert code == EXIT_OK
     assert set(read_dir(out)) == {"report.json"}
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def caller_gc(request):
+    """Set the collector as the caller of main() had it; put it back afterwards."""
+    was_enabled = gc.isenabled()
+    gc.enable() if request.param else gc.disable()
+    yield request.param
+    gc.enable() if was_enabled else gc.disable()
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [("ok", EXIT_OK), ("bad-alpha", EXIT_VALIDATION), ("malformed-csv", EXIT_VALIDATION),
+     ("missing-input", EXIT_IO)],
+)
+def test_main_restores_caller_gc_state(caller_gc, case, expected, null_csv, tmp_path, capsys):
+    malformed = tmp_path / "malformed.csv"
+    malformed.write_text("not,a,metaplot,header\n1,2,3,4\n")
+    inputs = {"ok": null_csv, "bad-alpha": null_csv, "malformed-csv": malformed,
+              "missing-input": tmp_path / "nope.csv"}
+    argv = ["audit", "--input", str(inputs[case]), "--out", str(tmp_path / "out")]
+    if case == "bad-alpha":
+        argv += ["--alpha", "1.5"]
+    assert main(argv) == expected
+    assert gc.isenabled() is caller_gc
+
+
+def test_main_restores_caller_gc_state_when_an_exception_escapes(
+    caller_gc, null_csv, tmp_path, monkeypatch
+):
+    seen = []
+
+    def boom(source, strict=False):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(metaplot.cli, "parse_records", boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["audit", "--input", str(null_csv), "--out", str(tmp_path / "out")])
+    assert seen == [False]  # the collector is paused while the subcommand runs
+    assert gc.isenabled() is caller_gc
 
 
 def test_audit_bad_alpha_exit_2(null_csv, tmp_path, capsys):

@@ -1,16 +1,22 @@
+import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaplot.fisher import (
     AggregationMode,
     aggregate_study,
     r_to_pvalue,
     summarize_group,
+    summarize_studies,
     summarize_z,
 )
-from metaplot.ingest import CorrelationClass, StudyRecord, group_complete_studies
+from metaplot.ingest import CorrelationClass, StudyGroup, StudyRecord, group_complete_studies
+from metaplot.numerics import Probability
 
 
 def make_group(rs_ns, cls=CorrelationClass.ICC, sid="s1"):
@@ -142,6 +148,80 @@ def test_summarize_group_fields_tie_together():
     assert s.fisher_z == pytest.approx(math.atanh(s.mean_r), abs=1e-14)
     assert s.se == pytest.approx(1.0 / math.sqrt(s.n - 3), abs=1e-15)
     assert s.z_score == pytest.approx(s.fisher_z / s.se, abs=1e-12)
+
+
+def reference_summary(group, cls, mode, shared_n, two_sided):
+    """The per-study pipeline written out from its definition, math module only."""
+    rs = [rec.r for rec in group.by_class[cls]]
+    if mode is AggregationMode.MEAN_Z:
+        mean_r = math.tanh(sum(math.atanh(r) for r in rs) / len(rs))
+    else:
+        mean_r = sum(rs) / len(rs)
+    if shared_n:
+        n = max(rec.n for recs in group.by_class.values() for rec in recs)
+    else:
+        n = sum(rec.n for rec in group.by_class[cls])
+    fisher_z = math.atanh(mean_r)
+    se = 1.0 / math.sqrt(n - 3)
+    z_score = fisher_z / se
+    sf = 0.5 * math.erfc((abs(z_score) if two_sided else z_score) / math.sqrt(2.0))
+    p = min(1.0, 2.0 * sf) if two_sided else sf
+    return (group.study_id, cls, mean_r, n, fisher_z, se, z_score, p)
+
+
+record_values = st.tuples(
+    st.floats(min_value=-0.99, max_value=0.99, allow_nan=False), st.integers(4, 5000)
+)
+study_sheets = st.lists(
+    st.fixed_dictionaries(
+        {cls: st.lists(record_values, min_size=1, max_size=5) for cls in CorrelationClass}
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@pytest.mark.parametrize(
+    "mode, shared_n, two_sided",
+    list(itertools.product(AggregationMode, [False, True], [True, False])),
+)
+@settings(max_examples=60, deadline=None)
+@given(sheet=study_sheets)
+def test_summarize_studies_equals_reference(sheet, mode, shared_n, two_sided):
+    records = [
+        StudyRecord(f"s{i}", "A", 2000, None, None, cls, r, n)
+        for i, by_class in enumerate(sheet)
+        for cls, values in by_class.items()
+        for r, n in values
+    ]
+    groups = group_complete_studies(records).groups
+    for cls in CorrelationClass:
+        got = summarize_studies(groups, cls, mode=mode, shared_n=shared_n, two_sided=two_sided)
+        assert len(got) == len(groups)
+        for group, s in zip(groups, got):
+            want = reference_summary(group, cls, mode, shared_n, two_sided)
+            assert (s.study_id, s.cls, s.mean_r, s.n, s.fisher_z, s.se, s.z_score,
+                    s.p_value) == want
+            assert type(s.p_value) is Probability
+            assert s == summarize_group(group, cls, mode=mode, shared_n=shared_n,
+                                        two_sided=two_sided)
+
+
+def test_summarize_studies_error_messages():
+    group = make_group([(0.2, 10)])
+    bare = dict(group.by_class)
+    del bare[CorrelationClass.ECC]
+    with pytest.raises(ValueError, match=r"^study 's1' has no ECC records$"):
+        summarize_studies([group, StudyGroup("s1", bare)], CorrelationClass.ECC)
+    # StudyRecord itself rejects n < 4 and |r| >= 1, so stand-in records reach
+    # the pipeline's own checks.
+    small_n = StudyGroup("s2", {CorrelationClass.ICC: (SimpleNamespace(r=0.2, n=3),)})
+    with pytest.raises(ValueError, match=r"^sample size must exceed 3$"):
+        summarize_studies([small_n], CorrelationClass.ICC)
+    unit_r = StudyGroup("s3", {CorrelationClass.ICC: (SimpleNamespace(r=1.0, n=30),)})
+    for mode in AggregationMode:
+        with pytest.raises(ValueError, match=r"^arctanh requires \|r\| < 1, got 1\.0$"):
+            summarize_studies([unit_r], CorrelationClass.ICC, mode=mode)
 
 
 def summaries_from_z(zs, cls=CorrelationClass.ICC):

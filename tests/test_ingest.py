@@ -55,6 +55,32 @@ def test_unknown_class_tag_rejected():
     assert "unknown class tag" in result.errors[0].message
 
 
+def test_lower_case_class_tag_message_is_exact():
+    result = parse_records(rows("s1,A,2000,,,icc,0.2,10"))
+    assert [(e.line, e.message) for e in result.errors] == [
+        (2, "unknown class tag 'icc' (expected ICC, ECC, or IEC)")
+    ]
+
+
+def test_whitespace_only_rows_skipped_but_one_field_is_positioned():
+    result = parse_records(
+        rows(
+            "   ",
+            "\t, ,,",
+            ",,,,,,,",
+            " \t ,\t,  , , ,\t,,",
+            " x ",
+            ",,,,,ICC,,",
+            "s1,A,2000,,,ICC,0.2,10",
+        )
+    )
+    assert [r.study_id for r in result.records] == ["s1"]
+    assert [(e.line, e.message) for e in result.errors] == [
+        (6, "expected 8 fields, got 1"),
+        (7, "unparseable year ''; unparseable correlation ''; unparseable sample size ''"),
+    ]
+
+
 def test_errors_collected_across_rows_with_positions():
     result = parse_records(
         rows(

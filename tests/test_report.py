@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +209,39 @@ def test_markdown_p_values_four_decimals(null_csv):
     md = render_markdown(report)
     first = report.summaries["ICC"][0]
     assert f"{first.p_value:.4f}" in md
+
+
+@pytest.mark.filterwarnings("ignore:only 4 p-values")
+def test_markdown_study_cell_escapes_pipes_and_line_breaks():
+    ids = ["s0|x\nnext", "s1\r\nb", "|s2|", "s3"]
+    rows = [
+        f'"{sid}",A,2000,,,{cls.value},0.{i + 1},{20 + i}'
+        for i, sid in enumerate(ids)
+        for cls in CorrelationClass
+    ]
+    csv_text = "study_id,author,year,title,journal,class,r,n\n" + "\n".join(rows) + "\n"
+    groups = group_complete_studies(parse_records(csv_text).raise_if_errors()).groups
+    summaries = {cls.value: tuple(summarize_studies(groups, cls)) for cls in CorrelationClass}
+    report = AuditReport(
+        metadata=AuditMetadata(input_sha256="e" * 64, tool_version="0.1.0", config={}),
+        summaries=summaries,
+        z_panels={tag: summarize_z(ss, CorrelationClass(tag)) for tag, ss in summaries.items()},
+        plots={
+            tag: build_plot([s.p_value for s in ss], alpha=0.05, cls=CorrelationClass(tag))
+            for tag, ss in summaries.items()
+        },
+    )
+    md = render_markdown(report)
+    for tag in summaries:
+        section = md.split(f"### {tag} study summaries\n\n")[1].split("\n\n")[0]
+        body = section.splitlines()[2:]  # after the header and the rule
+        assert len(body) == len(ids)
+        for line, sid in zip(body, sorted(ids)):
+            cells = re.split(r"(?<!\\)\|", line)[1:-1]
+            assert len(cells) == 7, line
+            expected = sid.replace("|", "\\|").replace("\r", " ").replace("\n", " ")
+            assert cells[0] == f" {expected} "
+    assert "| s3 |" in md
 
 
 def test_svg_pplot_structure(null_csv):
