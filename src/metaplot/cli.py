@@ -331,10 +331,14 @@ def run_simulate(args: argparse.Namespace) -> int:
         ) from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise CliValidationError(f"{path}: bad cohort config: {exc}") from exc
-    if args.seed is not None:
-        config = config.with_seed(args.seed)
     if args.seeds < 1:
         raise CliValidationError("--seeds must be at least 1")
+    try:
+        if args.seed is not None:
+            config = config.with_seed(args.seed)
+        config.with_seed(config.seed + args.seeds - 1)  # the last seed of the range
+    except ValueError as exc:
+        raise CliValidationError(f"bad --seed/--seeds: {exc}") from exc
 
     payload: dict = {
         "config": config.to_dict(),

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .numerics import std_normal_quantile
+from .numerics import _STD_NORMAL, std_normal_quantile
 
 __all__ = [
     "Pcg32",
@@ -41,6 +41,14 @@ class Pcg32:
     come from (u32 + 0.5) / 2^32, which never produces 0 or 1; normals use
     the inverse-CDF method via std_normal_quantile, so simulated cohorts
     replay bit-identically for the same CPython and C math library.
+
+    random_array(m) draws the next m uniforms at once with numpy uint64
+    arithmetic and jump-ahead (Brown 1994, "Random number generation with
+    arbitrary strides"): the state before draw i is
+    MULT^i * s + inc * (1 + MULT + ... + MULT^(i-1)) mod 2^64, so one
+    cumprod and one cumsum give every state. It is the same stream as m
+    calls of random(), and leaves the same state behind; the scalar methods
+    stay the single-draw API and the reference the tests compare against.
     """
 
     _MULT = 6364136223846793005
@@ -64,6 +72,25 @@ class Pcg32:
     def random(self) -> float:
         """Uniform double in the open interval (0, 1)."""
         return (self.next_uint32() + 0.5) / 4294967296.0
+
+    def random_array(self, m: int) -> np.ndarray:
+        """The next m values of random() as a float64 array, in stream order."""
+        if m < 0:
+            raise ValueError(f"draw count must be non-negative, got {m!r}")
+        # numpy uint64 arrays wrap mod 2^64 silently; scalars would warn.
+        powers = np.full(m + 1, self._MULT, dtype=np.uint64)
+        powers[0] = 1
+        np.cumprod(powers, out=powers)  # MULT^i
+        geometric = np.zeros(m + 1, dtype=np.uint64)
+        np.cumsum(powers[:-1], out=geometric[1:])  # 1 + MULT + ... + MULT^(i-1)
+        states = powers * np.uint64(self._state) + geometric * np.uint64(self._inc)
+        self._state = int(states[m])
+        old = states[:m]
+        xorshifted = (((old >> np.uint64(18)) ^ old) >> np.uint64(27)) & np.uint64(0xFFFFFFFF)
+        rot = old >> np.uint64(59)
+        out = (xorshifted >> rot) | (xorshifted << ((np.uint64(32) - rot) & np.uint64(31)))
+        out &= np.uint64(0xFFFFFFFF)
+        return (out.astype(np.float64) + 0.5) / 4294967296.0
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
         return mu + sigma * std_normal_quantile(self.random())
@@ -100,8 +127,8 @@ class CohortConfig:
             )
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not 0 <= self.seed <= Pcg32._MASK:  # Pcg32 would mask a larger seed
+            raise ValueError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
         object.__setattr__(self, "confounders", tuple(self.confounders))
 
     @classmethod
@@ -199,24 +226,31 @@ def generate_cohort(config: CohortConfig) -> Cohort:
     Rows are the reference group (indicator 0) first, then the comparison
     group (indicator 1). Draw order is fixed (per subject: confounders in
     declared order, then the noise term), so a given seed always yields a
-    byte-identical data set.
+    byte-identical data set. All uniforms come from one
+    Pcg32.random_array call in that order, and each confounder value is
+    mean + sigma * z, the same floating-point operations as Pcg32.normal;
+    tests/test_cohort.py keeps the one-draw-at-a-time loop as the oracle
+    and requires equal bytes.
     """
-    rng = Pcg32(config.seed)
     n = config.n_per_group
     k = len(config.confounders)
+    width = k + (config.noise_sigma > 0.0)
+    u = Pcg32(config.seed).random_array(2 * n * width)
+    # u lies in (0, 1) by construction, so std_normal_quantile's check is moot.
+    z = np.array(list(map(_STD_NORMAL.inv_cdf, u.tolist())), dtype=float)
+    z = z.reshape(2 * n, width)
     x = np.empty((2 * n, 2 + k), dtype=float)
-    eps = np.zeros(2 * n, dtype=float)
-    row = 0
-    for group in (0.0, 1.0):
-        for _ in range(n):
-            x[row, 0] = 1.0
-            x[row, 1] = group
-            for j, conf in enumerate(config.confounders):
-                mean = conf.mean_f if group == 1.0 else conf.mean_m
-                x[row, 2 + j] = rng.normal(mean, conf.sigma)
-            if config.noise_sigma > 0.0:
-                eps[row] = rng.normal(0.0, config.noise_sigma)
-            row += 1
+    x[:, 0] = 1.0
+    x[:n, 1] = 0.0
+    x[n:, 1] = 1.0
+    confs = config.confounders
+    sigma = np.array([c.sigma for c in confs], dtype=float)
+    x[:n, 2:] = np.array([c.mean_m for c in confs], dtype=float) + sigma * z[:n, :k]
+    x[n:, 2:] = np.array([c.mean_f for c in confs], dtype=float) + sigma * z[n:, :k]
+    if width > k:
+        eps = 0.0 + config.noise_sigma * z[:, k]  # Pcg32.normal(0.0, noise_sigma)
+    else:
+        eps = np.zeros(2 * n, dtype=float)
     betas = np.array(
         [config.beta0, config.beta1] + [c.beta for c in config.confounders], dtype=float
     )

@@ -79,6 +79,8 @@ def aggregate_study(
     By default n is the sum of the class records' n. With shared_n=True the
     study-level n (largest record n in the group) is used instead, for
     extraction sheets where every record re-reports one participant pool.
+    This is the per-study reference for summarize_studies' mean r (mean-r
+    mode) and n; the tests require the two to agree exactly.
     """
     recs = group.records_for(cls)
     if not recs:
@@ -93,7 +95,9 @@ def r_to_pvalue(r: float, n: int, two_sided: bool = True) -> FisherStats:
 
     z = arctanh(r), se = 1/sqrt(n-3), z_score = z/se. The p-value is
     two-sided by default (2 * P(Z > |z_score|)); one-sided uses the upper
-    tail, i.e. tests for a positive correlation.
+    tail, i.e. tests for a positive correlation. This is the per-study
+    reference for the arithmetic summarize_studies inlines; the tests
+    require the two to agree exactly.
     """
     if n < 4:
         raise ValueError("sample size must exceed 3")
@@ -133,6 +137,8 @@ def summarize_studies(
     fisher_z == arctanh(mean_r) holds in both modes. n is as in
     aggregate_study; the rest is r_to_pvalue, inlined with the same
     checks and the same floating-point operations in the same order.
+    aggregate_study and r_to_pvalue are its per-study reference:
+    tests/test_fisher.py requires every field to equal theirs.
     """
     mean_z = mode is AggregationMode.MEAN_Z
     out: list[StudySummary] = []

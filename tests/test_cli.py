@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import subprocess
 import sys
@@ -305,6 +306,28 @@ def test_simulate_multi_seed_reports_mean_sd(demo_config, tmp_path, capsys):
     assert len(payload["results"]) == 5
     assert payload["seeds"] == list(range(7, 12))
     assert abs(payload["mean"]["gap_unadjusted"]) > abs(payload["mean"]["gap_adjusted"])
+
+
+@pytest.mark.parametrize(
+    "seed_args",
+    [["--seed", "-1"], ["--seed", str(2**64)], ["--seed", str(2**64 - 3), "--seeds", "5"]],
+)
+def test_simulate_seed_out_of_range_exit_2_without_outputs(tmp_path, capsys, seed_args):
+    out = tmp_path / "sim"
+    code = main(["simulate", "--demo", "--out", str(out)] + seed_args)
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "2**64 - 1" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_simulate_demo_20_seeds_gap_json_bytes(tmp_path):
+    # Pins the batch-drawn cohorts to the bytes of the one-draw-at-a-time loop.
+    out = tmp_path / "sim"
+    assert main(["simulate", "--demo", "--seeds", "20", "--out", str(out)]) == EXIT_OK
+    digest = hashlib.sha256((out / "gap.json").read_bytes()).hexdigest()
+    assert digest == "754a93608c220a10753a8a629badb091631c69a0d253a9346a1bdcd40f5288ca"
 
 
 def test_simulate_byte_identical_runs(tmp_path):

@@ -1,8 +1,13 @@
 import json
 import math
+import warnings
+
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import metaplot
 
 from metaplot.cohort import (
     CohortConfig,
@@ -33,6 +38,28 @@ def test_pcg32_deterministic_and_seed_sensitive():
     assert all(0.0 < u < 1.0 for u in a)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: Pcg32(42, stream=54), lambda: Pcg32(0), lambda: Pcg32(2**64 - 1)],
+    ids=["seed42-stream54", "seed0", "seed2**64-1"],
+)
+def test_pcg32_random_array_is_the_scalar_stream(make):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy uint64 scalar overflow warning fails
+        for m in (0, 1, 2, 3, 17, 1000):
+            batch, scalar = make(), make()
+            batch.random()
+            scalar.random()
+            got = batch.random_array(m)
+            assert got.dtype == np.float64 and got.shape == (m,)
+            assert got.tolist() == [scalar.random() for _ in range(m)]
+            assert batch._state == scalar._state
+            assert batch.next_uint32() == scalar.next_uint32()
+            assert batch.random_array(m).tolist() == [scalar.random() for _ in range(m)]
+    with pytest.raises(ValueError, match="non-negative"):
+        make().random_array(-1)
+
+
 def test_pcg32_normal_moments():
     rng = Pcg32(2024)
     draws = [rng.normal() for _ in range(20000)]
@@ -48,6 +75,10 @@ def test_config_validation():
         CohortConfig(n_per_group=10, beta0=0, beta1=0, noise_sigma=-1)
     with pytest.raises(ValueError):
         Confounder(1.0, 0.0, 0.0, 0.0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64 - 1\]"):
+            CohortConfig(n_per_group=10, beta0=0, beta1=0, seed=seed)
+    assert CohortConfig(n_per_group=10, beta0=0, beta1=0, seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_config_json_round_trip():
@@ -91,6 +122,57 @@ def test_generate_cohort_byte_identical_for_fixed_seed():
     b = generate_cohort(cfg)
     assert a.x.tobytes() == b.x.tobytes()
     assert a.y.tobytes() == b.y.tobytes()
+
+
+def loop_cohort(config):
+    """The one-draw-at-a-time generator generate_cohort must reproduce."""
+    rng = Pcg32(config.seed)
+    n = config.n_per_group
+    k = len(config.confounders)
+    x = np.empty((2 * n, 2 + k), dtype=float)
+    eps = np.zeros(2 * n, dtype=float)
+    row = 0
+    for group in (0.0, 1.0):
+        for _ in range(n):
+            x[row, 0] = 1.0
+            x[row, 1] = group
+            for j, conf in enumerate(config.confounders):
+                mean = conf.mean_f if group == 1.0 else conf.mean_m
+                x[row, 2 + j] = rng.normal(mean, conf.sigma)
+            if config.noise_sigma > 0.0:
+                eps[row] = rng.normal(0.0, config.noise_sigma)
+            row += 1
+    betas = np.array(
+        [config.beta0, config.beta1] + [c.beta for c in config.confounders], dtype=float
+    )
+    return x, x @ betas + eps
+
+
+DEMO_CONFIG = CohortConfig.from_json(
+    (Path(metaplot.__file__).parent / "data" / "demo_cohort.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        CohortConfig(n_per_group=5, beta0=1.0, beta1=-2.0, seed=4),
+        CohortConfig(n_per_group=40, beta0=0.5, beta1=1.5, noise_sigma=0.3, seed=9),
+        CohortConfig(
+            n_per_group=60,
+            beta0=-1.0,
+            beta1=0.25,
+            confounders=(Confounder(0.5, 1.0, -0.25, 0.8), Confounder(-1.25, 0.0, 2.0, 3.0)),
+            seed=2**64 - 1,
+        ),
+    ]
+    + [DEMO_CONFIG.with_seed(s) for s in (0, 7, 8, 26, 123456789)],
+)
+def test_generate_cohort_equals_loop_oracle(config):
+    x, y = loop_cohort(config)
+    cohort = generate_cohort(config)
+    assert cohort.x.tobytes() == x.tobytes()
+    assert cohort.y.tobytes() == y.tobytes()
 
 
 def test_confounder_group_means_shift():

@@ -203,6 +203,14 @@ def test_summarize_studies_equals_reference(sheet, mode, shared_n, two_sided):
             assert (s.study_id, s.cls, s.mean_r, s.n, s.fisher_z, s.se, s.z_score,
                     s.p_value) == want
             assert type(s.p_value) is Probability
+            # the public per-study functions are the reference the loop inlines
+            mean_r, n = aggregate_study(group, cls, shared_n=shared_n)
+            if mode is AggregationMode.MEAN_Z:
+                mean_r = math.tanh(sum(math.atanh(rec.r) for rec in group.by_class[cls])
+                                   / len(group.by_class[cls]))
+            stats = r_to_pvalue(mean_r, n, two_sided=two_sided)
+            assert (s.mean_r, s.n, s.fisher_z, s.se, s.z_score, s.p_value) == (
+                mean_r, n, stats.fisher_z, stats.se, stats.z_score, stats.p_value)
             assert s == summarize_group(group, cls, mode=mode, shared_n=shared_n,
                                         two_sided=two_sided)
 
