@@ -22,9 +22,6 @@ from .fisher import (
     AggregationMode,
     StudySummary,
     ZSummary,
-    aggregate_study,
-    r_to_pvalue,
-    summarize_group,
     summarize_studies,
     summarize_z,
 )
@@ -50,7 +47,6 @@ from .ingest import (
 from .numerics import (
     Probability,
     arctanh,
-    std_normal_cdf,
     std_normal_quantile,
     std_normal_sf,
 )
@@ -66,7 +62,6 @@ from .pplot import (
 from .report import (
     AuditMetadata,
     AuditReport,
-    parse_json,
     render_json,
     render_markdown,
     render_svg_gaussians,
@@ -101,7 +96,6 @@ __all__ = [
     "TailRow",
     "TailTable",
     "ZSummary",
-    "aggregate_study",
     "arctanh",
     "build_plot",
     "classify",
@@ -111,19 +105,15 @@ __all__ = [
     "group_complete_studies",
     "ks_uniform",
     "ols_fit",
-    "parse_json",
     "parse_records",
-    "r_to_pvalue",
     "ratio_table",
     "render_json",
     "render_markdown",
     "render_svg_gaussians",
     "render_svg_pplot",
     "render_svg_zpanel",
-    "std_normal_cdf",
     "std_normal_quantile",
     "std_normal_sf",
-    "summarize_group",
     "summarize_studies",
     "summarize_z",
     "tail_area",

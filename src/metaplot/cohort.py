@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -137,14 +137,17 @@ class CohortConfig:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown cohort config field(s): {', '.join(sorted(unknown))}")
+        ints = {"n_per_group": d["n_per_group"], "seed": d.get("seed", 0)}
+        for name, value in ints.items():
+            if type(value) is not int:  # int() would truncate 7.9 and accept true or "7"
+                raise ValueError(f"{name} must be a JSON integer, got {value!r}")
         confs = tuple(Confounder(**c) for c in d.get("confounders", ()))
         return cls(
-            n_per_group=int(d["n_per_group"]),
             beta0=float(d["beta0"]),
             beta1=float(d["beta1"]),
             confounders=confs,
             noise_sigma=float(d.get("noise_sigma", 0.0)),
-            seed=int(d.get("seed", 0)),
+            **ints,
         )
 
     @classmethod
@@ -181,7 +184,6 @@ class Cohort:
 
     x: np.ndarray
     y: np.ndarray
-    columns: tuple[str, ...]
 
 
 class RankDeficiencyError(ValueError):
@@ -209,15 +211,6 @@ class GapReport:
             "coefficients": list(self.coefficients),
             "residual_sd": self.residual_sd,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "GapReport":
-        return cls(
-            gap_unadjusted=float(d["gap_unadjusted"]),
-            gap_adjusted=float(d["gap_adjusted"]),
-            coefficients=tuple(float(v) for v in d["coefficients"]),
-            residual_sd=float(d["residual_sd"]),
-        )
 
 
 def generate_cohort(config: CohortConfig) -> Cohort:
@@ -255,8 +248,7 @@ def generate_cohort(config: CohortConfig) -> Cohort:
         [config.beta0, config.beta1] + [c.beta for c in config.confounders], dtype=float
     )
     y = x @ betas + eps
-    columns = ("intercept", "group") + tuple(f"x{j + 2}" for j in range(k))
-    return Cohort(x=x, y=y, columns=columns)
+    return Cohort(x=x, y=y)
 
 
 def ols_fit(x: np.ndarray, y: np.ndarray) -> OlsFit:

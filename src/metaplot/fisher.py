@@ -10,19 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .ingest import CorrelationClass, StudyGroup
-from .numerics import Probability, arctanh, std_normal_sf
+from .numerics import Probability, arctanh
 
 __all__ = [
     "AggregationMode",
-    "FisherStats",
     "StudySummary",
     "ZSummary",
-    "aggregate_study",
-    "r_to_pvalue",
-    "summarize_group",
     "summarize_studies",
     "summarize_z",
 ]
@@ -36,13 +32,6 @@ class AggregationMode(str, Enum):
 
     MEAN_R = "mean-r"  # average r, then transform (default)
     MEAN_Z = "mean-z"  # transform each r, then average on the z scale
-
-
-class FisherStats(NamedTuple):
-    fisher_z: float
-    se: float
-    z_score: float
-    p_value: Probability
 
 
 @dataclass(frozen=True)
@@ -71,58 +60,6 @@ class ZSummary:
     histogram: tuple[tuple[float, float, int], ...]  # (lo, hi, count)
 
 
-def aggregate_study(
-    group: StudyGroup, cls: CorrelationClass, shared_n: bool = False
-) -> tuple[float, int]:
-    """Mean correlation and effective sample size for one class of a study.
-
-    By default n is the sum of the class records' n. With shared_n=True the
-    study-level n (largest record n in the group) is used instead, for
-    extraction sheets where every record re-reports one participant pool.
-    This is the per-study reference for summarize_studies' mean r (mean-r
-    mode) and n; the tests require the two to agree exactly.
-    """
-    recs = group.records_for(cls)
-    if not recs:
-        raise ValueError(f"study {group.study_id!r} has no {cls.value} records")
-    mean_r = sum(rec.r for rec in recs) / len(recs)
-    n = group.study_n if shared_n else sum(rec.n for rec in recs)
-    return mean_r, n
-
-
-def r_to_pvalue(r: float, n: int, two_sided: bool = True) -> FisherStats:
-    """Fisher z, standard error, z-score, and p-value for a correlation.
-
-    z = arctanh(r), se = 1/sqrt(n-3), z_score = z/se. The p-value is
-    two-sided by default (2 * P(Z > |z_score|)); one-sided uses the upper
-    tail, i.e. tests for a positive correlation. This is the per-study
-    reference for the arithmetic summarize_studies inlines; the tests
-    require the two to agree exactly.
-    """
-    if n < 4:
-        raise ValueError("sample size must exceed 3")
-    fisher_z = arctanh(r)  # rejects |r| >= 1
-    se = 1.0 / math.sqrt(n - 3)
-    z_score = fisher_z / se
-    if two_sided:
-        p = min(1.0, 2.0 * std_normal_sf(abs(z_score)))
-    else:
-        p = std_normal_sf(z_score)
-    return FisherStats(fisher_z=fisher_z, se=se, z_score=z_score, p_value=Probability(p))
-
-
-def summarize_group(
-    group: StudyGroup,
-    cls: CorrelationClass,
-    mode: AggregationMode = AggregationMode.MEAN_R,
-    shared_n: bool = False,
-    two_sided: bool = True,
-) -> StudySummary:
-    """Full per-study pipeline for one correlation class of one study."""
-    return summarize_studies([group], cls, mode=mode, shared_n=shared_n,
-                             two_sided=two_sided)[0]
-
-
 def summarize_studies(
     groups: Iterable[StudyGroup],
     cls: CorrelationClass,
@@ -134,11 +71,14 @@ def summarize_studies(
 
     MEAN_R: average the r values, then transform. MEAN_Z: average the
     per-record arctanh(r) values and report mean_r = tanh(mean z) so that
-    fisher_z == arctanh(mean_r) holds in both modes. n is as in
-    aggregate_study; the rest is r_to_pvalue, inlined with the same
-    checks and the same floating-point operations in the same order.
-    aggregate_study and r_to_pvalue are its per-study reference:
-    tests/test_fisher.py requires every field to equal theirs.
+    fisher_z == arctanh(mean_r) holds in both modes. n is the sum of the
+    class records' n; with shared_n=True it is the study-level n (largest
+    record n in the group), for sheets where every record re-reports one
+    participant pool. Then z = arctanh(mean_r), se = 1/sqrt(n-3),
+    z_score = z/se, and the p-value is two-sided (2 * P(Z > |z_score|)) or,
+    with two_sided=False, the upper tail, i.e. a test for a positive
+    correlation. tests/test_fisher.py writes this out from its definition
+    with the math module and requires every field to be equal.
     """
     mean_z = mode is AggregationMode.MEAN_Z
     out: list[StudySummary] = []
@@ -158,8 +98,8 @@ def summarize_studies(
         fisher_z = math.atanh(mean_r)
         se = 1.0 / math.sqrt(n - 3)
         z_score = fisher_z / se
-        # 0.5 * erfc is std_normal_sf; doubling it rounds as r_to_pvalue does
-        # when erfc is subnormal
+        # 0.5 * erfc is std_normal_sf; halving then doubling is kept on purpose,
+        # as it rounds differently from erfc alone when erfc is subnormal
         if two_sided:
             p = min(1.0, 2.0 * (0.5 * math.erfc(abs(z_score) / _SQRT2)))
         else:

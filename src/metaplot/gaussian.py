@@ -68,10 +68,6 @@ class TailTable:
     other: GaussianSpec
     rows: tuple[TailRow, ...]
 
-    @property
-    def thresholds(self) -> tuple[float, ...]:
-        return tuple(r.threshold for r in self.rows)
-
 
 def tail_area(spec: GaussianSpec, threshold: float) -> Probability:
     """Probability mass of the spec's distribution above the threshold."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import BinaryIO, Iterable, TextIO, Union
 
@@ -46,7 +46,7 @@ _CLASS_COUNT = len(_CLASS_BY_TAG)
 
 
 class ParseFailure(ValueError):
-    """Raised for unusable input (bad header/encoding, or strict-mode rows)."""
+    """Raised for unusable input: bad header, encoding or CSV structure."""
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,6 @@ class ParseResult:
     records: list[StudyRecord]
     errors: list[RowError]
 
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def raise_if_errors(self) -> list[StudyRecord]:
-        if self.errors:
-            raise ParseFailure("; ".join(str(e) for e in self.errors))
-        return self.records
-
 
 @dataclass(frozen=True)
 class StudyGroup:
@@ -101,9 +92,6 @@ class StudyGroup:
 
     study_id: str
     by_class: dict[CorrelationClass, tuple[StudyRecord, ...]]
-
-    def records_for(self, cls: CorrelationClass) -> tuple[StudyRecord, ...]:
-        return self.by_class.get(cls, ())
 
     @property
     def study_n(self) -> int:
@@ -122,7 +110,6 @@ class GroupingReport:
     groups: list[StudyGroup]
     dropped: list[tuple[str, str]]  # (study_id, reason)
     total_n: int  # summed per-study n over retained groups
-    empty_input: bool = False
 
     @property
     def retained_count(self) -> int:
@@ -188,12 +175,13 @@ def _parse_row(row: list[str]) -> StudyRecord:
     return StudyRecord(study_id, author, year, title or None, journal or None, cls, r, n)
 
 
-def parse_records(source: Source, strict: bool = False) -> ParseResult:
+def parse_records(source: Source) -> ParseResult:
     """Parse CSV input into validated study records.
 
-    Every data row yields exactly one record or one positioned error; by
-    default all errors are collected so a whole extraction sheet can be
-    fixed in one pass. With strict=True the first bad row raises.
+    Every data row yields exactly one record or one positioned error, and
+    all errors are collected so a whole extraction sheet can be fixed in
+    one pass. Input that cannot be read as a sheet at all raises
+    ParseFailure.
     """
     reader = csv.reader(io.StringIO(_as_text(source), newline=""))
     records: list[StudyRecord] = []
@@ -207,8 +195,6 @@ def parse_records(source: Source, strict: bool = False) -> ParseResult:
             try:
                 records.append(_parse_row(row))
             except ValueError as exc:
-                if strict:
-                    raise ParseFailure(f"row {line}: {exc}") from exc
                 errors.append(RowError(line=line, message=str(exc)))
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise ParseFailure(f"row {reader.line_num}: {exc}") from exc
@@ -238,8 +224,5 @@ def group_complete_studies(records: Iterable[StudyRecord]) -> GroupingReport:
             dropped.append((study_id, f"missing class(es): {', '.join(missing)}"))
 
     return GroupingReport(
-        groups=groups,
-        dropped=dropped,
-        total_n=sum(g.study_n for g in groups),
-        empty_input=not buckets,
+        groups=groups, dropped=dropped, total_n=sum(g.study_n for g in groups)
     )

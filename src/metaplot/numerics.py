@@ -15,7 +15,6 @@ from statistics import NormalDist
 __all__ = [
     "Probability",
     "arctanh",
-    "std_normal_cdf",
     "std_normal_sf",
     "std_normal_quantile",
     "kolmogorov_sf",
@@ -55,12 +54,6 @@ def arctanh(r: float) -> float:
     if not abs(r) < 1.0:  # also rejects NaN
         raise ValueError(f"arctanh requires |r| < 1, got {r!r}")
     return math.atanh(r)
-
-
-def std_normal_cdf(x: float) -> Probability:
-    """P(X <= x) for X ~ Normal(0, 1)."""
-    x = _require_finite("x", x)
-    return Probability(0.5 * math.erfc(-x / _SQRT2))
 
 
 def std_normal_sf(x: float) -> Probability:

@@ -4,8 +4,7 @@ z-statistic histogram/box panels).
 
 All output is byte-deterministic: no timestamps, no randomness, fixed
 float formatting, sorted JSON keys. JSON keeps full float precision;
-display rounding (p-values at 4 decimals, tail areas at 5, ratios one
-decimal below 10 and integers above) only happens in Markdown and SVG.
+display rounding only happens in Markdown and SVG.
 
 The JSON format is the stdlib's `json.dumps(d, sort_keys=True, indent=2,
 allow_nan=False)` plus a newline, byte for byte, where `d` is the report's
@@ -17,6 +16,11 @@ plot points, are written from one row template each, with strings escaped by
 the encoder's own `encode_basestring_ascii` and numbers by `float.__repr__`
 and `int.__repr__`, as `json.dumps` writes them. The tests re-encode its
 output with the stdlib and require the same bytes.
+
+`report.json` still carries `"gap_report": null` and `"tail_tables": []`,
+written as fixed text. No audit fills them (`tails` and `simulate` write
+their own `tails.json` and `gap.json`), but dropping the keys would change
+the bytes of every report, which is left to a schema version change.
 """
 
 from __future__ import annotations
@@ -28,13 +32,9 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Mapping, Sequence
 from xml.sax.saxutils import escape
 
-from ._version import __version__
-from .cohort import GapReport
 from .fisher import StudySummary, ZSummary
-from .gaussian import GaussianSpec, TailRow, TailTable, curve_points, format_auc, format_ratio
-from .ingest import CorrelationClass
-from .numerics import Probability
-from .pplot import PlotClass, PlotDiagnostics, PValuePlot
+from .gaussian import GaussianSpec, TailTable, curve_points
+from .pplot import PlotDiagnostics, PValuePlot
 
 __all__ = [
     "AuditMetadata",
@@ -42,7 +42,6 @@ __all__ = [
     "json_block",
     "tail_table_to_dict",
     "render_json",
-    "parse_json",
     "render_markdown",
     "render_svg_pplot",
     "render_svg_gaussians",
@@ -66,8 +65,6 @@ class AuditReport:
     summaries: dict[str, tuple[StudySummary, ...]]  # keyed by class tag
     z_panels: dict[str, ZSummary]
     plots: dict[str, PValuePlot]
-    tail_tables: tuple[TailTable, ...] = ()
-    gap_report: GapReport | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -77,19 +74,6 @@ class AuditReport:
 _str = encode_basestring_ascii
 _float = float.__repr__
 _int = int.__repr__
-
-
-def _summary_from_dict(d: Mapping[str, Any]) -> StudySummary:
-    return StudySummary(
-        study_id=d["study_id"],
-        cls=CorrelationClass(d["class"]),
-        mean_r=float(d["mean_r"]),
-        n=int(d["n"]),
-        fisher_z=float(d["fisher_z"]),
-        se=float(d["se"]),
-        z_score=float(d["z_score"]),
-        p_value=Probability(d["p_value"]),
-    )
 
 
 def _zsummary_to_dict(z: ZSummary) -> dict[str, Any]:
@@ -105,19 +89,6 @@ def _zsummary_to_dict(z: ZSummary) -> dict[str, Any]:
     }
 
 
-def _zsummary_from_dict(d: Mapping[str, Any]) -> ZSummary:
-    return ZSummary(
-        cls=CorrelationClass(d["class"]),
-        count=int(d["count"]),
-        min=float(d["min"]),
-        q1=float(d["q1"]),
-        median=float(d["median"]),
-        q3=float(d["q3"]),
-        max=float(d["max"]),
-        histogram=tuple((float(lo), float(hi), int(c)) for lo, hi, c in d["histogram"]),
-    )
-
-
 def _diagnostics_to_dict(d: PlotDiagnostics) -> dict[str, Any]:
     return {
         "ks_statistic": d.ks_statistic,
@@ -127,23 +98,6 @@ def _diagnostics_to_dict(d: PlotDiagnostics) -> dict[str, Any]:
         "min_p": float(d.min_p),
         "classification": d.classification.value,
     }
-
-
-def _plot_from_dict(d: Mapping[str, Any]) -> PValuePlot:
-    diag = d["diagnostics"]
-    return PValuePlot(
-        cls=CorrelationClass(d["class"]) if d["class"] is not None else None,
-        alpha=float(d["alpha"]),
-        points=tuple((int(rank), float(pv)) for rank, pv in d["points"]),
-        diagnostics=PlotDiagnostics(
-            ks_statistic=float(diag["ks_statistic"]),
-            ks_p=Probability(diag["ks_p"]),
-            slope_fit=float(diag["slope_fit"]),
-            frac_below_alpha=Probability(diag["frac_below_alpha"]),
-            min_p=Probability(diag["min_p"]),
-            classification=PlotClass(diag["classification"]),
-        ),
-    )
 
 
 def _spec_to_dict(s: GaussianSpec) -> dict[str, Any]:
@@ -167,41 +121,6 @@ def tail_table_to_dict(t: TailTable) -> dict[str, Any]:
             for r in t.rows
         ],
     }
-
-
-def _tail_table_from_dict(d: Mapping[str, Any]) -> TailTable:
-    rows = tuple(
-        TailRow(
-            threshold=float(r["threshold"]),
-            auc_ref=Probability(r["auc_ref"]),
-            auc_other=Probability(r["auc_other"]),
-            ratio=math.inf if r["ratio"] == "inf" else float(r["ratio"]),
-            overflow=bool(r["overflow"]),
-        )
-        for r in d["rows"]
-    )
-    return TailTable(
-        ref=GaussianSpec(**d["ref"]), other=GaussianSpec(**d["other"]), rows=rows
-    )
-
-
-def report_from_dict(d: Mapping[str, Any]) -> AuditReport:
-    meta = d["metadata"]
-    return AuditReport(
-        metadata=AuditMetadata(
-            input_sha256=meta["input_sha256"],
-            tool_version=meta["tool_version"],
-            config=dict(meta["config"]),
-        ),
-        summaries={
-            tag: tuple(_summary_from_dict(s) for s in ss)
-            for tag, ss in d["summaries"].items()
-        },
-        z_panels={tag: _zsummary_from_dict(z) for tag, z in d["z_panels"].items()},
-        plots={tag: _plot_from_dict(p) for tag, p in d["plots"].items()},
-        tail_tables=tuple(_tail_table_from_dict(t) for t in d["tail_tables"]),
-        gap_report=GapReport.from_dict(d["gap_report"]) if d["gap_report"] else None,
-    )
 
 
 def json_block(value: Any, pad: str = "") -> str:
@@ -282,25 +201,19 @@ def render_json(report: AuditReport) -> bytes:
         "tool_version": meta.tool_version,
         "config": meta.config,
     }
-    gap = report.gap_report.to_dict() if report.gap_report is not None else None
     out = [
-        f'{{\n  "gap_report": {json_block(gap, "  ")},\n'
+        '{\n  "gap_report": null,\n'
         f'  "metadata": {json_block(metadata, "  ")},\n  "plots": '
     ]
     _write_by_tag(out, report.plots, _write_plot)
     out.append(',\n  "summaries": ')
     _write_by_tag(out, report.summaries, _write_summaries)
-    tail_tables = [tail_table_to_dict(t) for t in report.tail_tables]
     z_panels = {tag: _zsummary_to_dict(z) for tag, z in report.z_panels.items()}
     out.append(
-        f',\n  "tail_tables": {json_block(tail_tables, "  ")},\n'
+        ',\n  "tail_tables": [],\n'
         f'  "z_panels": {json_block(z_panels, "  ")}\n}}\n'
     )
     return "".join(out).encode("utf-8")
-
-
-def parse_json(data: bytes | str) -> AuditReport:
-    return report_from_dict(json.loads(data))
 
 
 # ---------------------------------------------------------------------------
@@ -368,39 +281,7 @@ def render_markdown(report: AuditReport) -> str:
     lines.append("")
     for tag, ss in report.summaries.items():
         lines.extend(_md_summary_table(tag, ss))
-    for table in report.tail_tables:
-        lines.extend(_md_tail_table(table))
-    if report.gap_report is not None:
-        g = report.gap_report
-        lines.extend(
-            [
-                "## Group gap decomposition",
-                "",
-                f"- unadjusted gap: {g.gap_unadjusted:.4f}",
-                f"- adjusted gap: {g.gap_adjusted:.4f}",
-                f"- residual sd: {g.residual_sd:.4f}",
-                "",
-            ]
-        )
     return "\n".join(lines) + "\n"
-
-
-def _md_tail_table(table: TailTable) -> list[str]:
-    lines = [
-        f"## Tail areas: {table.ref.label} (mu={table.ref.mu:g}, sigma={table.ref.sigma:g}) "
-        f"vs {table.other.label} (mu={table.other.mu:g}, sigma={table.other.sigma:g})",
-        "",
-        "| threshold (ref SD) | ref tail | other tail | ratio | ratio (full) |",
-        "|---|---|---|---|---|",
-    ]
-    for r in table.rows:
-        full = "inf" if r.overflow else f"{r.ratio:.6f}"
-        lines.append(
-            f"| {r.threshold:g} | {format_auc(r.auc_ref)} | {format_auc(r.auc_other)} "
-            f"| {format_ratio(r.ratio)} | {full} |"
-        )
-    lines.append("")
-    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,21 @@ display rounding. Pipeline properties that have no desk-scale ground truth
 are checked as seeded statistical properties of the full pipeline.
 """
 
+import importlib
 import json
 import math
+import pkgutil
 import time
+from statistics import NormalDist
 
 import pytest
 
+import metaplot
 from metaplot.cli import EXIT_OK, main
 from metaplot.cohort import CohortConfig, Confounder, Pcg32, gap_decomposition
-from metaplot.fisher import r_to_pvalue
-from metaplot.numerics import std_normal_cdf, std_normal_quantile, std_normal_sf
+from metaplot.fisher import summarize_studies
+from metaplot.ingest import CorrelationClass, StudyGroup, StudyRecord
+from metaplot.numerics import std_normal_quantile, std_normal_sf
 from metaplot.pplot import PlotClass, build_plot
 
 TABLE_G = {
@@ -82,28 +87,37 @@ def test_standard_normal_oracle():
     report_line("standard normal survival at {0,1,2,3} within 5e-6")
 
 
+def _summaries(rs_ns):
+    # One study per (r, n), each with a single ICC record, through the
+    # library's per-study pipeline.
+    cls = CorrelationClass.ICC
+    groups = [
+        StudyGroup(f"s{i}", {cls: (StudyRecord(f"s{i}", "A", 2000, None, None, cls, r, n),)})
+        for i, (r, n) in enumerate(rs_ns)
+    ]
+    return summarize_studies(groups, cls)
+
+
 def _null_pvalues(seed):
     # One synthetic 27-study class: true correlation zero, n in [20, 60].
     rng = Pcg32(seed)
-    ps = []
+    rs_ns = []
     for _ in range(27):
         n = 20 + rng.next_uint32() % 41
         z = std_normal_quantile(rng.random())
-        r = math.tanh(z / math.sqrt(n - 3))
-        ps.append(r_to_pvalue(r, n).p_value)
-    return ps
+        rs_ns.append((math.tanh(z / math.sqrt(n - 3)), n))
+    return [s.p_value for s in _summaries(rs_ns)]
 
 
 def _effect_pvalues(seed):
     # One synthetic 27-study class: true correlation 0.5, n = 100.
     rng = Pcg32(seed)
     shift = math.atanh(0.5) * math.sqrt(97)
-    ps = []
+    rs_ns = []
     for _ in range(27):
         z = shift + std_normal_quantile(rng.random())
-        r = math.tanh(z / math.sqrt(97))
-        ps.append(r_to_pvalue(r, 100).p_value)
-    return ps
+        rs_ns.append((math.tanh(z / math.sqrt(97)), 100))
+    return [s.p_value for s in _summaries(rs_ns)]
 
 
 def test_pipeline_properties_replace_figures_2_to_4():
@@ -138,7 +152,7 @@ def test_pipeline_properties_replace_figures_2_to_4():
 
 
 def test_fisher_pipeline_spot_values():
-    stats = r_to_pvalue(0.5, 30)
+    (stats,) = _summaries([(0.5, 30)])
     assert stats.z_score == pytest.approx(2.85428, abs=1e-4)
     assert stats.p_value == pytest.approx(0.00432, abs=5e-5)
     # frozen 40-digit oracle value for the same quantity
@@ -237,16 +251,14 @@ def test_roundtrip_and_invariant_suites(null_csv):
     import numpy as np
 
     from metaplot.cohort import ols_fit
-    from metaplot.fisher import summarize_studies
-    from metaplot.ingest import CorrelationClass, group_complete_studies, parse_records
-    from metaplot.report import parse_json, render_json
-    from test_report import build_report
+    from test_report import assert_json_values, build_report
 
     # numeric round trips
     rng = random.Random(314159)
+    cdf = NormalDist().cdf
     for _ in range(1000):
         x = rng.uniform(-5.0, 5.0)
-        assert std_normal_quantile(std_normal_cdf(x)) == pytest.approx(x, abs=1e-8)
+        assert std_normal_quantile(cdf(x)) == pytest.approx(x, abs=1e-8)
 
     # plot permutation invariance
     ps = [rng.random() for _ in range(27)]
@@ -263,8 +275,24 @@ def test_roundtrip_and_invariant_suites(null_csv):
     scale = np.linalg.norm(y) * np.linalg.norm(x, axis=0)
     assert np.all(np.abs(x.T @ fit.residuals) <= 1e-8 * np.maximum(scale, 1.0))
 
-    # JSON round trip on the bundled fixture
-    report = build_report(null_csv)
-    assert parse_json(render_json(report)) == report
+    # report.json decodes to the report's own values on the bundled fixture
+    assert_json_values(build_report(null_csv))
 
     report_line("round-trip and invariant suites (numerics, plot, OLS, JSON)")
+
+
+def test_every_export_resolves():
+    modules = [metaplot] + [
+        importlib.import_module(f"metaplot.{info.name}")
+        for info in pkgutil.iter_modules(metaplot.__path__)
+        if not info.name.startswith("_")
+    ]
+    for module in modules:
+        names = getattr(module, "__all__", [])  # cli, the entry point, declares none
+        assert len(set(names)) == len(names), module.__name__
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names missing objects: {missing}"
+        namespace = {}
+        exec(f"from {module.__name__} import *", namespace)
+        assert set(names) <= set(namespace)
+    report_line(f"public API: every __all__ name of {len(modules)} modules resolves")

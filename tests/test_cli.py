@@ -138,7 +138,7 @@ def test_main_restores_caller_gc_state_when_an_exception_escapes(
 ):
     seen = []
 
-    def boom(source, strict=False):
+    def boom(source):
         seen.append(gc.isenabled())
         raise RuntimeError("boom")
 
@@ -285,6 +285,26 @@ def test_simulate_malformed_json_exit_2_with_position(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "line 1" in err and "column" in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", 7.9), ("n_per_group", 2000.7), ("seed", True), ("seed", "7")],
+)
+def test_simulate_non_integer_config_exit_2_without_outputs(
+    demo_config, tmp_path, capsys, field, value
+):
+    # int() would load these as seed 7 / n 2000 / seed 1 / seed 7.
+    cfg = tmp_path / "cohort.json"
+    cfg.write_text(json.dumps({**json.loads(demo_config.read_text()), field: value}))
+    out = tmp_path / "sim"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "bad cohort config" in captured.err
+    assert f"{field} must be a JSON integer" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_simulate_missing_config_exit_1(tmp_path):

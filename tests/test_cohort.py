@@ -106,7 +106,7 @@ def test_generate_cohort_zero_noise_exact_outcomes():
     female = cohort.y[4:]
     assert np.all(male == 10.0)
     assert np.all(female == 5.0)
-    assert cohort.columns == ("intercept", "group")
+    assert cohort.x.shape == (8, 2)
 
 
 def test_generate_cohort_byte_identical_for_fixed_seed():

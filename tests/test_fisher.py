@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaplot.fisher import (
-    AggregationMode,
-    aggregate_study,
-    r_to_pvalue,
-    summarize_group,
-    summarize_studies,
-    summarize_z,
-)
+from metaplot.fisher import AggregationMode, summarize_studies, summarize_z
 from metaplot.ingest import CorrelationClass, StudyGroup, StudyRecord, group_complete_studies
 from metaplot.numerics import Probability
 
@@ -31,87 +24,88 @@ def make_group(rs_ns, cls=CorrelationClass.ICC, sid="s1"):
     return group
 
 
+def one_study(rs_ns, cls=CorrelationClass.ICC, sid="s1", **options):
+    """summarize_studies on the one-study group that make_group builds."""
+    (summary,) = summarize_studies([make_group(rs_ns, cls=cls, sid=sid)], cls, **options)
+    return summary
+
+
 def test_aggregate_mean_of_two():
-    group = make_group([(0.2, 10), (0.4, 30)])
-    mean_r, n = aggregate_study(group, CorrelationClass.ICC)
-    assert mean_r == pytest.approx(0.3)
-    assert n == 40  # per-class sum by default
+    s = one_study([(0.2, 10), (0.4, 30)])
+    assert s.mean_r == pytest.approx(0.3)
+    assert s.n == 40  # per-class sum by default
 
 
 def test_aggregate_single_record_identity():
-    group = make_group([(-0.15, 60)])
-    mean_r, n = aggregate_study(group, CorrelationClass.ICC)
-    assert mean_r == -0.15
-    assert n == 60
+    s = one_study([(-0.15, 60)])
+    assert s.mean_r == -0.15
+    assert s.n == 60
 
 
 def test_aggregate_symmetric_cancellation():
-    group = make_group([(0.9, 10), (-0.9, 10)])
-    mean_r, _ = aggregate_study(group, CorrelationClass.ICC)
-    assert mean_r == pytest.approx(0.0, abs=1e-15)
+    s = one_study([(0.9, 10), (-0.9, 10)])
+    assert s.mean_r == pytest.approx(0.0, abs=1e-15)
 
 
 def test_aggregate_shared_n_uses_study_level_n():
-    group = make_group([(0.2, 25), (0.4, 25)])
-    _, n = aggregate_study(group, CorrelationClass.ICC, shared_n=True)
-    assert n == 25
+    assert one_study([(0.2, 25), (0.4, 25)], shared_n=True).n == 25
 
 
 def test_aggregate_missing_class_raises():
     group = make_group([(0.2, 10)])
     bare = group.by_class.copy()
     del bare[CorrelationClass.ECC]
-    from metaplot.ingest import StudyGroup
-
     with pytest.raises(ValueError, match="no ECC records"):
-        aggregate_study(StudyGroup("s1", bare), CorrelationClass.ECC)
+        summarize_studies([StudyGroup("s1", bare)], CorrelationClass.ECC)
 
 
 def test_r_to_pvalue_null_case():
-    stats = r_to_pvalue(0.0, 10)
-    assert stats.z_score == 0.0
-    assert stats.p_value == 1.0
+    s = one_study([(0.0, 10)])
+    assert s.z_score == 0.0
+    assert s.p_value == 1.0
 
 
 def test_r_to_pvalue_spot_value():
     # Frozen from a 40-digit arbitrary-precision evaluation of
     # 2*Phi(-arctanh(0.5)*sqrt(27)).
-    stats = r_to_pvalue(0.5, 30)
-    assert stats.fisher_z == pytest.approx(0.549306, abs=1e-6)
-    assert stats.se == pytest.approx(0.192450, abs=1e-6)
-    assert stats.z_score == pytest.approx(2.85428, abs=1e-4)
-    assert stats.p_value == pytest.approx(0.0043134706, abs=1e-9)
+    s = one_study([(0.5, 30)])
+    assert s.fisher_z == pytest.approx(0.549306, abs=1e-6)
+    assert s.se == pytest.approx(0.192450, abs=1e-6)
+    assert s.z_score == pytest.approx(2.85428, abs=1e-4)
+    assert s.p_value == pytest.approx(0.0043134706, abs=1e-9)
 
 
 def test_r_to_pvalue_minimum_sample_size():
-    stats = r_to_pvalue(0.99, 4)
-    assert stats.se == 1.0
-    assert stats.fisher_z == pytest.approx(2.64665, abs=1e-5)
-    assert stats.p_value == pytest.approx(0.0081292863, abs=1e-9)
+    s = one_study([(0.99, 4)])
+    assert s.se == 1.0
+    assert s.fisher_z == pytest.approx(2.64665, abs=1e-5)
+    assert s.p_value == pytest.approx(0.0081292863, abs=1e-9)
 
 
 def test_r_to_pvalue_one_sided_upper_tail():
-    two = r_to_pvalue(0.3, 20, two_sided=True)
-    one = r_to_pvalue(0.3, 20, two_sided=False)
+    two = one_study([(0.3, 20)], two_sided=True)
+    one = one_study([(0.3, 20)], two_sided=False)
     assert one.p_value == pytest.approx(two.p_value / 2.0, abs=1e-15)
-    neg = r_to_pvalue(-0.3, 20, two_sided=False)
+    neg = one_study([(-0.3, 20)], two_sided=False)
     assert neg.p_value > 0.5
 
 
 def test_r_to_pvalue_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        r_to_pvalue(1.0, 30)
-    with pytest.raises(ValueError):
-        r_to_pvalue(0.5, 3)
+    # StudyRecord rejects r = 1 and n = 3 itself, so stand-in records reach
+    # the pipeline's own checks.
+    for r, n in [(1.0, 30), (0.5, 3)]:
+        group = StudyGroup("s1", {CorrelationClass.ICC: (SimpleNamespace(r=r, n=n),)})
+        with pytest.raises(ValueError):
+            summarize_studies([group], CorrelationClass.ICC)
 
 
 def test_p_decreases_in_abs_r_for_fixed_n():
-    ps = [r_to_pvalue(r / 100.0, 25).p_value for r in range(0, 99, 7)]
+    ps = [one_study([(r / 100.0, 25)]).p_value for r in range(0, 99, 7)]
     assert all(b < a for a, b in zip(ps, ps[1:]))
 
 
 def test_p_decreases_in_n_for_fixed_r():
-    ps = [r_to_pvalue(0.3, n).p_value for n in range(5, 200, 13)]
+    ps = [one_study([(0.3, n)]).p_value for n in range(5, 200, 13)]
     assert all(b < a for a, b in zip(ps, ps[1:]))
 
 
@@ -120,7 +114,7 @@ def test_two_sided_sign_invariance():
     for _ in range(100):
         r = rng.uniform(0.0, 0.99)
         n = rng.randint(4, 500)
-        assert r_to_pvalue(r, n).p_value == r_to_pvalue(-r, n).p_value
+        assert one_study([(r, n)]).p_value == one_study([(-r, n)]).p_value
 
 
 def test_p_consistent_with_stored_z():
@@ -128,14 +122,13 @@ def test_p_consistent_with_stored_z():
 
     rng = random.Random(11)
     for _ in range(100):
-        stats = r_to_pvalue(rng.uniform(-0.99, 0.99), rng.randint(4, 300))
-        recomputed = min(1.0, 2.0 * std_normal_sf(abs(stats.z_score)))
-        assert abs(recomputed - stats.p_value) <= 1e-12
+        s = one_study([(rng.uniform(-0.99, 0.99), rng.randint(4, 300))])
+        recomputed = min(1.0, 2.0 * std_normal_sf(abs(s.z_score)))
+        assert abs(recomputed - s.p_value) <= 1e-12
 
 
 def test_summarize_group_mean_z_mode_keeps_invariant():
-    group = make_group([(0.2, 20), (0.6, 20)])
-    summary = summarize_group(group, CorrelationClass.ICC, mode=AggregationMode.MEAN_Z)
+    summary = one_study([(0.2, 20), (0.6, 20)], mode=AggregationMode.MEAN_Z)
     mean_z = (math.atanh(0.2) + math.atanh(0.6)) / 2.0
     assert summary.mean_r == pytest.approx(math.tanh(mean_z), abs=1e-15)
     assert summary.fisher_z == pytest.approx(mean_z, abs=1e-12)
@@ -143,8 +136,7 @@ def test_summarize_group_mean_z_mode_keeps_invariant():
 
 
 def test_summarize_group_fields_tie_together():
-    group = make_group([(0.35, 48)])
-    s = summarize_group(group, CorrelationClass.ICC)
+    s = one_study([(0.35, 48)])
     assert s.fisher_z == pytest.approx(math.atanh(s.mean_r), abs=1e-14)
     assert s.se == pytest.approx(1.0 / math.sqrt(s.n - 3), abs=1e-15)
     assert s.z_score == pytest.approx(s.fisher_z / s.se, abs=1e-12)
@@ -203,16 +195,6 @@ def test_summarize_studies_equals_reference(sheet, mode, shared_n, two_sided):
             assert (s.study_id, s.cls, s.mean_r, s.n, s.fisher_z, s.se, s.z_score,
                     s.p_value) == want
             assert type(s.p_value) is Probability
-            # the public per-study functions are the reference the loop inlines
-            mean_r, n = aggregate_study(group, cls, shared_n=shared_n)
-            if mode is AggregationMode.MEAN_Z:
-                mean_r = math.tanh(sum(math.atanh(rec.r) for rec in group.by_class[cls])
-                                   / len(group.by_class[cls]))
-            stats = r_to_pvalue(mean_r, n, two_sided=two_sided)
-            assert (s.mean_r, s.n, s.fisher_z, s.se, s.z_score, s.p_value) == (
-                mean_r, n, stats.fisher_z, stats.se, stats.z_score, stats.p_value)
-            assert s == summarize_group(group, cls, mode=mode, shared_n=shared_n,
-                                        two_sided=two_sided)
 
 
 def test_summarize_studies_error_messages():
@@ -238,12 +220,7 @@ def summaries_from_z(zs, cls=CorrelationClass.ICC):
     for i, z in enumerate(zs):
         n = 28
         r = math.tanh(z / math.sqrt(n - 3))
-        stats = r_to_pvalue(r, n)
-        out.append(
-            summarize_group(
-                make_group([(r, n)], cls=cls, sid=f"s{i}"), cls
-            )
-        )
+        out.append(one_study([(r, n)], cls=cls, sid=f"s{i}"))
         assert out[-1].z_score == pytest.approx(z, abs=1e-9)
     return out
 

