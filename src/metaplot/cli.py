@@ -7,6 +7,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 I/O failure, 2 validation failure.
 
+Each subcommand checks its inputs and renders all of its artifacts into a
+{filename: bytes} dict; only then does _write_artifacts create --out and
+write them, and the console lines follow. A bad input or a failed render
+leaves no --out.
+
 main() turns CPython's cyclic garbage collector off while the subcommand
 runs and restores the caller's setting on return, also when an exception
 escapes. Reference counting still frees every object; the cyclic collector
@@ -29,6 +34,7 @@ import os
 import statistics
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 from ._version import __version__
@@ -47,7 +53,7 @@ from .pplot import DEFAULT_CLASSIFY_THRESHOLDS, ClassifyThresholds, PlotClass, b
 from .report import (
     AuditMetadata,
     AuditReport,
-    json_block,
+    json_bytes,
     pplot_filename,
     render_json,
     render_markdown,
@@ -86,24 +92,26 @@ def _verdict_line(tag: str, classification: PlotClass) -> str:
     return f"{tag}: {name}"
 
 
-def _parse_formats(spec: str) -> set[str]:
+def _formats(allowed: str, spec: str) -> set[str]:
+    """argparse type (with `allowed` bound): a non-empty subset of `allowed`."""
     formats = {f.strip() for f in spec.split(",") if f.strip()}
-    unknown = formats - {"json", "md", "svg"}
-    if unknown:
-        raise CliValidationError(f"unknown format(s): {', '.join(sorted(unknown))}")
-    if not formats:
-        raise CliValidationError("at least one output format required")
+    if not formats or not formats <= set(allowed.split(",")):
+        raise argparse.ArgumentTypeError(f"expected one or more of {allowed}, got {spec!r}")
     return formats
 
 
 def _parse_thresholds(spec: str) -> list[float]:
     try:
-        values = [float(t) for t in spec.split(",") if t.strip()]
+        return [float(t) for t in spec.split(",") if t.strip()]
     except ValueError as exc:
         raise CliValidationError(f"bad threshold list {spec!r}: {exc}") from exc
-    if not values:
-        raise CliValidationError("threshold list is empty")
-    return values
+
+
+def _write_artifacts(out: str, artifacts: dict[str, bytes]) -> None:
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, data in artifacts.items():
+        (out_dir / name).write_bytes(data)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,22 +152,23 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--effect-frac-min", type=float,
                        default=DEFAULT_CLASSIFY_THRESHOLDS.effect_min_frac_below,
                        help="min fraction of p-values below alpha for an effect verdict")
-    audit.add_argument("--format", default="json,md,svg")
+    audit.add_argument("--format", type=partial(_formats, "json,md,svg"), default="json,md,svg")
     audit.set_defaults(func=run_audit)
 
     tails = sub.add_parser("tails", help="Gaussian tail-area ratio table")
-    tails.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    tails.add_argument("--ref-mu", type=float, default=0.0)
-    tails.add_argument("--ref-sigma", type=float, default=1.0)
-    tails.add_argument("--other-mu", type=float, default=0.0)
-    tails.add_argument("--other-sigma", type=float, default=1.0)
+    tails.add_argument("--preset", choices=sorted(PRESETS), default=None,
+                       help="a built-in pair; excludes the four flags below")
+    tails.add_argument("--ref-mu", type=float, help="default 0")
+    tails.add_argument("--ref-sigma", type=float, help="default 1")
+    tails.add_argument("--other-mu", type=float, help="default 0")
+    tails.add_argument("--other-sigma", type=float, help="default 1")
     tails.add_argument(
         "--thresholds",
         default=",".join(f"{t:g}" for t in DEFAULT_THRESHOLDS),
         help="comma-separated ascending thresholds in reference SD units",
     )
     tails.add_argument("--out", default="metaplot-out")
-    tails.add_argument("--format", default="json,svg")
+    tails.add_argument("--format", type=partial(_formats, "json,svg"), default="json,svg")
     tails.set_defaults(func=run_tails)
 
     sim = sub.add_parser("simulate", help="cohort gap-decomposition simulation")
@@ -177,8 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="number of consecutive seeds to run (mean +- sd reported when > 1)",
     )
-    sim.add_argument("--out", default="metaplot-out")
-    sim.add_argument("--format", default="json")
+    sim.add_argument("--out", default="metaplot-out", help="gap.json is written here")
     sim.set_defaults(func=run_simulate)
 
     return parser
@@ -187,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run_audit(args: argparse.Namespace) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise CliValidationError(f"--alpha must lie in (0, 1), got {args.alpha}")
-    formats = _parse_formats(args.format)
     try:
         thresholds = ClassifyThresholds(
             args.null_frac_max, args.null_ks_min, args.effect_frac_min
@@ -235,7 +242,7 @@ def run_audit(args: argparse.Namespace) -> int:
         "agg": mode.value,
         "shared_n": bool(args.shared_n),
         "classify_thresholds": asdict(thresholds),
-        "format": sorted(formats),
+        "format": sorted(args.format),
         "studies_retained": grouping.retained_count,
         "studies_dropped": grouping.dropped_count,
         "total_n": grouping.total_n,
@@ -251,18 +258,16 @@ def run_audit(args: argparse.Namespace) -> int:
         plots=plots,
     )
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if "json" in formats:
-        (out_dir / "report.json").write_bytes(render_json(report))
-    if "md" in formats:
-        (out_dir / "report.md").write_text(render_markdown(report), encoding="utf-8")
-    if "svg" in formats:
+    artifacts = {}
+    if "json" in args.format:
+        artifacts["report.json"] = render_json(report)
+    if "md" in args.format:
+        artifacts["report.md"] = render_markdown(report).encode("utf-8")
+    if "svg" in args.format:
         for tag, plot in plots.items():
-            (out_dir / pplot_filename(tag)).write_bytes(render_svg_pplot(plot))
-        (out_dir / "zpanel.svg").write_bytes(
-            render_svg_zpanel([z_panels[c.value] for c in CorrelationClass])
-        )
+            artifacts[pplot_filename(tag)] = render_svg_pplot(plot)
+        artifacts["zpanel.svg"] = render_svg_zpanel([z_panels[c.value] for c in CorrelationClass])
+    _write_artifacts(args.out, artifacts)
 
     for cls in CorrelationClass:
         print(_verdict_line(cls.value, plots[cls.value].diagnostics.classification))
@@ -270,20 +275,39 @@ def run_audit(args: argparse.Namespace) -> int:
 
 
 def run_tails(args: argparse.Namespace) -> int:
-    formats = _parse_formats(args.format)
+    spec = [args.ref_mu, args.ref_sigma, args.other_mu, args.other_sigma]
+    if args.preset is not None and spec != [None] * 4:
+        raise CliValidationError("--preset excludes --ref-mu, --ref-sigma, --other-mu, --other-sigma")
+    ref_mu, ref_sigma, other_mu, other_sigma = (
+        default if value is None else value for value, default in zip(spec, (0.0, 1.0, 0.0, 1.0))
+    )
     thresholds = _parse_thresholds(args.thresholds)
-    if args.preset is not None:
-        ref, other = PRESETS[args.preset]
-    else:
-        try:
-            ref = GaussianSpec("reference", args.ref_mu, args.ref_sigma)
-            other = GaussianSpec("comparison", args.other_mu, args.other_sigma)
-        except ValueError as exc:
-            raise CliValidationError(str(exc)) from exc
     try:
+        ref, other = PRESETS[args.preset] if args.preset is not None else (
+            GaussianSpec("reference", ref_mu, ref_sigma),
+            GaussianSpec("comparison", other_mu, other_sigma),
+        )
         table = ratio_table(ref, other, thresholds)
     except ValueError as exc:
         raise CliValidationError(str(exc)) from exc
+
+    artifacts = {}
+    if "json" in args.format:
+        artifacts["tails.json"] = json_bytes({
+            "config": {
+                "subcommand": "tails",
+                "preset": args.preset,
+                "thresholds": thresholds,
+            },
+            "tool_version": __version__,
+            "table": tail_table_to_dict(table),
+        })
+    if "svg" in args.format:
+        sigma_max = max(ref.sigma, other.sigma)
+        lo = min(ref.mu, other.mu) - 4.0 * sigma_max
+        hi = max(ref.mu, other.mu) + 4.0 * sigma_max
+        artifacts["tails.svg"] = render_svg_gaussians([ref, other], lo, hi)
+    _write_artifacts(args.out, artifacts)
 
     header = f"{'SD':>6} {'tail(' + table.ref.label + ')':>14} " \
              f"{'tail(' + table.other.label + ')':>14} {'ratio':>8}"
@@ -293,25 +317,6 @@ def run_tails(args: argparse.Namespace) -> int:
             f"{row.threshold:>6g} {format_auc(row.auc_ref):>14} "
             f"{format_auc(row.auc_other):>14} {format_ratio(row.ratio):>8}"
         )
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if "json" in formats:
-        payload = {
-            "config": {
-                "subcommand": "tails",
-                "preset": args.preset,
-                "thresholds": thresholds,
-            },
-            "tool_version": __version__,
-            "table": tail_table_to_dict(table),
-        }
-        (out_dir / "tails.json").write_bytes((json_block(payload) + "\n").encode("utf-8"))
-    if "svg" in formats:
-        sigma_max = max(ref.sigma, other.sigma)
-        lo = min(ref.mu, other.mu) - 4.0 * sigma_max
-        hi = max(ref.mu, other.mu) + 4.0 * sigma_max
-        (out_dir / "tails.svg").write_bytes(render_svg_gaussians([ref, other], lo, hi))
     return EXIT_OK
 
 
@@ -320,7 +325,6 @@ def _demo_config_path() -> Path:
 
 
 def run_simulate(args: argparse.Namespace) -> int:
-    formats = _parse_formats(args.format)
     path = _demo_config_path() if args.demo else Path(args.config)
     text = path.read_text(encoding="utf-8")  # OSError -> exit 1
     try:
@@ -329,7 +333,7 @@ def run_simulate(args: argparse.Namespace) -> int:
         raise CliValidationError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise CliValidationError(f"{path}: bad cohort config: {exc}") from exc
     if args.seeds < 1:
         raise CliValidationError("--seeds must be at least 1")
@@ -340,33 +344,31 @@ def run_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliValidationError(f"bad --seed/--seeds: {exc}") from exc
 
-    payload: dict = {
-        "config": config.to_dict(),
-        "tool_version": __version__,
-    }
-    if args.seeds == 1:
-        result = gap_decomposition(config)
-        print(f"unadjusted gap: {result.gap_unadjusted:.6f}")
-        print(f"adjusted gap:   {result.gap_adjusted:.6f}")
-        payload["result"] = result.to_dict()
-    else:
-        seeds = list(range(config.seed, config.seed + args.seeds))
+    seeds = list(range(config.seed, config.seed + args.seeds))
+    try:
         reports = gap_over_seeds(config, seeds)
+    except ValueError as exc:  # a rank-deficient design or an overflowing model
+        raise CliValidationError(f"{path}: bad cohort config: {exc}") from exc
+    payload: dict = {"config": asdict(config), "tool_version": __version__}
+    if args.seeds == 1:
+        [result] = reports
+        lines = [f"unadjusted gap: {result.gap_unadjusted:.6f}",
+                 f"adjusted gap:   {result.gap_adjusted:.6f}"]
+        payload["result"] = asdict(result)
+    else:
         unadj = [r.gap_unadjusted for r in reports]
         adj = [r.gap_adjusted for r in reports]
         mean_u, sd_u = statistics.fmean(unadj), statistics.stdev(unadj)
         mean_a, sd_a = statistics.fmean(adj), statistics.stdev(adj)
-        print(f"unadjusted gap: {mean_u:.6f} +- {sd_u:.6f} over {args.seeds} seeds")
-        print(f"adjusted gap:   {mean_a:.6f} +- {sd_a:.6f} over {args.seeds} seeds")
-        payload["results"] = [r.to_dict() for r in reports]
+        lines = [f"unadjusted gap: {mean_u:.6f} +- {sd_u:.6f} over {args.seeds} seeds",
+                 f"adjusted gap:   {mean_a:.6f} +- {sd_a:.6f} over {args.seeds} seeds"]
+        payload["results"] = [asdict(r) for r in reports]
         payload["seeds"] = seeds
         payload["mean"] = {"gap_unadjusted": mean_u, "gap_adjusted": mean_a}
         payload["sd"] = {"gap_unadjusted": sd_u, "gap_adjusted": sd_a}
 
-    if "json" in formats:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "gap.json").write_bytes((json_block(payload) + "\n").encode("utf-8"))
+    _write_artifacts(args.out, {"gap.json": json_bytes(payload)})
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -377,10 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()  # see the module docstring
     try:
         return args.func(args)
-    except CliValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ParseFailure as exc:
+    except (CliValidationError, ParseFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -96,6 +97,17 @@ class Pcg32:
         return mu + sigma * std_normal_quantile(self.random())
 
 
+def _store_finite(obj: Any, names: Sequence[str], prefix: str = "") -> None:
+    """Require each named field to be a finite JSON number (an int or float,
+    not a bool or a string) and store it as a float. `abs(v) <= max` compares
+    a 400-digit int exactly, where float() would overflow; NaN fails it."""
+    for name in names:
+        v = getattr(obj, name)
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+            raise ValueError(f"{prefix}{name} must be a finite JSON number, got {v!r}")
+        object.__setattr__(obj, name, float(v))
+
+
 @dataclass(frozen=True)
 class Confounder:
     """One confounder column: outcome coefficient and per-group means."""
@@ -106,12 +118,16 @@ class Confounder:
     sigma: float
 
     def __post_init__(self) -> None:
+        _store_finite(self, ("beta", "mean_f", "mean_m", "sigma"), "confounder ")
         if not self.sigma > 0.0:
             raise ValueError(f"confounder sigma must be positive, got {self.sigma!r}")
 
 
 @dataclass(frozen=True)
 class CohortConfig:
+    """The simulation's inputs, checked here and in Confounder only: n_per_group
+    and seed must be ints (not bools), every other number a finite number."""
+
     n_per_group: int
     beta0: float
     beta1: float
@@ -120,6 +136,12 @@ class CohortConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_per_group", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # int() would truncate 7.9 and accept true or "7"
+                raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+        _store_finite(self, ("beta0", "beta1", "noise_sigma"))
+        object.__setattr__(self, "confounders", tuple(self.confounders))
         if self.n_per_group < 2 + len(self.confounders):
             raise ValueError(
                 "n_per_group must be at least 2 + number of confounders "
@@ -129,53 +151,23 @@ class CohortConfig:
             raise ValueError("noise_sigma must be non-negative")
         if not 0 <= self.seed <= Pcg32._MASK:  # Pcg32 would mask a larger seed
             raise ValueError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
-        object.__setattr__(self, "confounders", tuple(self.confounders))
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "CohortConfig":
-        known = {"n_per_group", "beta0", "beta1", "confounders", "noise_sigma", "seed"}
-        unknown = set(d) - known
+        if not isinstance(d, dict):
+            raise ValueError(f"cohort config must be a JSON object, got {type(d).__name__}")
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown cohort config field(s): {', '.join(sorted(unknown))}")
-        ints = {"n_per_group": d["n_per_group"], "seed": d.get("seed", 0)}
-        for name, value in ints.items():
-            if type(value) is not int:  # int() would truncate 7.9 and accept true or "7"
-                raise ValueError(f"{name} must be a JSON integer, got {value!r}")
         confs = tuple(Confounder(**c) for c in d.get("confounders", ()))
-        return cls(
-            beta0=float(d["beta0"]),
-            beta1=float(d["beta1"]),
-            confounders=confs,
-            noise_sigma=float(d.get("noise_sigma", 0.0)),
-            **ints,
-        )
+        return cls(**{**d, "confounders": confs})
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "CohortConfig":
         return cls.from_dict(json.loads(text))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_per_group": self.n_per_group,
-            "beta0": self.beta0,
-            "beta1": self.beta1,
-            "confounders": [
-                {"beta": c.beta, "mean_f": c.mean_f, "mean_m": c.mean_m, "sigma": c.sigma}
-                for c in self.confounders
-            ],
-            "noise_sigma": self.noise_sigma,
-            "seed": self.seed,
-        }
-
     def with_seed(self, seed: int) -> "CohortConfig":
-        return CohortConfig(
-            n_per_group=self.n_per_group,
-            beta0=self.beta0,
-            beta1=self.beta1,
-            confounders=self.confounders,
-            noise_sigma=self.noise_sigma,
-            seed=seed,
-        )
+        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -203,14 +195,6 @@ class GapReport:
     gap_adjusted: float
     coefficients: tuple[float, ...]
     residual_sd: float
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "gap_unadjusted": self.gap_unadjusted,
-            "gap_adjusted": self.gap_adjusted,
-            "coefficients": list(self.coefficients),
-            "residual_sd": self.residual_sd,
-        }
 
 
 def generate_cohort(config: CohortConfig) -> Cohort:
@@ -254,7 +238,11 @@ def generate_cohort(config: CohortConfig) -> Cohort:
 def ols_fit(x: np.ndarray, y: np.ndarray) -> OlsFit:
     """Least squares via QR decomposition.
 
-    Rank deficiency raises rather than being silently regularized away.
+    Rank deficiency raises rather than being silently regularized away: the
+    columns count as dependent when min|R_ii| <= c * max(rows, cols) * eps,
+    c the largest column norm. That is numpy's `matrix_rank` tolerance with
+    R's diagonal for the singular values and c for the largest one; max|R_ii|
+    would miss a dependent column far longer than the rest.
     residual_sd is the degrees-of-freedom adjusted root mean squared
     residual, sqrt(RSS / (rows - cols)).
     """
@@ -267,9 +255,10 @@ def ols_fit(x: np.ndarray, y: np.ndarray) -> OlsFit:
         raise ValueError(f"outcome length {y.shape} does not match {rows} rows")
     if rows < cols:
         raise ValueError(f"need at least as many rows ({rows}) as columns ({cols})")
-    if np.linalg.matrix_rank(x) < cols:
-        raise RankDeficiencyError("design matrix columns are linearly dependent")
     q, r = np.linalg.qr(x)
+    scale = np.linalg.norm(r, axis=0).max()  # R's column norms are x's
+    if np.abs(np.diagonal(r)).min() <= scale * max(rows, cols) * np.finfo(float).eps:
+        raise RankDeficiencyError("design matrix columns are linearly dependent")
     beta = np.linalg.solve(r, q.T @ y)
     residuals = y - x @ beta
     dof = rows - cols
@@ -284,17 +273,17 @@ def gap_decomposition(config: CohortConfig) -> GapReport:
     The unadjusted gap is the group coefficient when the outcome is
     regressed on the indicator alone (the difference of group means); the
     adjusted gap is the group coefficient with every configured confounder
-    in the model.
+    in the model. Finite inputs can still overflow (beta0 = beta1 = 1e308),
+    so a non-finite result raises ValueError.
     """
-    cohort = generate_cohort(config)
-    unadjusted = ols_fit(cohort.x[:, :2], cohort.y)
-    adjusted = ols_fit(cohort.x, cohort.y)
-    return GapReport(
-        gap_unadjusted=float(unadjusted.coefficients[1]),
-        gap_adjusted=float(adjusted.coefficients[1]),
-        coefficients=tuple(float(b) for b in adjusted.coefficients),
-        residual_sd=adjusted.residual_sd,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        cohort = generate_cohort(config)
+        gap = float(ols_fit(cohort.x[:, :2], cohort.y).coefficients[1])
+        adjusted = ols_fit(cohort.x, cohort.y)
+    coefficients = tuple(float(b) for b in adjusted.coefficients)
+    if not all(map(math.isfinite, (gap, *coefficients, adjusted.residual_sd))):
+        raise ValueError(f"the gaps overflow float64: {gap}, {coefficients[1]}")
+    return GapReport(gap, coefficients[1], coefficients, adjusted.residual_sd)
 
 
 def gap_over_seeds(config: CohortConfig, seeds: Sequence[int]) -> list[GapReport]:

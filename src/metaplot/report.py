@@ -40,6 +40,7 @@ __all__ = [
     "AuditMetadata",
     "AuditReport",
     "json_block",
+    "json_bytes",
     "tail_table_to_dict",
     "render_json",
     "render_markdown",
@@ -130,6 +131,11 @@ def json_block(value: Any, pad: str = "") -> str:
     raw newline inside a string."""
     text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
     return text.replace("\n", "\n" + pad)
+
+
+def json_bytes(value: Any) -> bytes:
+    """A standalone JSON artifact: `json_block(value)`, a newline, UTF-8."""
+    return (json_block(value) + "\n").encode("utf-8")
 
 
 def _require_finite(*values: float) -> None:

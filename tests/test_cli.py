@@ -107,6 +107,43 @@ def test_audit_format_selection(null_csv, tmp_path):
     assert set(read_dir(out)) == {"report.json"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tails", "--preset", "g", "--format", "md"],
+        ["tails", "--preset", "g", "--format", "json,md"],
+        ["audit", "--format", "pdf"],
+        ["audit", "--format", ","],
+        ["simulate", "--demo", "--format", "json"],
+    ],
+    ids=["tails-md", "tails-json,md", "audit-pdf", "audit-empty", "simulate-format"],
+)
+def test_format_the_subcommand_cannot_write_exits_2_without_outputs(
+    argv, null_csv, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    if argv[0] == "audit":
+        argv = argv + ["--input", str(null_csv)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "--format" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_render_writes_no_artifacts(null_csv, tmp_path, capsys, monkeypatch):
+    def boom(panels):
+        raise RuntimeError("render failed")
+
+    # zpanel.svg renders last, after report.json, report.md and the p-plots.
+    monkeypatch.setattr(metaplot.cli, "render_svg_zpanel", boom)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="render failed"):
+        main(["audit", "--input", str(null_csv), "--out", str(out)])
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
 @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
 def caller_gc(request):
     """Set the collector as the caller of main() had it; put it back afterwards."""
@@ -231,6 +268,17 @@ def test_tails_invalid_spec_exit_2(tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--ref-mu", "--ref-sigma", "--other-mu", "--other-sigma"])
+def test_tails_preset_excludes_spec_flags(tmp_path, capsys, flag):
+    out = tmp_path / "t"
+    code = main(["tails", "--preset", "g", flag, "3", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --preset excludes")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_tails_bad_threshold_list_exit_2(tmp_path):
     assert (
         main(["tails", "--preset", "g", "--thresholds", "2,1", "--out", str(tmp_path)])
@@ -303,6 +351,47 @@ def test_simulate_non_integer_config_exit_2_without_outputs(
     captured = capsys.readouterr()
     assert "bad cohort config" in captured.err
     assert f"{field} must be a JSON integer" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def _first_confounder(**fields):
+    def edit(config):
+        config["confounders"][0].update(fields)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda c: c.update(noise_sigma=float("nan")), "noise_sigma must be a finite JSON number"),
+        (_first_confounder(mean_f=float("inf")), "confounder mean_f must be a finite JSON number"),
+        (lambda c: c.update(beta0=True), "beta0 must be a finite JSON number"),
+        (lambda c: c.update(beta0="2.5"), "beta0 must be a finite JSON number"),
+        (_first_confounder(beta="2"), "confounder beta must be a finite JSON number"),
+        (lambda c: c.update(beta0=10**400), "beta0 must be a finite JSON number"),
+        # finite inputs whose outcomes overflow float64
+        (lambda c: c.update(beta0=1e308, beta1=1e308), "the gaps overflow float64"),
+        # a confounder that is constant to float64 precision: a multiple of the intercept
+        (_first_confounder(mean_f=1e10, mean_m=1e10, sigma=1e-300), "linearly dependent"),
+    ],
+    ids=["nan-noise", "inf-mean_f", "bool-beta0", "str-beta0", "str-confounder-beta",
+         "400-digit-beta0", "overflowing-gaps", "constant-confounder"],
+)
+@pytest.mark.parametrize("seeds", ["1", "3"])
+def test_simulate_bad_number_config_exit_2_without_outputs(
+    demo_config, tmp_path, capsys, edit, message, seeds
+):
+    config = json.loads(demo_config.read_text())
+    edit(config)
+    cfg = tmp_path / "cohort.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "sim"
+    code = main(["simulate", "--config", str(cfg), "--seeds", seeds, "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "bad cohort config" in captured.err and message in captured.err
     assert captured.out == ""
     assert not out.exists()
 

@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +91,7 @@ def test_config_json_round_trip():
         noise_sigma=0.3,
         seed=9,
     )
-    again = CohortConfig.from_json(json.dumps(cfg.to_dict()))
+    again = CohortConfig.from_json(json.dumps(asdict(cfg)))
     assert again == cfg
 
 
@@ -241,6 +242,43 @@ def test_ols_duplicated_column_raises():
     x = np.column_stack([np.ones(10), col, col])
     with pytest.raises(RankDeficiencyError):
         ols_fit(x, np.arange(10.0))
+
+
+def _near_dependent_design(rows, cols, delta, seed):
+    """Intercept, group indicator, normal columns; the last column is a
+    combination of the others plus delta-sized noise."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, cols))
+    x[:, 0] = 1.0
+    x[:, 1] = np.arange(rows) >= rows // 2
+    x[:, -1] = x[:, :-1] @ rng.standard_normal(cols - 1) + delta * rng.standard_normal(rows)
+    return x
+
+
+@pytest.mark.parametrize("rows", [6, 50, 400, 4000])
+@pytest.mark.parametrize("cols", [3, 5])
+@pytest.mark.parametrize("delta", [0.0, 1e-18, 1e-17, 1e-9, 1e-6, 1e-2])
+def test_ols_rank_decisions_match_matrix_rank(rows, cols, delta):
+    # Deltas stay two decades or more from the tolerance (~ rows * eps); in
+    # that band the R-diagonal and SVD rules may legitimately disagree.
+    for seed in range(5):
+        x = _near_dependent_design(rows, cols, delta, seed)
+        deficient = np.linalg.matrix_rank(x) < cols
+        assert deficient == (delta < 1e-12)
+        if deficient:
+            with pytest.raises(RankDeficiencyError):
+                ols_fit(x, np.ones(rows))
+        else:
+            ols_fit(x, np.ones(rows))
+
+
+def test_ols_long_dependent_column_raises():
+    # The column is 1e10 times the intercept: max|R_ii| (the indicator's,
+    # ~sqrt(rows)) would set the tolerance 1e10 times too low to see it.
+    x = np.column_stack([np.ones(4000), np.arange(4000) >= 2000, np.full(4000, 1e10)])
+    assert np.linalg.matrix_rank(x) < 3
+    with pytest.raises(RankDeficiencyError):
+        ols_fit(x, np.ones(4000))
 
 
 def test_ols_shape_validation():
