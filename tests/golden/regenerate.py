@@ -1,18 +1,23 @@
-"""Regenerate the golden SVG fixtures after an intentional rendering change.
+"""Regenerate the golden SVG fixtures and the `audit` artifact manifest
+(manifest.json, see tests/test_manifest.py) after an intentional change.
 
 Run from the repository root:
 
-    python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py
 
 Review the diffs by eye before committing.
 """
 
+import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent.parent))
 
 from conftest import bundled  # noqa: E402
+from test_manifest import MANIFEST, build_manifest  # noqa: E402
 from test_report import build_report  # noqa: E402
 
 from metaplot.gaussian import PRESETS  # noqa: E402
@@ -35,6 +40,10 @@ def main() -> None:
     (out / "gaussians_g.svg").write_bytes(
         render_svg_gaussians([male, female], -4.664, 4.0)
     )
+    os.environ["METAPLOT_NO_COLOR"] = "1"
+    with tempfile.TemporaryDirectory() as work:
+        manifest = build_manifest(Path(work))
+    MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print("golden files regenerated under", out)
 
 
