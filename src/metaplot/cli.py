@@ -226,10 +226,10 @@ def run_audit(args: argparse.Namespace) -> int:
         ss = summarize_studies(
             grouping.groups, cls, mode=mode, shared_n=args.shared_n, two_sided=two_sided
         )
-        summaries[cls.value] = tuple(ss)
+        summaries[cls.value] = ss
         z_panels[cls.value] = summarize_z(ss, cls)
         plots[cls.value] = build_plot(
-            [s.p_value for s in ss], alpha=args.alpha, cls=cls, thresholds=thresholds
+            ss.p_value, alpha=args.alpha, cls=cls, thresholds=thresholds
         )
 
     config_echo = {

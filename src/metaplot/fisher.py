@@ -3,6 +3,11 @@
 A study's correlation coefficients are averaged per class, transformed to
 the z scale (arctanh), scaled by the standard error 1/sqrt(n-3), and
 converted back to a p-value under the standard normal distribution.
+
+`summarize_studies` works on columns: it returns a `Summaries`, whose
+fields are lists with one entry per study, computed with `math` functions
+mapped over those lists. A `StudySummary` is built only when a caller
+indexes or iterates the result.
 """
 
 from __future__ import annotations
@@ -10,20 +15,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from operator import truediv
+from typing import Iterable, Sequence
 
-from .ingest import CorrelationClass, StudyGroup
+from .ingest import CorrelationClass, Groups, StudyGroup, _Columns
 from .numerics import Probability, arctanh
 
 __all__ = [
     "AggregationMode",
     "StudySummary",
+    "Summaries",
     "ZSummary",
     "summarize_studies",
     "summarize_z",
 ]
 
 HISTOGRAM_BIN_WIDTH = 0.5
+# Above this many bins of HISTOGRAM_BIN_WIDTH (z-scores spanning 500), bins
+# widen to the smallest multiple of it that fits: a huge n turns a moderate
+# r into a huge z, and n = 10**18 at r = 0.999999 would need ~3e10 bins.
+HISTOGRAM_MAX_BINS = 1000
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -46,6 +57,42 @@ class StudySummary:
     p_value: Probability
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class Summaries(_Columns):
+    """Per-study summaries as parallel columns, one entry per study.
+
+    `summarize_studies` fills `se` with one float object per distinct n and
+    `p_value` with plain floats; indexing or iterating builds the
+    `StudySummary` items, with a checked `Probability` p-value.
+    """
+
+    study_id: Sequence[str]
+    cls: Sequence[CorrelationClass]
+    mean_r: Sequence[float]
+    n: Sequence[int]
+    fisher_z: Sequence[float]
+    se: Sequence[float]
+    z_score: Sequence[float]
+    p_value: Sequence[float]
+
+    @classmethod
+    def of(cls, summaries: Iterable[StudySummary]) -> "Summaries":
+        """`summaries` itself if it is a Summaries, else its items as columns."""
+        if isinstance(summaries, Summaries):
+            return summaries
+        rows = [(s.study_id, s.cls, s.mean_r, s.n, s.fisher_z, s.se, s.z_score, s.p_value)
+                for s in summaries]
+        return cls(*(list(zip(*rows)) or [()] * 8))
+
+    def __len__(self) -> int:
+        return len(self.study_id)
+
+    def _item(self, i: int) -> StudySummary:
+        return StudySummary(self.study_id[i], self.cls[i], self.mean_r[i], self.n[i],
+                            self.fisher_z[i], self.se[i], self.z_score[i],
+                            Probability(self.p_value[i]))
+
+
 @dataclass(frozen=True)
 class ZSummary:
     """Five-number summary and fixed-width histogram of z-statistics."""
@@ -60,13 +107,29 @@ class ZSummary:
     histogram: tuple[tuple[float, float, int], ...]  # (lo, hi, count)
 
 
+def _class_values(
+    groups: Iterable[StudyGroup], cls: CorrelationClass
+) -> tuple[Sequence[str], list, list, Sequence[int]]:
+    """Study ids, per-study r values and n values of class cls, and study-level n."""
+    if isinstance(groups, Groups):
+        return (groups.study_id, groups.values(cls, "r"), groups.values(cls, "n"),
+                groups.study_n)
+    groups = list(groups)
+    for group in groups:
+        if not group.by_class.get(cls):
+            raise ValueError(f"study {group.study_id!r} has no {cls.value} records")
+    recs = [group.by_class[cls] for group in groups]
+    return ([group.study_id for group in groups], [[rec.r for rec in rs] for rs in recs],
+            [[rec.n for rec in rs] for rs in recs], [group.study_n for group in groups])
+
+
 def summarize_studies(
     groups: Iterable[StudyGroup],
     cls: CorrelationClass,
     mode: AggregationMode = AggregationMode.MEAN_R,
     shared_n: bool = False,
     two_sided: bool = True,
-) -> list[StudySummary]:
+) -> Summaries:
     """Per-study pipeline for one correlation class, one summary per group.
 
     MEAN_R: average the r values, then transform. MEAN_Z: average the
@@ -79,34 +142,35 @@ def summarize_studies(
     with two_sided=False, the upper tail, i.e. a test for a positive
     correlation. tests/test_fisher.py writes this out from its definition
     with the math module and requires every field to be equal.
+
+    `groups` is the `Groups` that `group_complete_studies` returns, or any
+    iterable of `StudyGroup`.
     """
-    mean_z = mode is AggregationMode.MEAN_Z
-    out: list[StudySummary] = []
-    for group in groups:
-        recs = group.by_class.get(cls)
-        if not recs:
-            raise ValueError(f"study {group.study_id!r} has no {cls.value} records")
-        if mean_z:
-            mean_r = math.tanh(sum([arctanh(rec.r) for rec in recs]) / len(recs))
-        else:
-            mean_r = sum([rec.r for rec in recs]) / len(recs)
-        n = group.study_n if shared_n else sum([rec.n for rec in recs])
-        if n < 4:
+    study_ids, rs, ns, study_n = _class_values(groups, cls)
+    if mode is AggregationMode.MEAN_Z:
+        mean_r = [math.tanh(sum(map(arctanh, v)) / len(v)) for v in rs]
+    else:
+        mean_r = [sum(v) / len(v) for v in rs]
+    n = study_n if shared_n else list(map(sum, ns))
+    for k, m in zip(n, mean_r):
+        if k < 4:
             raise ValueError("sample size must exceed 3")
-        if not abs(mean_r) < 1.0:  # also rejects NaN
-            raise ValueError(f"arctanh requires |r| < 1, got {mean_r!r}")
-        fisher_z = math.atanh(mean_r)
-        se = 1.0 / math.sqrt(n - 3)
-        z_score = fisher_z / se
-        # 0.5 * erfc is std_normal_sf; halving then doubling is kept on purpose,
-        # as it rounds differently from erfc alone when erfc is subnormal
-        if two_sided:
-            p = min(1.0, 2.0 * (0.5 * math.erfc(abs(z_score) / _SQRT2)))
-        else:
-            p = 0.5 * math.erfc(z_score / _SQRT2)
-        out.append(StudySummary(group.study_id, cls, mean_r, n, fisher_z, se, z_score,
-                                Probability(p)))
-    return out
+        if not abs(m) < 1.0:  # also rejects NaN
+            raise ValueError(f"arctanh requires |r| < 1, got {m!r}")
+    fisher_z = list(map(math.atanh, mean_r))
+    se_of_n = {k: 1.0 / math.sqrt(k - 3) for k in set(n)}
+    se = list(map(se_of_n.__getitem__, n))
+    z_score = list(map(truediv, fisher_z, se))
+    # 0.5 * erfc is std_normal_sf; halving then doubling is kept on purpose,
+    # as it rounds differently from erfc alone when erfc is subnormal
+    if two_sided:
+        p = [min(1.0, 2.0 * (0.5 * math.erfc(abs(z) / _SQRT2))) for z in z_score]
+    else:
+        p = [0.5 * math.erfc(z / _SQRT2) for z in z_score]
+    for v in p:
+        if not 0.0 <= v <= 1.0:  # what Probability checks, per study
+            raise ValueError(f"probability must lie in [0, 1], got {v!r}")
+    return Summaries(study_ids, [cls] * len(p), mean_r, n, fisher_z, se, z_score, p)
 
 
 def _quantile(sorted_values: list[float], q: float) -> float:
@@ -122,11 +186,20 @@ def _quantile(sorted_values: list[float], q: float) -> float:
 
 
 def _histogram(values: list[float]) -> tuple[tuple[float, float, int], ...]:
-    # Fixed-width bins aligned to multiples of HISTOGRAM_BIN_WIDTH spanning
-    # the data range; the last bin is closed so counts always sum to len().
-    w = HISTOGRAM_BIN_WIDTH
-    lo_edge = math.floor(min(values) / w) * w
-    n_bins = max(1, math.ceil((max(values) - lo_edge) / w - 1e-12))
+    # Fixed-width bins aligned to multiples of the bin width, spanning the
+    # data range; the last bin is closed so counts always sum to len(). The
+    # width is HISTOGRAM_BIN_WIDTH, or its smallest multiple that needs at
+    # most HISTOGRAM_MAX_BINS bins.
+    lo, hi = min(values), max(values)
+    # no multiple below this one can fit, as no bins cover hi - lo with fewer
+    k = max(1, math.floor((hi - lo) / (HISTOGRAM_MAX_BINS * HISTOGRAM_BIN_WIDTH)))
+    while True:
+        w = k * HISTOGRAM_BIN_WIDTH
+        lo_edge = math.floor(lo / w) * w
+        n_bins = max(1, math.ceil((hi - lo_edge) / w - 1e-12))
+        if n_bins <= HISTOGRAM_MAX_BINS:
+            break
+        k += 1
     counts = [0] * n_bins
     for v in values:
         idx = min(int((v - lo_edge) / w), n_bins - 1)
@@ -138,7 +211,8 @@ def _histogram(values: list[float]) -> tuple[tuple[float, float, int], ...]:
 
 def summarize_z(summaries: Iterable[StudySummary], cls: CorrelationClass) -> ZSummary:
     """Order statistics and histogram of the z-scores for one class."""
-    zs = sorted(s.z_score for s in summaries if s.cls is cls)
+    columns = Summaries.of(summaries)
+    zs = sorted(z for c, z in zip(columns.cls, columns.z_score) if c is cls)
     if not zs:
         raise ValueError(f"no summaries for class {cls.value}")
     return ZSummary(

@@ -6,7 +6,13 @@ Input schema (UTF-8, comma-separated, header required):
 
 `class` is one of ICC, ECC, IEC (case-sensitive); `title` and `journal`
 may be empty; `r` must lie strictly inside (-1, 1); `n` must exceed 3 so
-the Fisher standard error 1/sqrt(n-3) exists.
+the Fisher standard error 1/sqrt(n-3) exists, and may not exceed
+MAX_SAMPLE_SIZE.
+
+A parsed sheet is held as parallel columns (`Records`), and the complete
+studies as record indices per class (`Groups`). Both are read-only
+sequences: a `StudyRecord` or `StudyGroup` is built only when a caller
+indexes or iterates them, so the audit pipeline itself never builds one.
 """
 
 from __future__ import annotations
@@ -15,22 +21,28 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
-from typing import BinaryIO, Iterable, TextIO, Union
+from typing import Any, BinaryIO, Iterable, Iterator, Sequence, TextIO, Union
 
 __all__ = [
     "CorrelationClass",
     "StudyRecord",
     "StudyGroup",
+    "Records",
+    "Groups",
     "RowError",
     "ParseFailure",
     "ParseResult",
     "GroupingReport",
     "REQUIRED_COLUMNS",
+    "MAX_SAMPLE_SIZE",
     "parse_records",
     "group_complete_studies",
 ]
 
 REQUIRED_COLUMNS = ("study_id", "author", "year", "title", "journal", "class", "r", "n")
+# Far above any real sample, and small enough that a class's summed n stays a
+# finite float (for sqrt(n - 3)) however many records a sheet holds.
+MAX_SAMPLE_SIZE = 2**63 - 1
 
 
 class CorrelationClass(str, Enum):
@@ -41,8 +53,9 @@ class CorrelationClass(str, Enum):
     IEC = "IEC"  # instrument score vs. explicit measure
 
 
-_CLASS_BY_TAG = {c.value: c for c in CorrelationClass}
-_CLASS_COUNT = len(_CLASS_BY_TAG)
+_CLASSES = tuple(CorrelationClass)
+_CLASS_BY_TAG = {c.value: c for c in _CLASSES}
+_CLASS_POS = {c: k for k, c in enumerate(_CLASSES)}
 
 
 class ParseFailure(ValueError):
@@ -60,6 +73,17 @@ class RowError:
         return f"row {self.line}: {self.message}"
 
 
+def _check_record(study_id: str, r: float, n: int) -> None:
+    if not study_id:
+        raise ValueError("study_id must be non-empty")
+    if not abs(r) < 1.0:
+        raise ValueError("correlation out of open interval (-1,1)")
+    if n < 4:
+        raise ValueError("sample size must exceed 3")
+    if n > MAX_SAMPLE_SIZE:
+        raise ValueError(f"sample size must not exceed {MAX_SAMPLE_SIZE}")
+
+
 @dataclass(frozen=True)
 class StudyRecord:
     study_id: str
@@ -72,17 +96,58 @@ class StudyRecord:
     n: int
 
     def __post_init__(self) -> None:
-        if not self.study_id:
-            raise ValueError("study_id must be non-empty")
-        if not abs(self.r) < 1.0:
-            raise ValueError("correlation out of open interval (-1,1)")
-        if self.n < 4:
-            raise ValueError("sample size must exceed 3")
+        _check_record(self.study_id, self.r, self.n)
+
+
+class _Columns(Sequence):
+    """A read-only sequence stored as parallel columns: a subclass's
+    `_item(i)` builds the i-th item only when a caller indexes or iterates."""
+
+    def __getitem__(self, i):  # type: ignore[override]
+        if isinstance(i, slice):
+            return [self._item(j) for j in range(len(self))[i]]
+        return self._item(range(len(self))[i])
+
+    def __iter__(self) -> Iterator:
+        return map(self._item, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, tuple, _Columns)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Records(_Columns):
+    """Study records as parallel columns (one tuple per field), in input order."""
+
+    study_id: Sequence[str]
+    author: Sequence[str]
+    year: Sequence[int]
+    title: Sequence[str | None]
+    journal: Sequence[str | None]
+    cls: Sequence[CorrelationClass]
+    r: Sequence[float]
+    n: Sequence[int]
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple]) -> "Records":
+        """Transpose (study_id, author, year, title, journal, cls, r, n) rows."""
+        return cls(*(list(zip(*rows)) or [()] * len(REQUIRED_COLUMNS)))
+
+    def __len__(self) -> int:
+        return len(self.r)
+
+    def _item(self, i: int) -> StudyRecord:
+        return StudyRecord(self.study_id[i], self.author[i], self.year[i], self.title[i],
+                           self.journal[i], self.cls[i], self.r[i], self.n[i])
 
 
 @dataclass
 class ParseResult:
-    records: list[StudyRecord]
+    records: Records
     errors: list[RowError]
 
 
@@ -103,11 +168,41 @@ class StudyGroup:
         return max(rec.n for recs in self.by_class.values() for rec in recs)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class Groups(_Columns):
+    """Complete studies in ascending study_id order, as columns.
+
+    `record_index[cls][i]` lists the positions in `records` of study i's
+    records of class cls, in input order; `study_n[i]` is study i's largest
+    record n (`StudyGroup.study_n`).
+    """
+
+    records: Records
+    study_id: list[str]
+    record_index: dict[CorrelationClass, list[list[int]]]
+    study_n: list[int]
+
+    def __len__(self) -> int:
+        return len(self.study_id)
+
+    def values(self, cls: CorrelationClass, column: str) -> list[list[Any]]:
+        """Per study, `column`'s values of its records of class cls."""
+        col = getattr(self.records, column)
+        return [[col[j] for j in idx] for idx in self.record_index[cls]]
+
+    def _item(self, i: int) -> StudyGroup:
+        # classes in the order the study's records first name them
+        index = {c: self.record_index[c][i] for c in CorrelationClass}
+        first_seen = sorted(CorrelationClass, key=lambda c: index[c][0])
+        by_class = {c: tuple(map(self.records._item, index[c])) for c in first_seen}
+        return StudyGroup(self.study_id[i], by_class)
+
+
 @dataclass
 class GroupingReport:
     """Complete study groups plus an audit trail of what was dropped."""
 
-    groups: list[StudyGroup]
+    groups: Groups
     dropped: list[tuple[str, str]]  # (study_id, reason)
     total_n: int  # summed per-study n over retained groups
 
@@ -147,32 +242,55 @@ def _check_header(header: list[str] | None) -> None:
         )
 
 
-def _parse_row(row: list[str]) -> StudyRecord:
+def _parses(convert: type, text: str) -> bool:
+    try:
+        convert(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _problems(year_s: str, cls_s: str, r_s: str, n_s: str) -> list[str]:
+    """What is unparseable in a row, in field order."""
+    problems = []
+    if not _parses(int, year_s):
+        problems.append(f"unparseable year {year_s!r}")
+    if cls_s not in _CLASS_BY_TAG:
+        problems.append(f"unknown class tag {cls_s!r} (expected ICC, ECC, or IEC)")
+    if not _parses(float, r_s):
+        problems.append(f"unparseable correlation {r_s!r}")
+    if not _parses(int, n_s):
+        problems.append(f"unparseable sample size {n_s!r}")
+    return problems
+
+
+def _convert(year_s: str, cls_s: str, r_s: str, n_s: str) -> tuple:
+    """year, class, r and n from their stripped text, or a ValueError naming
+    every field that does not parse."""
+    year_s, cls_s, r_s, n_s = map(str.strip, (year_s, cls_s, r_s, n_s))
+    try:
+        return int(year_s), _CLASS_BY_TAG[cls_s], float(r_s), int(n_s)
+    except (KeyError, ValueError):
+        raise ValueError("; ".join(_problems(year_s, cls_s, r_s, n_s))) from None
+
+
+def _parse_row(row: list[str]) -> tuple:
+    """One data row as (study_id, author, year, title, journal, cls, r, n),
+    or a ValueError naming every unparseable field or the failed check."""
     if len(row) != len(REQUIRED_COLUMNS):
         raise ValueError(f"expected {len(REQUIRED_COLUMNS)} fields, got {len(row)}")
-    study_id, author, year_s, title, journal, cls_s, r_s, n_s = map(str.strip, row)
-    problems: list[str] = []
-    year = 0
-    r = 0.0
-    n = 4
+    study_id, author, year_s, title, journal, cls_s, r_s, n_s = row
     try:
-        year = int(year_s)
-    except ValueError:
-        problems.append(f"unparseable year {year_s!r}")
-    cls = _CLASS_BY_TAG.get(cls_s)
-    if cls is None:
-        problems.append(f"unknown class tag {cls_s!r} (expected ICC, ECC, or IEC)")
-    try:
-        r = float(r_s)
-    except ValueError:
-        problems.append(f"unparseable correlation {r_s!r}")
-    try:
-        n = int(n_s)
-    except ValueError:
-        problems.append(f"unparseable sample size {n_s!r}")
-    if problems:
-        raise ValueError("; ".join(problems))
-    return StudyRecord(study_id, author, year, title or None, journal or None, cls, r, n)
+        # int() and float() skip surrounding whitespace themselves, except
+        # the separators \x1c-\x1f, which str.strip() removes: _convert
+        # strips the fields and tries again.
+        year, cls, r, n = int(year_s), _CLASS_BY_TAG[cls_s.strip()], float(r_s), int(n_s)
+    except (KeyError, ValueError):
+        year, cls, r, n = _convert(year_s, cls_s, r_s, n_s)
+    study_id = study_id.strip()
+    if not (study_id and abs(r) < 1.0 and 3 < n <= MAX_SAMPLE_SIZE):
+        _check_record(study_id, r, n)
+    return study_id, author.strip(), year, title.strip() or None, journal.strip() or None, cls, r, n
 
 
 def parse_records(source: Source) -> ParseResult:
@@ -184,21 +302,20 @@ def parse_records(source: Source) -> ParseResult:
     ParseFailure.
     """
     reader = csv.reader(io.StringIO(_as_text(source), newline=""))
-    records: list[StudyRecord] = []
+    rows: list[tuple] = []
     errors: list[RowError] = []
     try:
         _check_header(next(reader, None))
         for row in reader:
-            if not "".join(row).strip():
-                continue  # blank line, or only whitespace fields
-            line = reader.line_num
             try:
-                records.append(_parse_row(row))
+                rows.append(_parse_row(row))
             except ValueError as exc:
-                errors.append(RowError(line=line, message=str(exc)))
+                # a blank line, or only whitespace fields, never parses and is skipped
+                if "".join(row).strip():
+                    errors.append(RowError(line=reader.line_num, message=str(exc)))
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise ParseFailure(f"row {reader.line_num}: {exc}") from exc
-    return ParseResult(records=records, errors=errors)
+    return ParseResult(records=Records.from_rows(rows), errors=errors)
 
 
 def group_complete_studies(records: Iterable[StudyRecord]) -> GroupingReport:
@@ -208,21 +325,37 @@ def group_complete_studies(records: Iterable[StudyRecord]) -> GroupingReport:
     accounted for: either retained or listed in `dropped` with the missing
     classes named. `total_n` sums the per-study n over retained groups.
     """
-    buckets: dict[str, dict[CorrelationClass, list[StudyRecord]]] = {}
-    for rec in records:
-        buckets.setdefault(rec.study_id, {}).setdefault(rec.cls, []).append(rec)
-
-    groups: list[StudyGroup] = []
-    dropped: list[tuple[str, str]] = []
-    for study_id in sorted(buckets):
-        bucket = buckets[study_id]  # holds only classes with at least one record
-        if len(bucket) == _CLASS_COUNT:
-            by_class = {cls: tuple(recs) for cls, recs in bucket.items()}
-            groups.append(StudyGroup(study_id, by_class))
+    if not isinstance(records, Records):
+        records = Records.from_rows(
+            (r.study_id, r.author, r.year, r.title, r.journal, r.cls, r.r, r.n) for r in records
+        )
+    by_study: dict[str, list[int]] = {}
+    for i, study_id in enumerate(records.study_id):
+        members = by_study.get(study_id)
+        if members is None:
+            by_study[study_id] = [i]
         else:
-            missing = [c.value for c in CorrelationClass if c not in bucket]
+            members.append(i)
+
+    class_pos = list(map(_CLASS_POS.__getitem__, records.cls))
+    n_of = records.n.__getitem__
+    kept: list[str] = []
+    kept_index: list[tuple[list[int], ...]] = []
+    study_n: list[int] = []
+    dropped: list[tuple[str, str]] = []
+    for study_id in sorted(by_study):
+        members = by_study[study_id]
+        index: tuple[list[int], ...] = tuple([] for _ in _CLASSES)
+        for i in members:
+            index[class_pos[i]].append(i)
+        if all(index):
+            kept.append(study_id)
+            kept_index.append(index)
+            study_n.append(max(map(n_of, members)))
+        else:
+            missing = [c.value for c, idx in zip(_CLASSES, index) if not idx]
             dropped.append((study_id, f"missing class(es): {', '.join(missing)}"))
 
-    return GroupingReport(
-        groups=groups, dropped=dropped, total_n=sum(g.study_n for g in groups)
-    )
+    record_index = dict(zip(_CLASSES, map(list, zip(*kept_index)))) or {c: [] for c in _CLASSES}
+    groups = Groups(records, kept, record_index, study_n)
+    return GroupingReport(groups=groups, dropped=dropped, total_n=sum(study_n))

@@ -12,10 +12,19 @@ dict form. CPython's C encoder only runs with `indent=None`, so the indented
 one is pure Python and cost more than any other layer of a large audit.
 `render_json` therefore writes the report itself: small sections go through
 `json.dumps` (`json_block`), and the two bulk arrays, per-study summaries and
-plot points, are written from one row template each, with strings escaped by
-the encoder's own `encode_basestring_ascii` and numbers by `float.__repr__`
-and `int.__repr__`, as `json.dumps` writes them. The tests re-encode its
-output with the stdlib and require the same bytes.
+plot points, are written from columns (`fisher.Summaries`): each field is
+formatted over its whole column, strings by the encoder's own
+`encode_basestring_ascii` and numbers by `float.__repr__` and
+`int.__repr__`, as `json.dumps` writes them, and the rows are joined with
+the fixed text between the fields. A float object that several rows share
+is formatted once: `summarize_studies` keeps one `se` per distinct n, and
+`build_plot` keeps the p-value objects it is given, so the points of a plot
+built from a `Summaries`' `p_value` column share each p-value's repr with
+the summaries. Sharing goes by object identity, never by value, since 0.0
+and -0.0 are equal but print differently. The Markdown per-study tables
+are written from the same columns, with each `se` formatted once per
+distinct n. The tests re-encode `render_json`'s output with the stdlib and
+require the same bytes.
 
 `report.json` still carries `"gap_report": null` and `"tail_tables": []`,
 written as fixed text. No audit fills them (`tails` and `simulate` write
@@ -25,14 +34,15 @@ the bytes of every report, which is left to a schema version change.
 
 from __future__ import annotations
 
+import html
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable, Mapping, Sequence
-from xml.sax.saxutils import escape
+from typing import Any, Callable, Mapping, Sequence
 
-from .fisher import StudySummary, ZSummary
+from .fisher import StudySummary, Summaries, ZSummary
 from .gaussian import GaussianSpec, TailTable, curve_points
 from .pplot import PlotDiagnostics, PValuePlot
 
@@ -63,7 +73,7 @@ class AuditReport:
     """Self-contained audit result; re-renderable without re-computation."""
 
     metadata: AuditMetadata
-    summaries: dict[str, tuple[StudySummary, ...]]  # keyed by class tag
+    summaries: dict[str, Sequence[StudySummary]]  # keyed by class tag
     z_panels: dict[str, ZSummary]
     plots: dict[str, PValuePlot]
 
@@ -138,35 +148,86 @@ def json_bytes(value: Any) -> bytes:
     return (json_block(value) + "\n").encode("utf-8")
 
 
-def _require_finite(*values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            # the error json.dumps raises with allow_nan=False
-            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+def _require_finite(values: Sequence[float]) -> None:
+    if not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        # the error json.dumps raises with allow_nan=False
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
 
 
-def _write_array(out: list[str], rows: list[str], pad: str) -> None:
-    out += ("[\n", ",\n".join(rows), f"\n{pad}]") if rows else ("[]",)
+def _json_floats(values: Sequence[float]) -> list[str]:
+    _require_finite(values)
+    return list(map(_float, values))
 
 
-def _write_summaries(out: list[str], summaries: Iterable[StudySummary]) -> None:
-    rows = []
-    for s in summaries:
-        _require_finite(s.mean_r, s.fisher_z, s.se, s.z_score, s.p_value)
-        rows.append(
-            f'      {{\n        "class": {_str(s.cls.value)},\n'
-            f'        "fisher_z": {_float(s.fisher_z)},\n'
-            f'        "mean_r": {_float(s.mean_r)},\n'
-            f'        "n": {_int(s.n)},\n'
-            f'        "p_value": {_float(s.p_value)},\n'
-            f'        "se": {_float(s.se)},\n'
-            f'        "study_id": {_str(s.study_id)},\n'
-            f'        "z_score": {_float(s.z_score)}\n      }}'
-        )
-    _write_array(out, rows, "    ")
+def _fixed4(values: Sequence[float]) -> list[str]:
+    return list(map(format, values, repeat(".4f")))
 
 
-def _write_plot(out: list[str], plot: PValuePlot) -> None:
+def _format_once(values: Sequence[Any], fmt: Callable[[list], list[str]]) -> list[str]:
+    """`fmt(values)`, with fmt called once per distinct object in values."""
+    ids = list(map(id, values))
+    distinct = dict(zip(ids, values))
+    strs = dict(zip(distinct, fmt(list(distinct.values()))))
+    return list(map(strs.__getitem__, ids))
+
+
+def _json_floats_shared(values: Sequence[float], memo: dict[int, str]) -> list[str]:
+    """`_json_floats(values)`, taking the string of any object memo (id ->
+    string, of objects that outlive it) already holds."""
+    strs = list(map(memo.get, map(id, values)))
+    if None in strs:
+        misses = [i for i, s in enumerate(strs) if s is None]
+        for i, s in zip(misses, _json_floats([values[i] for i in misses])):
+            strs[i] = s
+    return strs
+
+
+def _join_rows(parts: Sequence[str], columns: Sequence[list[str]], sep: str) -> str:
+    """`sep.join(rows)`, where row i is parts[0] + columns[0][i] + parts[1] +
+    ... + columns[-1][i] + parts[-1]."""
+    count = len(columns[0])
+    if not count:
+        return ""
+    fields: list = [repeat(parts[0]), columns[0]]
+    for part, column in zip(parts[1:], columns[1:]):
+        fields += (repeat(part), column)
+    fields.append(chain(repeat(parts[-1] + sep, count - 1), (parts[-1],)))
+    return "".join(chain.from_iterable(zip(*fields)))
+
+
+def _write_array(out: list[str], rows: str, pad: str) -> None:
+    out += ("[\n", rows, f"\n{pad}]") if rows else ("[]",)
+
+
+# The text around the fields of one row, in the stdlib encoder's layout.
+_SUMMARY_PARTS = (
+    '      {\n        "class": ', ',\n        "fisher_z": ', ',\n        "mean_r": ',
+    ',\n        "n": ', ',\n        "p_value": ', ',\n        "se": ',
+    ',\n        "study_id": ', ',\n        "z_score": ', "\n      }",
+)
+_POINT_PARTS = ("        [\n          ", ",\n          ", "\n        ]")
+
+
+def _summary_rows(s: Summaries, memo: dict[int, str]) -> str:
+    """The rows of a summaries array; adds each p-value's string to memo."""
+    tags = {c: _str(c.value) for c in set(s.cls)}
+    p_values = _json_floats(s.p_value)
+    memo.update(zip(map(id, s.p_value), p_values))
+    columns = [
+        list(map(tags.__getitem__, s.cls)),
+        _json_floats(s.fisher_z),
+        _json_floats(s.mean_r),
+        list(map(_int, s.n)),
+        p_values,
+        _format_once(s.se, _json_floats),
+        list(map(_str, s.study_id)),
+        _json_floats(s.z_score),
+    ]
+    return _join_rows(_SUMMARY_PARTS, columns, ",\n")
+
+
+def _write_plot(out: list[str], plot: PValuePlot, memo: dict[int, str]) -> None:
     cls = plot.cls.value if plot.cls is not None else None
     diagnostics = json_block(_diagnostics_to_dict(plot.diagnostics), "      ")
     out.append(
@@ -175,11 +236,11 @@ def _write_plot(out: list[str], plot: PValuePlot) -> None:
         f'      "diagnostics": {diagnostics},\n'
         '      "points": '
     )
-    rows = []
-    for rank, p in plot.points:
-        _require_finite(p)
-        rows.append(f"        [\n          {_int(rank)},\n          {_float(p)}\n        ]")
-    _write_array(out, rows, "      ")
+    columns = [
+        list(map(_int, [rank for rank, _ in plot.points])),
+        _json_floats_shared([p for _, p in plot.points], memo),
+    ]
+    _write_array(out, _join_rows(_POINT_PARTS, columns, ",\n"), "      ")
     out.append("\n    }")
 
 
@@ -207,13 +268,19 @@ def render_json(report: AuditReport) -> bytes:
         "tool_version": meta.tool_version,
         "config": meta.config,
     }
+    # The summaries come after the plots but are formatted first, so that the
+    # plot points can take their p-value strings from memo (float object id
+    # -> string; `summaries` keeps those objects alive).
+    memo: dict[int, str] = {}
+    summaries = {tag: Summaries.of(ss) for tag, ss in report.summaries.items()}
+    summary_rows = {tag: _summary_rows(s, memo) for tag, s in summaries.items()}
     out = [
         '{\n  "gap_report": null,\n'
         f'  "metadata": {json_block(metadata, "  ")},\n  "plots": '
     ]
-    _write_by_tag(out, report.plots, _write_plot)
+    _write_by_tag(out, report.plots, lambda out, plot: _write_plot(out, plot, memo))
     out.append(',\n  "summaries": ')
-    _write_by_tag(out, report.summaries, _write_summaries)
+    _write_by_tag(out, summary_rows, lambda out, rows: _write_array(out, rows, "    "))
     z_panels = {tag: _zsummary_to_dict(z) for tag, z in report.z_panels.items()}
     out.append(
         ',\n  "tail_tables": [],\n'
@@ -230,23 +297,29 @@ def pplot_filename(tag: str) -> str:
     return f"pplot_{tag}.svg"
 
 
-def _md_cell(text: str) -> str:
+def _md_cells(texts: Sequence[str]) -> list[str]:
     # A raw "|" would end the cell and a line break would end the row.
-    return text.replace("|", "\\|").replace("\r", " ").replace("\n", " ")
+    joined = "".join(texts)
+    if "|" not in joined and "\r" not in joined and "\n" not in joined:
+        return list(texts)
+    return [t.replace("|", "\\|").replace("\r", " ").replace("\n", " ") for t in texts]
+
+
+_MD_ROW = "| %s | %.4f | %s | %.4f | %s | %.4f | %.4f |"
 
 
 def _md_summary_table(tag: str, summaries: Sequence[StudySummary]) -> list[str]:
+    s = Summaries.of(summaries)
     lines = [
         f"### {tag} study summaries",
         "",
         "| study | mean r | n | z | se | z-score | p |",
         "|---|---|---|---|---|---|---|",
     ]
-    for s in summaries:
-        lines.append(
-            f"| {_md_cell(s.study_id)} | {s.mean_r:.4f} | {s.n} | {s.fisher_z:.4f} "
-            f"| {s.se:.4f} | {s.z_score:.4f} | {s.p_value:.4f} |"
-        )
+    if len(s):
+        rows = zip(_md_cells(s.study_id), s.mean_r, s.n, s.fisher_z,
+                   _format_once(s.se, _fixed4), s.z_score, s.p_value)
+        lines.append("\n".join(map(_MD_ROW.__mod__, rows)))
     lines.append("")
     return lines
 
@@ -314,7 +387,7 @@ def _svg_open(width: int, height: int) -> list[str]:
 def _text(x: float, y: float, s: str, size: int = 11, anchor: str = "middle") -> str:
     return (
         f'<text x="{_f(x)}" y="{_f(y)}" font-family="sans-serif" font-size="{size}" '
-        f'text-anchor="{anchor}">{escape(s)}</text>'
+        f'text-anchor="{anchor}">{html.escape(s, quote=False)}</text>'
     )
 
 

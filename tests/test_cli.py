@@ -1,13 +1,19 @@
 import gc
 import hashlib
+import itertools
 import json
+import math
 import subprocess
 import sys
+import time
 
 import pytest
 
 import metaplot.cli
+import metaplot.fisher
+import metaplot.ingest
 from metaplot.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from metaplot.fisher import HISTOGRAM_MAX_BINS
 
 pytestmark = pytest.mark.usefixtures("no_color")
 
@@ -96,6 +102,67 @@ def test_audit_incomplete_studies_reported(tmp_path, capsys):
     code = main(["audit", "--input", str(csv), "--out", str(tmp_path / "o")])
     assert code == EXIT_VALIDATION
     assert "no complete studies" in capsys.readouterr().err
+
+
+def test_audit_oversized_n_exit_2_without_outputs(tmp_path, capsys):
+    # A 401-digit n used to parse, then overflow math.sqrt(n - 3) in a traceback.
+    bad = tmp_path / "big_n.csv"
+    rows = [f"s{i},A,2000,,,{cls},0.2,10" for i in range(3) for cls in ("ICC", "ECC", "IEC")]
+    rows[-1] = f"s2,A,2000,,,IEC,0.2,{10**400}"
+    bad.write_text("study_id,author,year,title,journal,class,r,n\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    code = main(["audit", "--input", str(bad), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == f"{bad}: row 10: sample size must not exceed 9223372036854775807\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_audit_huge_n_caps_histogram_bins(null_csv, tmp_path):
+    # n = 10**18 at r = 0.999999 gives z ~ 7e9: 1.5e10 bins of 0.5, and with
+    # the null fixture's z-scores, the smallest multiple of 0.5 that fits in
+    # HISTOGRAM_MAX_BINS bins.
+    sheet = tmp_path / "huge_n.csv"
+    extra = "".join(f"huge,A,2000,,,{cls},0.999999,{10**18}\n" for cls in ("ICC", "ECC", "IEC"))
+    sheet.write_text(null_csv.read_text() + extra)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["audit", "--input", str(sheet), "--out", str(out)]) == EXIT_OK
+    assert time.perf_counter() - start < 5.0  # well under a second when the cap works
+    for panel in json.loads((out / "report.json").read_bytes())["z_panels"].values():
+        histogram = panel["histogram"]
+        assert len(histogram) <= HISTOGRAM_MAX_BINS
+        assert sum(c for _, _, c in histogram) == panel["count"] == 28
+        width = histogram[0][1] - histogram[0][0]
+        assert width % 0.5 == 0 and width > 0.5
+        # one bin width less would need more bins than the cap
+        narrower = width - 0.5
+        lo_edge = math.floor(panel["min"] / narrower) * narrower
+        assert math.ceil((panel["max"] - lo_edge) / narrower) > HISTOGRAM_MAX_BINS
+
+
+def test_audit_builds_no_per_row_objects(null_csv, effect_csv, tmp_path, monkeypatch):
+    # run_audit carries the sheet as columns from parse to render: building a
+    # StudyRecord, StudyGroup, StudySummary or a per-study Probability fails.
+    flags = [[], ["--agg", "mean-z", "--shared-n", "--one-sided"]]
+    want = {}
+    for i, (csv_path, extra) in enumerate(itertools.product([null_csv, effect_csv], flags)):
+        out = tmp_path / f"plain{i}"
+        assert main(["audit", "--input", str(csv_path), "--out", str(out), *extra]) == EXIT_OK
+        want[i] = read_dir(out)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-row object built")
+
+    monkeypatch.setattr(metaplot.ingest, "StudyRecord", forbidden)
+    monkeypatch.setattr(metaplot.ingest, "StudyGroup", forbidden)
+    monkeypatch.setattr(metaplot.fisher, "StudySummary", forbidden)
+    monkeypatch.setattr(metaplot.fisher, "Probability", forbidden)
+    for i, (csv_path, extra) in enumerate(itertools.product([null_csv, effect_csv], flags)):
+        out = tmp_path / f"patched{i}"
+        assert main(["audit", "--input", str(csv_path), "--out", str(out), *extra]) == EXIT_OK
+        assert read_dir(out) == want[i]
 
 
 def test_audit_format_selection(null_csv, tmp_path):

@@ -7,8 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaplot.fisher import AggregationMode, summarize_studies, summarize_z
-from metaplot.ingest import CorrelationClass, StudyGroup, StudyRecord, group_complete_studies
+from metaplot.fisher import (
+    HISTOGRAM_BIN_WIDTH,
+    HISTOGRAM_MAX_BINS,
+    AggregationMode,
+    StudySummary,
+    summarize_studies,
+    summarize_z,
+)
+from metaplot.ingest import (
+    CorrelationClass,
+    StudyGroup,
+    StudyRecord,
+    group_complete_studies,
+    parse_records,
+)
 from metaplot.numerics import Probability
 
 
@@ -142,23 +155,26 @@ def test_summarize_group_fields_tie_together():
     assert s.z_score == pytest.approx(s.fisher_z / s.se, abs=1e-12)
 
 
-def reference_summary(group, cls, mode, shared_n, two_sided):
-    """The per-study pipeline written out from its definition, math module only."""
-    rs = [rec.r for rec in group.by_class[cls]]
+def reference_summary(study_id, by_class, cls, mode, shared_n, two_sided):
+    """The per-study pipeline written out from its definition, math module only.
+
+    by_class maps each class to the study's (r, n) records of that class.
+    """
+    rs = [r for r, _ in by_class[cls]]
     if mode is AggregationMode.MEAN_Z:
         mean_r = math.tanh(sum(math.atanh(r) for r in rs) / len(rs))
     else:
         mean_r = sum(rs) / len(rs)
     if shared_n:
-        n = max(rec.n for recs in group.by_class.values() for rec in recs)
+        n = max(n for records in by_class.values() for _, n in records)
     else:
-        n = sum(rec.n for rec in group.by_class[cls])
+        n = sum(n for _, n in by_class[cls])
     fisher_z = math.atanh(mean_r)
     se = 1.0 / math.sqrt(n - 3)
     z_score = fisher_z / se
     sf = 0.5 * math.erfc((abs(z_score) if two_sided else z_score) / math.sqrt(2.0))
     p = min(1.0, 2.0 * sf) if two_sided else sf
-    return (group.study_id, cls, mean_r, n, fisher_z, se, z_score, p)
+    return (study_id, cls, mean_r.hex(), n, fisher_z.hex(), se.hex(), z_score.hex(), p.hex())
 
 
 record_values = st.tuples(
@@ -180,21 +196,48 @@ study_sheets = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(sheet=study_sheets)
 def test_summarize_studies_equals_reference(sheet, mode, shared_n, two_sided):
-    records = [
-        StudyRecord(f"s{i}", "A", 2000, None, None, cls, r, n)
+    # From CSV text (r written by repr, so it parses back exactly) through
+    # parse_records and group_complete_studies; compared bit for bit.
+    lines = ["study_id,author,year,title,journal,class,r,n"]
+    lines += [
+        f"s{i},A,2000,,,{cls.value},{r!r},{n}"
         for i, by_class in enumerate(sheet)
         for cls, values in by_class.items()
         for r, n in values
     ]
-    groups = group_complete_studies(records).groups
+    result = parse_records("\n".join(lines) + "\n")
+    assert not result.errors
+    groups = group_complete_studies(result.records).groups
+    studies = sorted((f"s{i}", by_class) for i, by_class in enumerate(sheet))
     for cls in CorrelationClass:
         got = summarize_studies(groups, cls, mode=mode, shared_n=shared_n, two_sided=two_sided)
-        assert len(got) == len(groups)
-        for group, s in zip(groups, got):
-            want = reference_summary(group, cls, mode, shared_n, two_sided)
-            assert (s.study_id, s.cls, s.mean_r, s.n, s.fisher_z, s.se, s.z_score,
-                    s.p_value) == want
-            assert type(s.p_value) is Probability
+        want = [reference_summary(sid, by_class, cls, mode, shared_n, two_sided)
+                for sid, by_class in studies]
+        columns = zip(got.study_id, got.cls, got.mean_r, got.n, got.fisher_z, got.se,
+                      got.z_score, got.p_value)
+        assert [(sid, c, m.hex(), n, z.hex(), se.hex(), zs.hex(), p.hex())
+                for sid, c, m, n, z, se, zs, p in columns] == want
+        # the StudySummary items, and the same groups passed as StudyGroup objects
+        by_groups = summarize_studies(list(groups), cls, mode=mode, shared_n=shared_n,
+                                      two_sided=two_sided)
+        for summaries in (got, by_groups):
+            assert [(s.study_id, s.cls, s.mean_r.hex(), s.n, s.fisher_z.hex(), s.se.hex(),
+                     s.z_score.hex(), s.p_value.hex()) for s in summaries] == want
+            assert all(type(s.p_value) is Probability for s in summaries)
+
+
+@pytest.mark.parametrize("mode", list(AggregationMode))
+def test_one_negative_zero_record_writes_positive_zero_mean_r(mode):
+    # sum([-0.0]) is 0.0, so the one-record mean is +0.0 in both modes, as it
+    # was when every class went through sum(list) / len.
+    rows = [f"s1,A,2000,,,{cls.value},{'-0.0' if cls is CorrelationClass.ICC else '0.1'},10"
+            for cls in CorrelationClass]
+    result = parse_records("study_id,author,year,title,journal,class,r,n\n" + "\n".join(rows))
+    assert result.records[0].r.hex() == (-0.0).hex()
+    groups = group_complete_studies(result.records).groups
+    (s,) = summarize_studies(groups, CorrelationClass.ICC, mode=mode)
+    assert s.mean_r.hex() == s.fisher_z.hex() == (0.0).hex()
+    assert s.p_value == 1.0
 
 
 def test_summarize_studies_error_messages():
@@ -260,3 +303,33 @@ def test_summarize_z_quantiles_ordered_and_histogram_sums():
 def test_summarize_z_empty_raises():
     with pytest.raises(ValueError):
         summarize_z([], CorrelationClass.ICC)
+
+
+def z_panel(zs):
+    summaries = [StudySummary(f"s{i}", CorrelationClass.ICC, 0.0, 4, 0.0, 1.0, z, Probability(1.0))
+                 for i, z in enumerate(zs)]
+    return summarize_z(summaries, CorrelationClass.ICC)
+
+
+@pytest.mark.parametrize(
+    "zs, width",
+    [
+        ([-3.2, 0.1, 4.9], HISTOGRAM_BIN_WIDTH),
+        ([0.0, HISTOGRAM_MAX_BINS * HISTOGRAM_BIN_WIDTH], HISTOGRAM_BIN_WIDTH),
+        ([0.0, HISTOGRAM_MAX_BINS * HISTOGRAM_BIN_WIDTH + 0.25], 2 * HISTOGRAM_BIN_WIDTH),
+        ([-0.25, HISTOGRAM_MAX_BINS * HISTOGRAM_BIN_WIDTH], 2 * HISTOGRAM_BIN_WIDTH),
+        # n = 10**18 and r = 0.999999: z = 7.254e9, 1.45e10 bins of 0.5; z / 1000
+        # = 7254328.67 rounds up to the multiple 7254329.0
+        ([0.3, math.atanh(0.999999) * math.sqrt(10**18 - 3)], 7254329.0),
+    ],
+)
+def test_histogram_widens_bins_to_the_smallest_multiple_that_fits(zs, width):
+    histogram = z_panel(zs).histogram
+    assert len(histogram) <= HISTOGRAM_MAX_BINS
+    assert sum(c for _, _, c in histogram) == len(zs)
+    assert {hi - lo for lo, hi, _ in histogram} == {width}
+    assert histogram[0][0] <= min(zs) and histogram[-1][1] >= max(zs)
+    if width > HISTOGRAM_BIN_WIDTH:  # the next narrower multiple needs too many bins
+        narrower = width - HISTOGRAM_BIN_WIDTH
+        lo_edge = math.floor(min(zs) / narrower) * narrower
+        assert math.ceil((max(zs) - lo_edge) / narrower) > HISTOGRAM_MAX_BINS

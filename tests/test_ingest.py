@@ -1,6 +1,7 @@
 import pytest
 
 from metaplot.ingest import (
+    MAX_SAMPLE_SIZE,
     CorrelationClass,
     ParseFailure,
     StudyRecord,
@@ -79,6 +80,28 @@ def test_whitespace_only_rows_skipped_but_one_field_is_positioned():
         (6, "expected 8 fields, got 1"),
         (7, "unparseable year ''; unparseable correlation ''; unparseable sample size ''"),
     ]
+
+
+@pytest.mark.parametrize("pad", [" ", "\t", "\x1c", "\x1f", "\u2003"])
+def test_fields_padded_with_whitespace_parse_as_stripped(pad):
+    # str.strip() also removes \x1c-\x1f, which int() and float() reject alone
+    fields = ["s1", "A", "2000", "", "", "ICC", "0.5", "12"]
+    result = parse_records(rows(",".join(f"{pad}{f}{pad}" for f in fields)))
+    assert not result.errors
+    assert list(result.records) == [
+        StudyRecord("s1", "A", 2000, None, None, CorrelationClass.ICC, 0.5, 12)
+    ]
+
+
+def test_sample_size_upper_bound():
+    result = parse_records(rows(f"s1,A,2000,,,ICC,0.2,{MAX_SAMPLE_SIZE}",
+                                f"s2,A,2000,,,ICC,0.2,{MAX_SAMPLE_SIZE + 1}",
+                                f"s3,A,2000,,,ICC,0.2,{10**400}"))
+    assert [r.n for r in result.records] == [MAX_SAMPLE_SIZE]
+    message = f"sample size must not exceed {MAX_SAMPLE_SIZE}"
+    assert [(e.line, e.message) for e in result.errors] == [(3, message), (4, message)]
+    with pytest.raises(ValueError, match=message):
+        StudyRecord("s", "A", 2000, None, None, CorrelationClass.ICC, 0.1, 10**400)
 
 
 def test_errors_collected_across_rows_with_positions():

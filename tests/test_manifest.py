@@ -99,7 +99,7 @@ def test_seeded_sheet_has_the_traps_it_promises():
     text = seeded_sheet()
     lines = text.splitlines()[1:]
     ids = {line.rsplit(",", 7)[0] for line in lines}
-    assert 300 == len(ids)
+    assert len(ids) == 300
     assert any("|" in i for i in ids) and any('""' in i for i in ids)
     assert any(not i.isascii() for i in ids)
     assert any(line.split(",")[-2] == "-0.0" for line in lines)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaplot.fisher import StudySummary, summarize_studies, summarize_z
+from metaplot.fisher import StudySummary, Summaries, summarize_studies, summarize_z
 from metaplot.gaussian import GaussianSpec, PRESETS, ratio_table
 from metaplot.ingest import CorrelationClass, group_complete_studies, parse_records
 from metaplot.numerics import Probability
@@ -202,6 +202,30 @@ def test_json_matches_stdlib_encoder_for_any_report(input_name, summaries, plots
     )
     assert_stdlib_bytes(report)
     assert_json_values(report)
+
+
+@pytest.mark.parametrize("columnar", [False, True], ids=["items", "columns"])
+def test_json_point_keeps_its_own_zero_sign(columnar):
+    # A summary p of 0.0 and a plot point of -0.0 under the same tag: equal
+    # floats that print differently, so sharing p strings by value would
+    # write the point as 0.0.
+    cls = CorrelationClass.ICC
+    items = (StudySummary("s1", cls, 0.5, 10, 0.5, 0.3, 1.6, Probability(0.0)),
+             StudySummary("s2", cls, 0.1, 10, 0.1, 0.3, 0.3, Probability(0.75)))
+    summaries = Summaries.of(items) if columnar else items
+    diagnostics = PlotDiagnostics(0.5, Probability(0.5), 1.0, Probability(0.5),
+                                  Probability(0.0), PlotClass.AMBIGUOUS)
+    plot = PValuePlot(cls, 0.05, ((1, -0.0), (2, items[1].p_value)), diagnostics)
+    report = AuditReport(
+        metadata=AuditMetadata(input_sha256="e" * 64, tool_version="0.1.0"),
+        summaries={"ICC": summaries},
+        z_panels={},
+        plots={"ICC": plot},
+    )
+    assert_stdlib_bytes(report)
+    assert_json_values(report)
+    text = render_json(report).decode()
+    assert '"p_value": 0.0,' in text and "          -0.0\n" in text
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
