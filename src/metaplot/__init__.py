@@ -4,23 +4,14 @@ meta-analyses.
 The library ingests study-level correlation records, runs them through the
 Fisher z pipeline to per-study p-values, builds rank-ordered p-value plots
 with uniformity diagnostics, computes Gaussian group tail-ratio tables,
-and simulates omitted-confounder regression bias.
+and simulates omitted-confounder regression bias. The simulation's names
+stay in `metaplot.cohort`, the one module that imports numpy, so importing
+the package does not load numpy.
 """
 
 from ._version import __version__
-from .cohort import (
-    CohortConfig,
-    Confounder,
-    GapReport,
-    Pcg32,
-    RankDeficiencyError,
-    gap_decomposition,
-    generate_cohort,
-    ols_fit,
-)
 from .fisher import (
     AggregationMode,
-    StudySummary,
     ZSummary,
     summarize_studies,
     summarize_z,
@@ -39,8 +30,6 @@ from .ingest import (
     GroupingReport,
     ParseFailure,
     ParseResult,
-    StudyGroup,
-    StudyRecord,
     group_complete_studies,
     parse_records,
 )
@@ -75,24 +64,16 @@ __all__ = [
     "AuditMetadata",
     "AuditReport",
     "ClassifyThresholds",
-    "CohortConfig",
-    "Confounder",
     "CorrelationClass",
-    "GapReport",
     "GaussianSpec",
     "GroupingReport",
     "ParseFailure",
     "ParseResult",
-    "Pcg32",
     "PlotClass",
     "PlotDiagnostics",
     "PRESETS",
     "Probability",
     "PValuePlot",
-    "RankDeficiencyError",
-    "StudyGroup",
-    "StudyRecord",
-    "StudySummary",
     "TailRow",
     "TailTable",
     "ZSummary",
@@ -100,11 +81,8 @@ __all__ = [
     "build_plot",
     "classify",
     "curve_points",
-    "gap_decomposition",
-    "generate_cohort",
     "group_complete_studies",
     "ks_uniform",
-    "ols_fit",
     "parse_records",
     "ratio_table",
     "render_json",

@@ -38,7 +38,6 @@ from functools import partial
 from pathlib import Path
 
 from ._version import __version__
-from .cohort import CohortConfig, gap_decomposition, gap_over_seeds
 from .fisher import AggregationMode, summarize_studies, summarize_z
 from .gaussian import (
     DEFAULT_THRESHOLDS,
@@ -49,7 +48,13 @@ from .gaussian import (
     ratio_table,
 )
 from .ingest import CorrelationClass, ParseFailure, group_complete_studies, parse_records
-from .pplot import DEFAULT_CLASSIFY_THRESHOLDS, ClassifyThresholds, PlotClass, build_plot
+from .pplot import (
+    DEFAULT_CLASSIFY_THRESHOLDS,
+    MIN_POINTS,
+    ClassifyThresholds,
+    PlotClass,
+    build_plot,
+)
 from .report import (
     AuditMetadata,
     AuditReport,
@@ -211,12 +216,14 @@ def run_audit(args: argparse.Namespace) -> int:
         return EXIT_VALIDATION
 
     grouping = group_complete_studies(result.records)
-    if not grouping.groups:
-        print(f"{args.input}: no complete studies (all three classes required)",
-              file=sys.stderr)
-        return EXIT_VALIDATION
     for study_id, reason in grouping.dropped:
         print(f"note: dropped study {study_id}: {reason}", file=sys.stderr)
+    if grouping.retained_count < MIN_POINTS:  # what build_plot needs
+        count = grouping.retained_count
+        found = f"{count or 'no'} complete stud{'y' if count == 1 else 'ies'}"
+        print(f"{args.input}: {found} (all three classes required), "
+              f"a p-value plot needs at least {MIN_POINTS}", file=sys.stderr)
+        return EXIT_VALIDATION
 
     two_sided = not args.one_sided
     summaries = {}
@@ -325,6 +332,9 @@ def _demo_config_path() -> Path:
 
 
 def run_simulate(args: argparse.Namespace) -> int:
+    # numpy loads with cohort, so only this subcommand pays for its import
+    from .cohort import CohortConfig, gap_over_seeds
+
     path = _demo_config_path() if args.demo else Path(args.config)
     text = path.read_text(encoding="utf-8")  # OSError -> exit 1
     try:

@@ -4,10 +4,9 @@ A study's correlation coefficients are averaged per class, transformed to
 the z scale (arctanh), scaled by the standard error 1/sqrt(n-3), and
 converted back to a p-value under the standard normal distribution.
 
-`summarize_studies` works on columns: it returns a `Summaries`, whose
-fields are lists with one entry per study, computed with `math` functions
-mapped over those lists. A `StudySummary` is built only when a caller
-indexes or iterates the result.
+`summarize_studies` works on columns: it reads a `Groups` and returns a
+`Summaries`, whose fields are lists with one entry per study, computed with
+`math` functions mapped over those lists.
 """
 
 from __future__ import annotations
@@ -16,14 +15,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import truediv
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .ingest import CorrelationClass, Groups, StudyGroup, _Columns
-from .numerics import Probability, arctanh
+from .ingest import CorrelationClass, Groups
+from .numerics import arctanh
 
 __all__ = [
     "AggregationMode",
-    "StudySummary",
     "Summaries",
     "ZSummary",
     "summarize_studies",
@@ -46,24 +44,11 @@ class AggregationMode(str, Enum):
 
 
 @dataclass(frozen=True)
-class StudySummary:
-    study_id: str
-    cls: CorrelationClass
-    mean_r: float
-    n: int
-    fisher_z: float
-    se: float
-    z_score: float
-    p_value: Probability
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Summaries(_Columns):
+class Summaries:
     """Per-study summaries as parallel columns, one entry per study.
 
     `summarize_studies` fills `se` with one float object per distinct n and
-    `p_value` with plain floats; indexing or iterating builds the
-    `StudySummary` items, with a checked `Probability` p-value.
+    `p_value` with plain floats, each checked to lie in [0, 1].
     """
 
     study_id: Sequence[str]
@@ -75,22 +60,8 @@ class Summaries(_Columns):
     z_score: Sequence[float]
     p_value: Sequence[float]
 
-    @classmethod
-    def of(cls, summaries: Iterable[StudySummary]) -> "Summaries":
-        """`summaries` itself if it is a Summaries, else its items as columns."""
-        if isinstance(summaries, Summaries):
-            return summaries
-        rows = [(s.study_id, s.cls, s.mean_r, s.n, s.fisher_z, s.se, s.z_score, s.p_value)
-                for s in summaries]
-        return cls(*(list(zip(*rows)) or [()] * 8))
-
     def __len__(self) -> int:
         return len(self.study_id)
-
-    def _item(self, i: int) -> StudySummary:
-        return StudySummary(self.study_id[i], self.cls[i], self.mean_r[i], self.n[i],
-                            self.fisher_z[i], self.se[i], self.z_score[i],
-                            Probability(self.p_value[i]))
 
 
 @dataclass(frozen=True)
@@ -107,24 +78,8 @@ class ZSummary:
     histogram: tuple[tuple[float, float, int], ...]  # (lo, hi, count)
 
 
-def _class_values(
-    groups: Iterable[StudyGroup], cls: CorrelationClass
-) -> tuple[Sequence[str], list, list, Sequence[int]]:
-    """Study ids, per-study r values and n values of class cls, and study-level n."""
-    if isinstance(groups, Groups):
-        return (groups.study_id, groups.values(cls, "r"), groups.values(cls, "n"),
-                groups.study_n)
-    groups = list(groups)
-    for group in groups:
-        if not group.by_class.get(cls):
-            raise ValueError(f"study {group.study_id!r} has no {cls.value} records")
-    recs = [group.by_class[cls] for group in groups]
-    return ([group.study_id for group in groups], [[rec.r for rec in rs] for rs in recs],
-            [[rec.n for rec in rs] for rs in recs], [group.study_n for group in groups])
-
-
 def summarize_studies(
-    groups: Iterable[StudyGroup],
+    groups: Groups,
     cls: CorrelationClass,
     mode: AggregationMode = AggregationMode.MEAN_R,
     shared_n: bool = False,
@@ -143,15 +98,17 @@ def summarize_studies(
     correlation. tests/test_fisher.py writes this out from its definition
     with the math module and requires every field to be equal.
 
-    `groups` is the `Groups` that `group_complete_studies` returns, or any
-    iterable of `StudyGroup`.
+    `groups` is the `Groups` that `group_complete_studies` returns. Groups
+    built directly are checked too: n must exceed 3, |mean_r| must be below
+    1 (a mean of values each below 1 can still round to 1.0), and every
+    p-value must lie in [0, 1].
     """
-    study_ids, rs, ns, study_n = _class_values(groups, cls)
+    rs = groups.values(cls, "r")
     if mode is AggregationMode.MEAN_Z:
         mean_r = [math.tanh(sum(map(arctanh, v)) / len(v)) for v in rs]
     else:
         mean_r = [sum(v) / len(v) for v in rs]
-    n = study_n if shared_n else list(map(sum, ns))
+    n = groups.study_n if shared_n else list(map(sum, groups.values(cls, "n")))
     for k, m in zip(n, mean_r):
         if k < 4:
             raise ValueError("sample size must exceed 3")
@@ -168,9 +125,9 @@ def summarize_studies(
     else:
         p = [0.5 * math.erfc(z / _SQRT2) for z in z_score]
     for v in p:
-        if not 0.0 <= v <= 1.0:  # what Probability checks, per study
+        if not 0.0 <= v <= 1.0:
             raise ValueError(f"probability must lie in [0, 1], got {v!r}")
-    return Summaries(study_ids, [cls] * len(p), mean_r, n, fisher_z, se, z_score, p)
+    return Summaries(groups.study_id, [cls] * len(p), mean_r, n, fisher_z, se, z_score, p)
 
 
 def _quantile(sorted_values: list[float], q: float) -> float:
@@ -209,10 +166,9 @@ def _histogram(values: list[float]) -> tuple[tuple[float, float, int], ...]:
     )
 
 
-def summarize_z(summaries: Iterable[StudySummary], cls: CorrelationClass) -> ZSummary:
+def summarize_z(summaries: Summaries, cls: CorrelationClass) -> ZSummary:
     """Order statistics and histogram of the z-scores for one class."""
-    columns = Summaries.of(summaries)
-    zs = sorted(z for c, z in zip(columns.cls, columns.z_score) if c is cls)
+    zs = sorted(z for c, z in zip(summaries.cls, summaries.z_score) if c is cls)
     if not zs:
         raise ValueError(f"no summaries for class {cls.value}")
     return ZSummary(

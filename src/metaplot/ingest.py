@@ -10,9 +10,8 @@ the Fisher standard error 1/sqrt(n-3) exists, and may not exceed
 MAX_SAMPLE_SIZE.
 
 A parsed sheet is held as parallel columns (`Records`), and the complete
-studies as record indices per class (`Groups`). Both are read-only
-sequences: a `StudyRecord` or `StudyGroup` is built only when a caller
-indexes or iterates them, so the audit pipeline itself never builds one.
+studies as record indices per class (`Groups`); no per-row object is ever
+built. `_parse_row` is the one place a record is checked.
 """
 
 from __future__ import annotations
@@ -21,12 +20,10 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, BinaryIO, Iterable, Iterator, Sequence, TextIO, Union
+from typing import Any, BinaryIO, Iterable, Sequence, TextIO, Union
 
 __all__ = [
     "CorrelationClass",
-    "StudyRecord",
-    "StudyGroup",
     "Records",
     "Groups",
     "RowError",
@@ -73,54 +70,8 @@ class RowError:
         return f"row {self.line}: {self.message}"
 
 
-def _check_record(study_id: str, r: float, n: int) -> None:
-    if not study_id:
-        raise ValueError("study_id must be non-empty")
-    if not abs(r) < 1.0:
-        raise ValueError("correlation out of open interval (-1,1)")
-    if n < 4:
-        raise ValueError("sample size must exceed 3")
-    if n > MAX_SAMPLE_SIZE:
-        raise ValueError(f"sample size must not exceed {MAX_SAMPLE_SIZE}")
-
-
 @dataclass(frozen=True)
-class StudyRecord:
-    study_id: str
-    author: str
-    year: int
-    title: str | None
-    journal: str | None
-    cls: CorrelationClass
-    r: float
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_record(self.study_id, self.r, self.n)
-
-
-class _Columns(Sequence):
-    """A read-only sequence stored as parallel columns: a subclass's
-    `_item(i)` builds the i-th item only when a caller indexes or iterates."""
-
-    def __getitem__(self, i):  # type: ignore[override]
-        if isinstance(i, slice):
-            return [self._item(j) for j in range(len(self))[i]]
-        return self._item(range(len(self))[i])
-
-    def __iter__(self) -> Iterator:
-        return map(self._item, range(len(self)))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (list, tuple, _Columns)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Records(_Columns):
+class Records:
     """Study records as parallel columns (one tuple per field), in input order."""
 
     study_id: Sequence[str]
@@ -140,10 +91,6 @@ class Records(_Columns):
     def __len__(self) -> int:
         return len(self.r)
 
-    def _item(self, i: int) -> StudyRecord:
-        return StudyRecord(self.study_id[i], self.author[i], self.year[i], self.title[i],
-                           self.journal[i], self.cls[i], self.r[i], self.n[i])
-
 
 @dataclass
 class ParseResult:
@@ -152,29 +99,13 @@ class ParseResult:
 
 
 @dataclass(frozen=True)
-class StudyGroup:
-    """All records of one study, partitioned by correlation class."""
-
-    study_id: str
-    by_class: dict[CorrelationClass, tuple[StudyRecord, ...]]
-
-    @property
-    def study_n(self) -> int:
-        """Per-study sample size: the largest record n in the group.
-
-        Extraction sheets typically repeat one study-level n across rows,
-        in which case this is exactly that n.
-        """
-        return max(rec.n for recs in self.by_class.values() for rec in recs)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Groups(_Columns):
+class Groups:
     """Complete studies in ascending study_id order, as columns.
 
     `record_index[cls][i]` lists the positions in `records` of study i's
-    records of class cls, in input order; `study_n[i]` is study i's largest
-    record n (`StudyGroup.study_n`).
+    records of class cls, in input order. `study_n[i]` is study i's
+    study-level n, its largest record n: extraction sheets typically repeat
+    one study-level n across rows, in which case this is exactly that n.
     """
 
     records: Records
@@ -189,13 +120,6 @@ class Groups(_Columns):
         """Per study, `column`'s values of its records of class cls."""
         col = getattr(self.records, column)
         return [[col[j] for j in idx] for idx in self.record_index[cls]]
-
-    def _item(self, i: int) -> StudyGroup:
-        # classes in the order the study's records first name them
-        index = {c: self.record_index[c][i] for c in CorrelationClass}
-        first_seen = sorted(CorrelationClass, key=lambda c: index[c][0])
-        by_class = {c: tuple(map(self.records._item, index[c])) for c in first_seen}
-        return StudyGroup(self.study_id[i], by_class)
 
 
 @dataclass
@@ -276,7 +200,7 @@ def _convert(year_s: str, cls_s: str, r_s: str, n_s: str) -> tuple:
 
 def _parse_row(row: list[str]) -> tuple:
     """One data row as (study_id, author, year, title, journal, cls, r, n),
-    or a ValueError naming every unparseable field or the failed check."""
+    or a ValueError naming every unparseable field or the first failed check."""
     if len(row) != len(REQUIRED_COLUMNS):
         raise ValueError(f"expected {len(REQUIRED_COLUMNS)} fields, got {len(row)}")
     study_id, author, year_s, title, journal, cls_s, r_s, n_s = row
@@ -288,8 +212,14 @@ def _parse_row(row: list[str]) -> tuple:
     except (KeyError, ValueError):
         year, cls, r, n = _convert(year_s, cls_s, r_s, n_s)
     study_id = study_id.strip()
-    if not (study_id and abs(r) < 1.0 and 3 < n <= MAX_SAMPLE_SIZE):
-        _check_record(study_id, r, n)
+    if not study_id:
+        raise ValueError("study_id must be non-empty")
+    if not abs(r) < 1.0:
+        raise ValueError("correlation out of open interval (-1,1)")
+    if n < 4:
+        raise ValueError("sample size must exceed 3")
+    if n > MAX_SAMPLE_SIZE:
+        raise ValueError(f"sample size must not exceed {MAX_SAMPLE_SIZE}")
     return study_id, author.strip(), year, title.strip() or None, journal.strip() or None, cls, r, n
 
 
@@ -318,17 +248,13 @@ def parse_records(source: Source) -> ParseResult:
     return ParseResult(records=Records.from_rows(rows), errors=errors)
 
 
-def group_complete_studies(records: Iterable[StudyRecord]) -> GroupingReport:
+def group_complete_studies(records: Records) -> GroupingReport:
     """Group records by study and keep only studies with all three classes.
 
     Groups come back in ascending study_id order. Every input study is
     accounted for: either retained or listed in `dropped` with the missing
     classes named. `total_n` sums the per-study n over retained groups.
     """
-    if not isinstance(records, Records):
-        records = Records.from_rows(
-            (r.study_id, r.author, r.year, r.title, r.journal, r.cls, r.r, r.n) for r in records
-        )
     by_study: dict[str, list[int]] = {}
     for i, study_id in enumerate(records.study_id):
         members = by_study.get(study_id)

@@ -12,11 +12,11 @@ dict form. CPython's C encoder only runs with `indent=None`, so the indented
 one is pure Python and cost more than any other layer of a large audit.
 `render_json` therefore writes the report itself: small sections go through
 `json.dumps` (`json_block`), and the two bulk arrays, per-study summaries and
-plot points, are written from columns (`fisher.Summaries`): each field is
-formatted over its whole column, strings by the encoder's own
-`encode_basestring_ascii` and numbers by `float.__repr__` and
-`int.__repr__`, as `json.dumps` writes them, and the rows are joined with
-the fixed text between the fields. A float object that several rows share
+plot points, are written from columns (`AuditReport.summaries` holds one
+`fisher.Summaries` per class): each field is formatted over its whole
+column, strings by the encoder's own `encode_basestring_ascii` and numbers
+by `float.__repr__` and `int.__repr__`, as `json.dumps` writes them, and
+the rows are joined with the fixed text between the fields. A float object that several rows share
 is formatted once: `summarize_studies` keeps one `se` per distinct n, and
 `build_plot` keeps the p-value objects it is given, so the points of a plot
 built from a `Summaries`' `p_value` column share each p-value's repr with
@@ -42,7 +42,7 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Mapping, Sequence
 
-from .fisher import StudySummary, Summaries, ZSummary
+from .fisher import Summaries, ZSummary
 from .gaussian import GaussianSpec, TailTable, curve_points
 from .pplot import PlotDiagnostics, PValuePlot
 
@@ -73,7 +73,7 @@ class AuditReport:
     """Self-contained audit result; re-renderable without re-computation."""
 
     metadata: AuditMetadata
-    summaries: dict[str, Sequence[StudySummary]]  # keyed by class tag
+    summaries: dict[str, Summaries]  # keyed by class tag
     z_panels: dict[str, ZSummary]
     plots: dict[str, PValuePlot]
 
@@ -270,10 +270,9 @@ def render_json(report: AuditReport) -> bytes:
     }
     # The summaries come after the plots but are formatted first, so that the
     # plot points can take their p-value strings from memo (float object id
-    # -> string; `summaries` keeps those objects alive).
+    # -> string; `report.summaries` keeps those objects alive).
     memo: dict[int, str] = {}
-    summaries = {tag: Summaries.of(ss) for tag, ss in report.summaries.items()}
-    summary_rows = {tag: _summary_rows(s, memo) for tag, s in summaries.items()}
+    summary_rows = {tag: _summary_rows(s, memo) for tag, s in report.summaries.items()}
     out = [
         '{\n  "gap_report": null,\n'
         f'  "metadata": {json_block(metadata, "  ")},\n  "plots": '
@@ -308,8 +307,7 @@ def _md_cells(texts: Sequence[str]) -> list[str]:
 _MD_ROW = "| %s | %.4f | %s | %.4f | %s | %.4f | %.4f |"
 
 
-def _md_summary_table(tag: str, summaries: Sequence[StudySummary]) -> list[str]:
-    s = Summaries.of(summaries)
+def _md_summary_table(tag: str, s: Summaries) -> list[str]:
     lines = [
         f"### {tag} study summaries",
         "",

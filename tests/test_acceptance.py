@@ -20,7 +20,7 @@ import metaplot
 from metaplot.cli import EXIT_OK, main
 from metaplot.cohort import CohortConfig, Confounder, Pcg32, gap_decomposition
 from metaplot.fisher import summarize_studies
-from metaplot.ingest import CorrelationClass, StudyGroup, StudyRecord
+from metaplot.ingest import CorrelationClass, Groups, Records
 from metaplot.numerics import std_normal_quantile, std_normal_sf
 from metaplot.pplot import PlotClass, build_plot
 
@@ -88,13 +88,13 @@ def test_standard_normal_oracle():
 
 
 def _summaries(rs_ns):
-    # One study per (r, n), each with a single ICC record, through the
-    # library's per-study pipeline.
+    # One study per (r, n), each with a single ICC record, built as columns
+    # and run through the library's per-study pipeline.
     cls = CorrelationClass.ICC
-    groups = [
-        StudyGroup(f"s{i}", {cls: (StudyRecord(f"s{i}", "A", 2000, None, None, cls, r, n),)})
-        for i, (r, n) in enumerate(rs_ns)
-    ]
+    ids = [f"s{i}" for i in range(len(rs_ns))]
+    records = Records.from_rows((sid, "A", 2000, None, None, cls, r, n)
+                                for sid, (r, n) in zip(ids, rs_ns))
+    groups = Groups(records, ids, {cls: [[i] for i in range(len(ids))]}, list(records.n))
     return summarize_studies(groups, cls)
 
 
@@ -106,7 +106,7 @@ def _null_pvalues(seed):
         n = 20 + rng.next_uint32() % 41
         z = std_normal_quantile(rng.random())
         rs_ns.append((math.tanh(z / math.sqrt(n - 3)), n))
-    return [s.p_value for s in _summaries(rs_ns)]
+    return _summaries(rs_ns).p_value
 
 
 def _effect_pvalues(seed):
@@ -117,7 +117,7 @@ def _effect_pvalues(seed):
     for _ in range(27):
         z = shift + std_normal_quantile(rng.random())
         rs_ns.append((math.tanh(z / math.sqrt(97)), 100))
-    return [s.p_value for s in _summaries(rs_ns)]
+    return _summaries(rs_ns).p_value
 
 
 def test_pipeline_properties_replace_figures_2_to_4():
@@ -152,11 +152,11 @@ def test_pipeline_properties_replace_figures_2_to_4():
 
 
 def test_fisher_pipeline_spot_values():
-    (stats,) = _summaries([(0.5, 30)])
-    assert stats.z_score == pytest.approx(2.85428, abs=1e-4)
-    assert stats.p_value == pytest.approx(0.00432, abs=5e-5)
+    stats = _summaries([(0.5, 30)])
+    assert stats.z_score == pytest.approx([2.85428], abs=1e-4)
+    assert stats.p_value == pytest.approx([0.00432], abs=5e-5)
     # frozen 40-digit oracle value for the same quantity
-    assert stats.p_value == pytest.approx(0.0043134706, abs=1e-9)
+    assert stats.p_value == pytest.approx([0.0043134706], abs=1e-9)
     report_line("fisher spot values r=0.5 n=30 (z 2.85428 +-1e-4, p 0.00432 +-5e-5)")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -11,36 +12,54 @@ from metaplot.fisher import (
     HISTOGRAM_BIN_WIDTH,
     HISTOGRAM_MAX_BINS,
     AggregationMode,
-    StudySummary,
+    Summaries,
     summarize_studies,
     summarize_z,
 )
 from metaplot.ingest import (
     CorrelationClass,
-    StudyGroup,
-    StudyRecord,
+    Groups,
+    Records,
     group_complete_studies,
     parse_records,
 )
-from metaplot.numerics import Probability
+
+HEADER = "study_id,author,year,title,journal,class,r,n"
 
 
-def make_group(rs_ns, cls=CorrelationClass.ICC, sid="s1"):
-    records = [
-        StudyRecord(sid, "A", 2000, None, None, cls, r, n) for r, n in rs_ns
-    ]
-    # pad the other classes so the group is complete
-    for other in CorrelationClass:
-        if other is not cls:
-            records.append(StudyRecord(sid, "A", 2000, None, None, other, 0.0, 10))
-    (group,) = group_complete_studies(records).groups
-    return group
+def make_groups(studies, cls=CorrelationClass.ICC):
+    """The Groups of a CSV sheet (r written by repr, so it parses back exactly)
+    holding study s000, s001, ... for each entry of studies: its (r, n)
+    records of class cls, padded with one r = 0.0, n = 10 record of each
+    other class so that the study is complete."""
+    lines = [HEADER]
+    for i, rs_ns in enumerate(studies):
+        lines += [f"s{i:03d},A,2000,,,{cls.value},{r!r},{n}" for r, n in rs_ns]
+        lines += [f"s{i:03d},A,2000,,,{other.value},0.0,10"
+                  for other in CorrelationClass if other is not cls]
+    result = parse_records("\n".join(lines) + "\n")
+    assert not result.errors
+    return group_complete_studies(result.records).groups
 
 
-def one_study(rs_ns, cls=CorrelationClass.ICC, sid="s1", **options):
-    """summarize_studies on the one-study group that make_group builds."""
-    (summary,) = summarize_studies([make_group(rs_ns, cls=cls, sid=sid)], cls, **options)
-    return summary
+def one_study(rs_ns, cls=CorrelationClass.ICC, **options):
+    """The fields of summarize_studies' one summary of a one-study sheet."""
+    summaries = summarize_studies(make_groups([rs_ns], cls=cls), cls, **options)
+    assert len(summaries) == 1
+    return SimpleNamespace(**{f.name: getattr(summaries, f.name)[0]
+                              for f in dataclasses.fields(summaries)})
+
+
+def icc_groups(rs_ns):
+    """Groups built directly as columns: one study per (r, n), each with a
+    single ICC record, reaching summarize_studies without parse_records'
+    checks."""
+    ids = [f"s{i}" for i in range(len(rs_ns))]
+    rows = [(sid, "A", 2000, None, None, CorrelationClass.ICC, r, n)
+            for sid, (r, n) in zip(ids, rs_ns)]
+    index = [[i] for i in range(len(ids))]
+    return Groups(Records.from_rows(rows), ids, {CorrelationClass.ICC: index},
+                  [n for _, n in rs_ns])
 
 
 def test_aggregate_mean_of_two():
@@ -62,14 +81,6 @@ def test_aggregate_symmetric_cancellation():
 
 def test_aggregate_shared_n_uses_study_level_n():
     assert one_study([(0.2, 25), (0.4, 25)], shared_n=True).n == 25
-
-
-def test_aggregate_missing_class_raises():
-    group = make_group([(0.2, 10)])
-    bare = group.by_class.copy()
-    del bare[CorrelationClass.ECC]
-    with pytest.raises(ValueError, match="no ECC records"):
-        summarize_studies([StudyGroup("s1", bare)], CorrelationClass.ECC)
 
 
 def test_r_to_pvalue_null_case():
@@ -104,12 +115,11 @@ def test_r_to_pvalue_one_sided_upper_tail():
 
 
 def test_r_to_pvalue_rejects_bad_inputs():
-    # StudyRecord rejects r = 1 and n = 3 itself, so stand-in records reach
-    # the pipeline's own checks.
+    # parse_records rejects r = 1 and n = 3 itself, so directly built columns
+    # reach the pipeline's own checks.
     for r, n in [(1.0, 30), (0.5, 3)]:
-        group = StudyGroup("s1", {CorrelationClass.ICC: (SimpleNamespace(r=r, n=n),)})
         with pytest.raises(ValueError):
-            summarize_studies([group], CorrelationClass.ICC)
+            summarize_studies(icc_groups([(r, n)]), CorrelationClass.ICC)
 
 
 def test_p_decreases_in_abs_r_for_fixed_n():
@@ -217,13 +227,6 @@ def test_summarize_studies_equals_reference(sheet, mode, shared_n, two_sided):
                       got.z_score, got.p_value)
         assert [(sid, c, m.hex(), n, z.hex(), se.hex(), zs.hex(), p.hex())
                 for sid, c, m, n, z, se, zs, p in columns] == want
-        # the StudySummary items, and the same groups passed as StudyGroup objects
-        by_groups = summarize_studies(list(groups), cls, mode=mode, shared_n=shared_n,
-                                      two_sided=two_sided)
-        for summaries in (got, by_groups):
-            assert [(s.study_id, s.cls, s.mean_r.hex(), s.n, s.fisher_z.hex(), s.se.hex(),
-                     s.z_score.hex(), s.p_value.hex()) for s in summaries] == want
-            assert all(type(s.p_value) is Probability for s in summaries)
 
 
 @pytest.mark.parametrize("mode", list(AggregationMode))
@@ -233,39 +236,33 @@ def test_one_negative_zero_record_writes_positive_zero_mean_r(mode):
     rows = [f"s1,A,2000,,,{cls.value},{'-0.0' if cls is CorrelationClass.ICC else '0.1'},10"
             for cls in CorrelationClass]
     result = parse_records("study_id,author,year,title,journal,class,r,n\n" + "\n".join(rows))
-    assert result.records[0].r.hex() == (-0.0).hex()
+    assert result.records.r[0].hex() == (-0.0).hex()
     groups = group_complete_studies(result.records).groups
-    (s,) = summarize_studies(groups, CorrelationClass.ICC, mode=mode)
-    assert s.mean_r.hex() == s.fisher_z.hex() == (0.0).hex()
-    assert s.p_value == 1.0
+    s = summarize_studies(groups, CorrelationClass.ICC, mode=mode)
+    assert s.mean_r[0].hex() == s.fisher_z[0].hex() == (0.0).hex()
+    assert s.p_value == [1.0]
 
 
 def test_summarize_studies_error_messages():
-    group = make_group([(0.2, 10)])
-    bare = dict(group.by_class)
-    del bare[CorrelationClass.ECC]
-    with pytest.raises(ValueError, match=r"^study 's1' has no ECC records$"):
-        summarize_studies([group, StudyGroup("s1", bare)], CorrelationClass.ECC)
-    # StudyRecord itself rejects n < 4 and |r| >= 1, so stand-in records reach
-    # the pipeline's own checks.
-    small_n = StudyGroup("s2", {CorrelationClass.ICC: (SimpleNamespace(r=0.2, n=3),)})
-    with pytest.raises(ValueError, match=r"^sample size must exceed 3$"):
-        summarize_studies([small_n], CorrelationClass.ICC)
-    unit_r = StudyGroup("s3", {CorrelationClass.ICC: (SimpleNamespace(r=1.0, n=30),)})
+    # parse_records itself rejects n < 4 and |r| >= 1, so directly built
+    # columns reach the pipeline's own checks.
+    small_n = icc_groups([(0.2, 10), (0.2, 3)])
+    for shared_n in (False, True):
+        with pytest.raises(ValueError, match=r"^sample size must exceed 3$"):
+            summarize_studies(small_n, CorrelationClass.ICC, shared_n=shared_n)
+    unit_r = icc_groups([(1.0, 30)])
     for mode in AggregationMode:
         with pytest.raises(ValueError, match=r"^arctanh requires \|r\| < 1, got 1\.0$"):
-            summarize_studies([unit_r], CorrelationClass.ICC, mode=mode)
+            summarize_studies(unit_r, CorrelationClass.ICC, mode=mode)
 
 
 def summaries_from_z(zs, cls=CorrelationClass.ICC):
     # Build summaries with prescribed z-scores (r chosen to invert the pipeline).
-    out = []
-    for i, z in enumerate(zs):
-        n = 28
-        r = math.tanh(z / math.sqrt(n - 3))
-        out.append(one_study([(r, n)], cls=cls, sid=f"s{i}"))
-        assert out[-1].z_score == pytest.approx(z, abs=1e-9)
-    return out
+    n = 28
+    studies = [[(math.tanh(z / math.sqrt(n - 3)), n)] for z in zs]
+    summaries = summarize_studies(make_groups(studies, cls=cls), cls)
+    assert summaries.z_score == pytest.approx(zs, abs=1e-9)
+    return summaries
 
 
 def test_summarize_z_median_of_symmetric_triplet():
@@ -302,12 +299,13 @@ def test_summarize_z_quantiles_ordered_and_histogram_sums():
 
 def test_summarize_z_empty_raises():
     with pytest.raises(ValueError):
-        summarize_z([], CorrelationClass.ICC)
+        summarize_z(Summaries(*[()] * 8), CorrelationClass.ICC)
 
 
 def z_panel(zs):
-    summaries = [StudySummary(f"s{i}", CorrelationClass.ICC, 0.0, 4, 0.0, 1.0, z, Probability(1.0))
-                 for i, z in enumerate(zs)]
+    k = len(zs)
+    summaries = Summaries([f"s{i}" for i in range(k)], [CorrelationClass.ICC] * k, [0.0] * k,
+                          [4] * k, [0.0] * k, [1.0] * k, list(zs), [1.0] * k)
     return summarize_z(summaries, CorrelationClass.ICC)
 
 

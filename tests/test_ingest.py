@@ -4,7 +4,8 @@ from metaplot.ingest import (
     MAX_SAMPLE_SIZE,
     CorrelationClass,
     ParseFailure,
-    StudyRecord,
+    Records,
+    _parse_row,
     group_complete_studies,
     parse_records,
 )
@@ -19,22 +20,18 @@ def rows(*lines):
 def test_parse_basic_row():
     result = parse_records(rows("kurdi01,Smith,2012,,,ICC,0.12,45"))
     assert not result.errors
-    (rec,) = result.records
-    assert rec.study_id == "kurdi01"
-    assert rec.author == "Smith"
-    assert rec.year == 2012
-    assert rec.title is None and rec.journal is None
-    assert rec.cls is CorrelationClass.ICC
-    assert rec.r == 0.12
-    assert rec.n == 45
+    assert result.records == Records(
+        ("kurdi01",), ("Smith",), (2012,), (None,), (None,), (CorrelationClass.ICC,), (0.12,), (45,)
+    )
+    assert result.records.cls[0] is CorrelationClass.ICC
 
 
 def test_parse_accepts_bytes_and_optional_fields():
     data = rows('s1,Lee,1999,"A title, with comma",J. Res.,ECC,-0.3,12').encode()
     result = parse_records(data)
     assert not result.errors
-    assert result.records[0].title == "A title, with comma"
-    assert result.records[0].journal == "J. Res."
+    assert result.records.title == ("A title, with comma",)
+    assert result.records.journal == ("J. Res.",)
 
 
 def test_r_out_of_interval_reported_with_row():
@@ -75,7 +72,7 @@ def test_whitespace_only_rows_skipped_but_one_field_is_positioned():
             "s1,A,2000,,,ICC,0.2,10",
         )
     )
-    assert [r.study_id for r in result.records] == ["s1"]
+    assert result.records.study_id == ("s1",)
     assert [(e.line, e.message) for e in result.errors] == [
         (6, "expected 8 fields, got 1"),
         (7, "unparseable year ''; unparseable correlation ''; unparseable sample size ''"),
@@ -88,20 +85,18 @@ def test_fields_padded_with_whitespace_parse_as_stripped(pad):
     fields = ["s1", "A", "2000", "", "", "ICC", "0.5", "12"]
     result = parse_records(rows(",".join(f"{pad}{f}{pad}" for f in fields)))
     assert not result.errors
-    assert list(result.records) == [
-        StudyRecord("s1", "A", 2000, None, None, CorrelationClass.ICC, 0.5, 12)
-    ]
+    assert result.records == Records.from_rows(
+        [("s1", "A", 2000, None, None, CorrelationClass.ICC, 0.5, 12)]
+    )
 
 
 def test_sample_size_upper_bound():
     result = parse_records(rows(f"s1,A,2000,,,ICC,0.2,{MAX_SAMPLE_SIZE}",
                                 f"s2,A,2000,,,ICC,0.2,{MAX_SAMPLE_SIZE + 1}",
                                 f"s3,A,2000,,,ICC,0.2,{10**400}"))
-    assert [r.n for r in result.records] == [MAX_SAMPLE_SIZE]
+    assert result.records.n == (MAX_SAMPLE_SIZE,)
     message = f"sample size must not exceed {MAX_SAMPLE_SIZE}"
     assert [(e.line, e.message) for e in result.errors] == [(3, message), (4, message)]
-    with pytest.raises(ValueError, match=message):
-        StudyRecord("s", "A", 2000, None, None, CorrelationClass.ICC, 0.1, 10**400)
 
 
 def test_errors_collected_across_rows_with_positions():
@@ -121,7 +116,7 @@ def test_row_order_preserved():
     result = parse_records(
         rows("s2,B,2001,,,ICC,0.2,10", "s1,A,2000,,,ECC,0.1,10")
     )
-    assert [r.study_id for r in result.records] == ["s2", "s1"]
+    assert result.records.study_id == ("s2", "s1")
 
 
 def test_missing_column_rejected():
@@ -148,64 +143,63 @@ def test_oversized_field_is_positioned_parse_failure():
 
 
 def test_record_validation_direct():
-    with pytest.raises(ValueError):
-        StudyRecord("", "A", 2000, None, None, CorrelationClass.ICC, 0.1, 10)
-    with pytest.raises(ValueError):
-        StudyRecord("s", "A", 2000, None, None, CorrelationClass.ICC, -1.0, 10)
+    # _parse_row is the one place a record is checked
+    with pytest.raises(ValueError, match="^study_id must be non-empty$"):
+        _parse_row([" ", "A", "2000", "", "", "ICC", "0.1", "10"])
+    with pytest.raises(ValueError, match=r"^correlation out of open interval \(-1,1\)$"):
+        _parse_row(["s", "A", "2000", "", "", "ICC", "-1.0", "10"])
 
 
 def complete_study(sid, n=10, r=0.1):
-    return [
-        StudyRecord(sid, "A", 2000, None, None, cls, r, n)
-        for cls in CorrelationClass
-    ]
+    """One record row of each class for study sid."""
+    return [(sid, "A", 2000, None, None, cls, r, n) for cls in CorrelationClass]
+
+
+def group(rows):
+    return group_complete_studies(Records.from_rows(rows))
 
 
 def test_grouping_keeps_only_complete_studies():
-    records = complete_study("s1") + complete_study("s2")[:2]  # s2 lacks IEC
-    report = group_complete_studies(records)
-    assert [g.study_id for g in report.groups] == ["s1"]
+    report = group(complete_study("s1") + complete_study("s2")[:2])  # s2 lacks IEC
+    assert report.groups.study_id == ["s1"]
     assert report.retained_count == 1
     assert report.dropped == [("s2", "missing class(es): IEC")]
 
 
 def test_grouping_sorted_and_totals():
-    records = complete_study("b", n=20) + complete_study("a", n=15)
-    report = group_complete_studies(records)
-    assert [g.study_id for g in report.groups] == ["a", "b"]
+    report = group(complete_study("b", n=20) + complete_study("a", n=15))
+    assert report.groups.study_id == ["a", "b"]
+    assert report.groups.study_n == [15, 20]
     assert report.total_n == 35
 
 
 def test_grouping_empty_input_flagged():
-    report = group_complete_studies([])
-    assert report.groups == []
+    report = group([])
+    assert len(report.groups) == 0
     assert report.dropped == []
     assert report.total_n == 0
 
 
 def test_grouping_idempotent_on_duplication():
-    records = complete_study("s1") + complete_study("s2", n=22)
-    once = group_complete_studies(records)
-    twice = group_complete_studies(records + records)
-    assert [g.study_id for g in once.groups] == [g.study_id for g in twice.groups]
+    rows = complete_study("s1") + complete_study("s2", n=22)
+    assert group(rows).groups.study_id == group(rows + rows).groups.study_id
 
 
 def test_duplicate_rows_are_retained_not_deduplicated():
-    records = complete_study("s1") + complete_study("s1")
-    report = group_complete_studies(records)
-    (group,) = report.groups
-    assert len(group.by_class[CorrelationClass.ICC]) == 2
+    report = group(complete_study("s1") + complete_study("s1"))
+    # both copies of each class's record, in input order
+    index = {cls: [[k, k + 3]] for k, cls in enumerate(CorrelationClass)}
+    assert report.groups.record_index == index
 
 
 def test_every_study_accounted_for_exactly_once():
-    records = (
+    report = group(
         complete_study("s1")
         + complete_study("s2")[:1]
         + complete_study("s3")
         + complete_study("s4")[1:]
     )
-    report = group_complete_studies(records)
-    retained = {g.study_id for g in report.groups}
+    retained = set(report.groups.study_id)
     dropped = {sid for sid, _ in report.dropped}
     assert retained | dropped == {"s1", "s2", "s3", "s4"}
     assert not retained & dropped

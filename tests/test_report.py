@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaplot.fisher import StudySummary, Summaries, summarize_studies, summarize_z
+from metaplot.fisher import Summaries, summarize_studies, summarize_z
 from metaplot.gaussian import GaussianSpec, PRESETS, ratio_table
 from metaplot.ingest import CorrelationClass, group_complete_studies, parse_records
 from metaplot.numerics import Probability
@@ -32,9 +32,9 @@ def build_report(csv_path, two_sided=True):
     summaries, z_panels, plots = {}, {}, {}
     for cls in CorrelationClass:
         ss = summarize_studies(groups, cls, two_sided=two_sided)
-        summaries[cls.value] = tuple(ss)
+        summaries[cls.value] = ss
         z_panels[cls.value] = summarize_z(ss, cls)
-        plots[cls.value] = build_plot([s.p_value for s in ss], alpha=0.05, cls=cls)
+        plots[cls.value] = build_plot(ss.p_value, alpha=0.05, cls=cls)
     return AuditReport(
         metadata=AuditMetadata(
             input_sha256="e" * 64, tool_version="0.1.0", config={"alpha": 0.05}
@@ -43,6 +43,12 @@ def build_report(csv_path, two_sided=True):
         z_panels=z_panels,
         plots=plots,
     )
+
+
+def study_rows(summaries):
+    """Each study's fields of a Summaries, as a dict keyed by field name."""
+    names = [f.name for f in dataclasses.fields(summaries)]
+    return [dict(zip(names, row)) for row in zip(*(getattr(summaries, n) for n in names))]
 
 
 def expected_json(report):
@@ -74,16 +80,16 @@ def expected_json(report):
         "summaries": {
             tag: [
                 {
-                    "class": s.cls.value,
-                    "fisher_z": s.fisher_z,
-                    "mean_r": s.mean_r,
-                    "n": s.n,
-                    "p_value": s.p_value,
-                    "se": s.se,
-                    "study_id": s.study_id,
-                    "z_score": s.z_score,
+                    "class": s["cls"].value,
+                    "fisher_z": s["fisher_z"],
+                    "mean_r": s["mean_r"],
+                    "n": s["n"],
+                    "p_value": s["p_value"],
+                    "se": s["se"],
+                    "study_id": s["study_id"],
+                    "z_score": s["z_score"],
                 }
-                for s in ss
+                for s in study_rows(ss)
             ]
             for tag, ss in report.summaries.items()
         },
@@ -157,17 +163,27 @@ finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
 unit = st.floats(0.0, 1.0) | st.sampled_from([-0.0, 5e-324, 1.0])
 texts = st.text() | st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "\U0001f600", "\ud800"])
 tags = st.sampled_from([c.value for c in CorrelationClass])
-study_summaries = st.builds(
-    StudySummary,
-    study_id=texts,
-    cls=st.sampled_from(CorrelationClass),
-    mean_r=finite,
-    n=st.integers(),
-    fisher_z=finite,
-    se=finite,
-    z_score=finite,
-    p_value=unit.map(Probability),
+
+
+def columns(k, values):
+    return st.lists(values, min_size=k, max_size=k)
+
+
+summaries_columns = st.integers(0, 4).flatmap(
+    lambda k: st.builds(
+        Summaries,
+        study_id=columns(k, texts),
+        cls=columns(k, st.sampled_from(CorrelationClass)),
+        mean_r=columns(k, finite),
+        n=columns(k, st.integers()),
+        fisher_z=columns(k, finite),
+        se=columns(k, finite),
+        z_score=columns(k, finite),
+        p_value=columns(k, unit),
+    )
 )
+
+
 pvalue_plots = st.builds(
     PValuePlot,
     cls=st.none() | st.sampled_from(CorrelationClass),
@@ -188,7 +204,7 @@ pvalue_plots = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(
     input_name=texts,
-    summaries=st.dictionaries(tags, st.lists(study_summaries, max_size=4).map(tuple)),
+    summaries=st.dictionaries(tags, summaries_columns),
     plots=st.dictionaries(tags, pvalue_plots),
 )
 def test_json_matches_stdlib_encoder_for_any_report(input_name, summaries, plots):
@@ -204,18 +220,16 @@ def test_json_matches_stdlib_encoder_for_any_report(input_name, summaries, plots
     assert_json_values(report)
 
 
-@pytest.mark.parametrize("columnar", [False, True], ids=["items", "columns"])
-def test_json_point_keeps_its_own_zero_sign(columnar):
+def test_json_point_keeps_its_own_zero_sign():
     # A summary p of 0.0 and a plot point of -0.0 under the same tag: equal
     # floats that print differently, so sharing p strings by value would
     # write the point as 0.0.
     cls = CorrelationClass.ICC
-    items = (StudySummary("s1", cls, 0.5, 10, 0.5, 0.3, 1.6, Probability(0.0)),
-             StudySummary("s2", cls, 0.1, 10, 0.1, 0.3, 0.3, Probability(0.75)))
-    summaries = Summaries.of(items) if columnar else items
+    summaries = Summaries(["s1", "s2"], [cls, cls], [0.5, 0.1], [10, 10], [0.5, 0.1],
+                          [0.3, 0.3], [1.6, 0.3], [0.0, 0.75])
     diagnostics = PlotDiagnostics(0.5, Probability(0.5), 1.0, Probability(0.5),
                                   Probability(0.0), PlotClass.AMBIGUOUS)
-    plot = PValuePlot(cls, 0.05, ((1, -0.0), (2, items[1].p_value)), diagnostics)
+    plot = PValuePlot(cls, 0.05, ((1, -0.0), (2, summaries.p_value[1])), diagnostics)
     report = AuditReport(
         metadata=AuditMetadata(input_sha256="e" * 64, tool_version="0.1.0"),
         summaries={"ICC": summaries},
@@ -232,7 +246,8 @@ def test_json_point_keeps_its_own_zero_sign(columnar):
 def test_json_rejects_non_finite_floats(null_csv, bad):
     report = build_report(null_csv)
     ss = report.summaries["ICC"]
-    summaries = {**report.summaries, "ICC": (dataclasses.replace(ss[0], z_score=bad), *ss[1:])}
+    z_scores = [bad, *ss.z_score[1:]]
+    summaries = {**report.summaries, "ICC": dataclasses.replace(ss, z_score=z_scores)}
     with pytest.raises(ValueError, match="not JSON compliant"):
         render_json(dataclasses.replace(report, summaries=summaries))
     plot = report.plots["ECC"]
@@ -274,8 +289,7 @@ def test_markdown_contains_tables_and_figure_links(null_csv):
 def test_markdown_p_values_four_decimals(null_csv):
     report = build_report(null_csv)
     md = render_markdown(report)
-    first = report.summaries["ICC"][0]
-    assert f"{first.p_value:.4f}" in md
+    assert f"{report.summaries['ICC'].p_value[0]:.4f}" in md
 
 
 @pytest.mark.filterwarnings("ignore:only 4 p-values")
@@ -290,13 +304,13 @@ def test_markdown_study_cell_escapes_pipes_and_line_breaks():
     result = parse_records(csv_text)
     assert not result.errors
     groups = group_complete_studies(result.records).groups
-    summaries = {cls.value: tuple(summarize_studies(groups, cls)) for cls in CorrelationClass}
+    summaries = {cls.value: summarize_studies(groups, cls) for cls in CorrelationClass}
     report = AuditReport(
         metadata=AuditMetadata(input_sha256="e" * 64, tool_version="0.1.0", config={}),
         summaries=summaries,
         z_panels={tag: summarize_z(ss, CorrelationClass(tag)) for tag, ss in summaries.items()},
         plots={
-            tag: build_plot([s.p_value for s in ss], alpha=0.05, cls=CorrelationClass(tag))
+            tag: build_plot(ss.p_value, alpha=0.05, cls=CorrelationClass(tag))
             for tag, ss in summaries.items()
         },
     )
