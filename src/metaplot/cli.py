@@ -209,7 +209,9 @@ def run_audit(args: argparse.Namespace) -> int:
     mode = AggregationMode(args.agg)
 
     csv_bytes = Path(args.input).read_bytes()  # OSError -> exit 1 before any output
+    input_sha256 = hashlib.sha256(csv_bytes).hexdigest()
     result = parse_records(csv_bytes)
+    del csv_bytes  # so the input is not held while the artifacts render
     if result.errors:
         for err in result.errors:
             print(f"{args.input}: {err}", file=sys.stderr)
@@ -256,7 +258,7 @@ def run_audit(args: argparse.Namespace) -> int:
     }
     report = AuditReport(
         metadata=AuditMetadata(
-            input_sha256=hashlib.sha256(csv_bytes).hexdigest(),
+            input_sha256=input_sha256,
             tool_version=__version__,
             config=config_echo,
         ),

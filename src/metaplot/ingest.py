@@ -9,9 +9,11 @@ may be empty; `r` must lie strictly inside (-1, 1); `n` must exceed 3 so
 the Fisher standard error 1/sqrt(n-3) exists, and may not exceed
 MAX_SAMPLE_SIZE.
 
-A parsed sheet is held as parallel columns (`Records`), and the complete
-studies as record indices per class (`Groups`); no per-row object is ever
-built. `_parse_row` is the one place a record is checked.
+A parsed sheet is held as parallel columns (`Records`) of the fields the
+audit reads, `study_id`, `class`, `r` and `n`; `author`, `year`, `title` and
+`journal` are checked (`year` must parse as an integer), not kept. The
+complete studies are held as record indices per class (`Groups`); no per-row
+object is ever built. `_parse_row` is the one place a record is checked.
 """
 
 from __future__ import annotations
@@ -75,18 +77,14 @@ class Records:
     """Study records as parallel columns (one tuple per field), in input order."""
 
     study_id: Sequence[str]
-    author: Sequence[str]
-    year: Sequence[int]
-    title: Sequence[str | None]
-    journal: Sequence[str | None]
     cls: Sequence[CorrelationClass]
     r: Sequence[float]
     n: Sequence[int]
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple]) -> "Records":
-        """Transpose (study_id, author, year, title, journal, cls, r, n) rows."""
-        return cls(*(list(zip(*rows)) or [()] * len(REQUIRED_COLUMNS)))
+        """Transpose (study_id, cls, r, n) rows."""
+        return cls(*(list(zip(*rows)) or [(), (), (), ()]))
 
     def __len__(self) -> int:
         return len(self.r)
@@ -189,28 +187,30 @@ def _problems(year_s: str, cls_s: str, r_s: str, n_s: str) -> list[str]:
 
 
 def _convert(year_s: str, cls_s: str, r_s: str, n_s: str) -> tuple:
-    """year, class, r and n from their stripped text, or a ValueError naming
-    every field that does not parse."""
+    """class, r and n from their stripped text, once the year parses too, or
+    a ValueError naming every field that does not parse."""
     year_s, cls_s, r_s, n_s = map(str.strip, (year_s, cls_s, r_s, n_s))
     try:
-        return int(year_s), _CLASS_BY_TAG[cls_s], float(r_s), int(n_s)
+        int(year_s)
+        return _CLASS_BY_TAG[cls_s], float(r_s), int(n_s)
     except (KeyError, ValueError):
         raise ValueError("; ".join(_problems(year_s, cls_s, r_s, n_s))) from None
 
 
 def _parse_row(row: list[str]) -> tuple:
-    """One data row as (study_id, author, year, title, journal, cls, r, n),
-    or a ValueError naming every unparseable field or the first failed check."""
+    """One data row as (study_id, cls, r, n), or a ValueError naming every
+    unparseable field or the first failed check."""
     if len(row) != len(REQUIRED_COLUMNS):
         raise ValueError(f"expected {len(REQUIRED_COLUMNS)} fields, got {len(row)}")
-    study_id, author, year_s, title, journal, cls_s, r_s, n_s = row
+    study_id, _, year_s, _, _, cls_s, r_s, n_s = row
     try:
         # int() and float() skip surrounding whitespace themselves, except
         # the separators \x1c-\x1f, which str.strip() removes: _convert
         # strips the fields and tries again.
-        year, cls, r, n = int(year_s), _CLASS_BY_TAG[cls_s.strip()], float(r_s), int(n_s)
+        int(year_s)
+        cls, r, n = _CLASS_BY_TAG[cls_s.strip()], float(r_s), int(n_s)
     except (KeyError, ValueError):
-        year, cls, r, n = _convert(year_s, cls_s, r_s, n_s)
+        cls, r, n = _convert(year_s, cls_s, r_s, n_s)
     study_id = study_id.strip()
     if not study_id:
         raise ValueError("study_id must be non-empty")
@@ -220,7 +220,7 @@ def _parse_row(row: list[str]) -> tuple:
         raise ValueError("sample size must exceed 3")
     if n > MAX_SAMPLE_SIZE:
         raise ValueError(f"sample size must not exceed {MAX_SAMPLE_SIZE}")
-    return study_id, author.strip(), year, title.strip() or None, journal.strip() or None, cls, r, n
+    return study_id, cls, r, n
 
 
 def parse_records(source: Source) -> ParseResult:

@@ -79,12 +79,12 @@ class PlotDiagnostics:
 class PValuePlot:
     cls: CorrelationClass | None
     alpha: float
-    points: tuple[tuple[int, float], ...]  # (rank, p), sorted ascending in p
+    ps: tuple[float, ...]  # sorted ascending; the point of rank i is (i, ps[i - 1])
     diagnostics: PlotDiagnostics
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.ps)
 
 
 def ks_uniform(p_values: Sequence[float]) -> tuple[float, Probability]:
@@ -166,8 +166,8 @@ def build_plot(
     their original input order (stable sort), which never reorders
     distinct values.
     """
-    # float() returns a float itself, so the points hold the caller's objects
-    # and render_json can reuse the strings it writes for a Summaries' p-values
+    # float() returns a float itself, so ps holds the caller's objects and
+    # render_json can reuse the strings it writes for a Summaries' p-values
     ps = [float(p) for p in p_values]
     for p in ps:
         if not 0.0 <= p <= 1.0:
@@ -195,5 +195,4 @@ def build_plot(
         min_p=min_p,
         classification=classify(frac, ks_p, min_p, alpha, n, thresholds=thresholds),
     )
-    points = tuple((i, p) for i, p in enumerate(ps, start=1))
-    return PValuePlot(cls=cls, alpha=alpha, points=points, diagnostics=diagnostics)
+    return PValuePlot(cls=cls, alpha=alpha, ps=tuple(ps), diagnostics=diagnostics)

@@ -10,21 +10,24 @@ The JSON format is the stdlib's `json.dumps(d, sort_keys=True, indent=2,
 allow_nan=False)` plus a newline, byte for byte, where `d` is the report's
 dict form. CPython's C encoder only runs with `indent=None`, so the indented
 one is pure Python and cost more than any other layer of a large audit.
-`render_json` therefore writes the report itself: small sections go through
-`json.dumps` (`json_block`), and the two bulk arrays, per-study summaries and
-plot points, are written from columns (`AuditReport.summaries` holds one
-`fisher.Summaries` per class): each field is formatted over its whole
-column, strings by the encoder's own `encode_basestring_ascii` and numbers
-by `float.__repr__` and `int.__repr__`, as `json.dumps` writes them, and
-the rows are joined with the fixed text between the fields. A float object that several rows share
-is formatted once: `summarize_studies` keeps one `se` per distinct n, and
-`build_plot` keeps the p-value objects it is given, so the points of a plot
-built from a `Summaries`' `p_value` column share each p-value's repr with
-the summaries. Sharing goes by object identity, never by value, since 0.0
-and -0.0 are equal but print differently. The Markdown per-study tables
-are written from the same columns, with each `se` formatted once per
-distinct n. The tests re-encode `render_json`'s output with the stdlib and
-require the same bytes.
+`render_json` therefore writes the report itself, in document order, into
+one `io.BytesIO`, whose `getvalue()` hands its buffer over without a copy.
+Small sections go through `json.dumps` (`json_block`). The two bulk arrays,
+plot points and per-study summaries, are written from columns
+(`AuditReport.summaries` holds one `fisher.Summaries` per class),
+`_BLOCK_ROWS` rows at a time: each field is formatted over the block's slice
+of its column, strings by the encoder's own `encode_basestring_ascii` and
+numbers by `float.__repr__` and `int.__repr__`, as `json.dumps` writes them;
+the rows are joined with the fixed text between the fields, encoded and
+written. So the document is held once, beside one block's strings. Each
+class's p-value column is formatted once, before the plots: `build_plot`
+keeps the p-value objects it is given, so the points of a plot built from a
+`Summaries`' `p_value` column take their strings from it, by object
+identity, never by value, since 0.0 and -0.0 are equal but print
+differently. Within a block, an `se` object that several rows share
+(`summarize_studies` keeps one per distinct n) is formatted once, and the
+Markdown tables format each once per distinct n. The tests re-encode
+`render_json`'s output with the stdlib and require the same bytes.
 
 `report.json` still carries `"gap_report": null` and `"tail_tables": []`,
 written as fixed text. No audit fills them (`tails` and `simulate` write
@@ -35,12 +38,13 @@ the bytes of every report, which is left to a schema version change.
 from __future__ import annotations
 
 import html
+import io
 import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, BinaryIO, Callable, Mapping, Sequence
 
 from .fisher import Summaries, ZSummary
 from .gaussian import GaussianSpec, TailTable, curve_points
@@ -148,15 +152,11 @@ def json_bytes(value: Any) -> bytes:
     return (json_block(value) + "\n").encode("utf-8")
 
 
-def _require_finite(values: Sequence[float]) -> None:
+def _json_floats(values: Sequence[float]) -> list[str]:
     if not all(map(math.isfinite, values)):
         bad = next(v for v in values if not math.isfinite(v))
         # the error json.dumps raises with allow_nan=False
         raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-
-
-def _json_floats(values: Sequence[float]) -> list[str]:
-    _require_finite(values)
     return list(map(_float, values))
 
 
@@ -185,10 +185,8 @@ def _json_floats_shared(values: Sequence[float], memo: dict[int, str]) -> list[s
 
 def _join_rows(parts: Sequence[str], columns: Sequence[list[str]], sep: str) -> str:
     """`sep.join(rows)`, where row i is parts[0] + columns[0][i] + parts[1] +
-    ... + columns[-1][i] + parts[-1]."""
+    ... + columns[-1][i] + parts[-1]; the columns are not empty."""
     count = len(columns[0])
-    if not count:
-        return ""
     fields: list = [repeat(parts[0]), columns[0]]
     for part, column in zip(parts[1:], columns[1:]):
         fields += (repeat(part), column)
@@ -196,8 +194,24 @@ def _join_rows(parts: Sequence[str], columns: Sequence[list[str]], sep: str) -> 
     return "".join(chain.from_iterable(zip(*fields)))
 
 
-def _write_array(out: list[str], rows: str, pad: str) -> None:
-    out += ("[\n", rows, f"\n{pad}]") if rows else ("[]",)
+# Rows of a bulk array formatted, joined and encoded at a time.
+_BLOCK_ROWS = 4096
+
+
+def _write_rows(buf: BinaryIO, parts: Sequence[str], count: int,
+                columns: Callable[[int, int], list[list[str]]], pad: str) -> None:
+    """A bulk array of count rows at nesting pad, written a block of rows at a
+    time: columns(lo, hi) formats the fields of rows lo to hi - 1."""
+    if not count:
+        buf.write(b"[]")
+        return
+    sep = b"[\n"
+    for lo in range(0, count, _BLOCK_ROWS):
+        buf.write(sep)
+        rows = _join_rows(parts, columns(lo, min(lo + _BLOCK_ROWS, count)), ",\n")
+        buf.write(rows.encode())
+        sep = b",\n"
+    buf.write(f"\n{pad}]".encode())
 
 
 # The text around the fields of one row, in the stdlib encoder's layout.
@@ -209,83 +223,87 @@ _SUMMARY_PARTS = (
 _POINT_PARTS = ("        [\n          ", ",\n          ", "\n        ]")
 
 
-def _summary_rows(s: Summaries, memo: dict[int, str]) -> str:
-    """The rows of a summaries array; adds each p-value's string to memo."""
+def _write_summaries(buf: BinaryIO, s: Summaries, p_values: list[str]) -> None:
+    """A summaries array; p_values holds the p_value column's strings."""
     tags = {c: _str(c.value) for c in set(s.cls)}
-    p_values = _json_floats(s.p_value)
-    memo.update(zip(map(id, s.p_value), p_values))
-    columns = [
-        list(map(tags.__getitem__, s.cls)),
-        _json_floats(s.fisher_z),
-        _json_floats(s.mean_r),
-        list(map(_int, s.n)),
-        p_values,
-        _format_once(s.se, _json_floats),
-        list(map(_str, s.study_id)),
-        _json_floats(s.z_score),
-    ]
-    return _join_rows(_SUMMARY_PARTS, columns, ",\n")
+
+    def columns(lo: int, hi: int) -> list[list[str]]:
+        return [
+            list(map(tags.__getitem__, s.cls[lo:hi])),
+            _json_floats(s.fisher_z[lo:hi]),
+            _json_floats(s.mean_r[lo:hi]),
+            list(map(_int, s.n[lo:hi])),
+            p_values[lo:hi],
+            _format_once(s.se[lo:hi], _json_floats),
+            list(map(_str, s.study_id[lo:hi])),
+            _json_floats(s.z_score[lo:hi]),
+        ]
+
+    _write_rows(buf, _SUMMARY_PARTS, len(s), columns, "    ")
 
 
-def _write_plot(out: list[str], plot: PValuePlot, memo: dict[int, str]) -> None:
+def _write_plot(buf: BinaryIO, plot: PValuePlot, memo: dict[int, str]) -> None:
     cls = plot.cls.value if plot.cls is not None else None
     diagnostics = json_block(_diagnostics_to_dict(plot.diagnostics), "      ")
-    out.append(
+    buf.write(
         f'{{\n      "alpha": {json_block(plot.alpha)},\n'
         f'      "class": {json_block(cls)},\n'
         f'      "diagnostics": {diagnostics},\n'
-        '      "points": '
+        '      "points": '.encode()
     )
-    columns = [
-        list(map(_int, [rank for rank, _ in plot.points])),
-        _json_floats_shared([p for _, p in plot.points], memo),
-    ]
-    _write_array(out, _join_rows(_POINT_PARTS, columns, ",\n"), "      ")
-    out.append("\n    }")
+
+    def columns(lo: int, hi: int) -> list[list[str]]:
+        ranks = list(map(_int, range(lo + 1, hi + 1)))
+        return [ranks, _json_floats_shared(plot.ps[lo:hi], memo)]
+
+    _write_rows(buf, _POINT_PARTS, plot.n, columns, "      ")
+    buf.write(b"\n    }")
 
 
 def _write_by_tag(
-    out: list[str], by_tag: Mapping[str, Any], write: Callable[[list[str], Any], None]
+    buf: BinaryIO, by_tag: Mapping[str, Any], write: Callable[[str, Any], None]
 ) -> None:
     """A top-level field's object: one entry per class tag, in sorted order."""
     sep = "{\n"
     for tag, value in sorted(by_tag.items()):
-        out.append(f"{sep}    {_str(tag)}: ")
-        write(out, value)
+        buf.write(f"{sep}    {_str(tag)}: ".encode())
+        write(tag, value)
         sep = ",\n"
-    out.append("\n  }" if by_tag else "{}")
+    buf.write(b"\n  }" if by_tag else b"{}")
 
 
 def render_json(report: AuditReport) -> bytes:
-    """Deterministic JSON encoding: sorted keys, full float precision.
-
-    The top-level fields are written in sorted key order; see the module
-    docstring for the format and how the bulk arrays are written.
-    """
+    """Deterministic JSON encoding: sorted keys, full float precision. See the
+    module docstring for the format and how it is written."""
     meta = report.metadata
     metadata = {
         "input_sha256": meta.input_sha256,
         "tool_version": meta.tool_version,
         "config": meta.config,
     }
-    # The summaries come after the plots but are formatted first, so that the
-    # plot points can take their p-value strings from memo (float object id
-    # -> string; `report.summaries` keeps those objects alive).
+    # Each class's p-values are formatted once, before the plots, whose points
+    # take their strings from memo (float object id -> string;
+    # `report.summaries` keeps those objects alive).
+    p_values = {tag: _json_floats(s.p_value) for tag, s in report.summaries.items()}
     memo: dict[int, str] = {}
-    summary_rows = {tag: _summary_rows(s, memo) for tag, s in report.summaries.items()}
-    out = [
+    for tag, s in report.summaries.items():
+        memo.update(zip(map(id, s.p_value), p_values[tag]))
+    buf = io.BytesIO()
+    buf.write(
         '{\n  "gap_report": null,\n'
-        f'  "metadata": {json_block(metadata, "  ")},\n  "plots": '
-    ]
-    _write_by_tag(out, report.plots, lambda out, plot: _write_plot(out, plot, memo))
-    out.append(',\n  "summaries": ')
-    _write_by_tag(out, summary_rows, lambda out, rows: _write_array(out, rows, "    "))
-    z_panels = {tag: _zsummary_to_dict(z) for tag, z in report.z_panels.items()}
-    out.append(
-        ',\n  "tail_tables": [],\n'
-        f'  "z_panels": {json_block(z_panels, "  ")}\n}}\n'
+        f'  "metadata": {json_block(metadata, "  ")},\n  "plots": '.encode()
     )
-    return "".join(out).encode("utf-8")
+    _write_by_tag(buf, report.plots, lambda tag, plot: _write_plot(buf, plot, memo))
+    del memo  # the summaries take their p-value strings from p_values
+    buf.write(b',\n  "summaries": ')
+    _write_by_tag(buf, report.summaries,
+                  lambda tag, s: _write_summaries(buf, s, p_values[tag]))
+    z_panels = {tag: _zsummary_to_dict(z) for tag, z in report.z_panels.items()}
+    buf.write(
+        ',\n  "tail_tables": [],\n'
+        f'  "z_panels": {json_block(z_panels, "  ")}\n}}\n'.encode()
+    )
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +477,7 @@ def render_svg_pplot(plot: PValuePlot, title: str | None = None) -> bytes:
         f'<text x="{_f(left + pw)}" y="{_f(y_alpha - 4)}" font-family="sans-serif" '
         f'font-size="10" text-anchor="end" fill="#c23b22">alpha={plot.alpha:g}</text>'
     )
-    for rank, p in plot.points:
+    for rank, p in enumerate(plot.ps, start=1):
         out.append(
             f'<circle cx="{_f(sx(rank))}" cy="{_f(sy(p))}" r="3" fill="#1f6eb4"/>'
         )

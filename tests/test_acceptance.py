@@ -92,7 +92,7 @@ def _summaries(rs_ns):
     # and run through the library's per-study pipeline.
     cls = CorrelationClass.ICC
     ids = [f"s{i}" for i in range(len(rs_ns))]
-    records = Records.from_rows((sid, "A", 2000, None, None, cls, r, n)
+    records = Records.from_rows((sid, cls, r, n)
                                 for sid, (r, n) in zip(ids, rs_ns))
     groups = Groups(records, ids, {cls: [[i] for i in range(len(ids))]}, list(records.n))
     return summarize_studies(groups, cls)
@@ -136,7 +136,7 @@ def test_pipeline_properties_replace_figures_2_to_4():
     effect_hits = 0
     for seed in range(500, 1000):
         plot = build_plot(_effect_pvalues(seed), alpha=0.05)
-        all_below = all(p < 0.05 for _, p in plot.points)
+        all_below = all(p < 0.05 for p in plot.ps)
         if plot.diagnostics.classification is PlotClass.EFFECT_CONSISTENT and all_below:
             effect_hits += 1
     assert effect_hits / 500 >= 0.99

@@ -1,16 +1,24 @@
+import csv
 import gc
 import hashlib
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metaplot.cli
 from metaplot.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from metaplot.fisher import HISTOGRAM_MAX_BINS
+from metaplot.ingest import REQUIRED_COLUMNS
 
 pytestmark = pytest.mark.usefixtures("no_color")
 
@@ -155,6 +163,46 @@ def test_audit_huge_n_caps_histogram_bins(null_csv, tmp_path):
         narrower = width - 0.5
         lo_edge = math.floor(panel["min"] / narrower) * narrower
         assert math.ceil((panel["max"] - lo_edge) / narrower) > HISTOGRAM_MAX_BINS
+
+
+_ids = st.integers(0, 99).map("s{}".format) | st.sampled_from([' s"4 ', "a|b"])
+_rs = st.sampled_from(["0.5", "-0.3", "0", "-0.0", "0.999999"])
+# n = 2**63 - 1 is the largest accepted and makes p-values underflow to 0.
+_ns = st.sampled_from(["10", "45", "4", str(2**63 - 1)])
+well_formed_rows = st.tuples(
+    _ids, st.sampled_from(["A", ""]), st.sampled_from(["2000", " 1999 "]),
+    st.sampled_from(["", "T, t"]), st.just(""), st.sampled_from(["ICC", "ECC", "IEC"]), _rs, _ns,
+)
+# One record of each class of a study.
+complete_studies = st.tuples(_ids, _rs, _rs, _rs, _ns).map(
+    lambda t: [(t[0], "A", "2000", "", "", cls, r, t[4]) for cls, r in zip(("ICC", "ECC", "IEC"), t[1:4])]
+)
+# Rows of any length and text, with values just outside each check.
+any_rows = st.lists(
+    st.text(max_size=4) | st.sampled_from(["ICC", "icc", "1", "nan", "3", str(2**63), "2000"]),
+    max_size=9,
+)
+# Complete studies, so that many sheets reach every layer, shuffled with
+# rows that are well formed or not.
+sheet_rows = st.tuples(
+    st.lists(complete_studies, min_size=2, max_size=6, unique_by=lambda rows: rows[0][0]),
+    st.lists(well_formed_rows | any_rows, max_size=3),
+).flatmap(lambda t: st.permutations([row for study in t[0] for row in study] + t[1]))
+
+
+@pytest.mark.filterwarnings("ignore:only")
+@settings(max_examples=60, deadline=None)
+@given(rows=sheet_rows)
+def test_generated_sheets_exit_0_or_2(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        sheet, out = Path(tmp) / "sheet.csv", Path(tmp) / "out"
+        text = StringIO()
+        csv.writer(text).writerows([REQUIRED_COLUMNS, *rows])
+        sheet.write_text(text.getvalue(), encoding="utf-8")
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            code = main(["audit", "--input", str(sheet), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_VALIDATION)
+        assert out.exists() == (code == EXIT_OK)
 
 
 def test_audit_format_selection(null_csv, tmp_path):

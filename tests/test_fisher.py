@@ -55,7 +55,7 @@ def icc_groups(rs_ns):
     single ICC record, reaching summarize_studies without parse_records'
     checks."""
     ids = [f"s{i}" for i in range(len(rs_ns))]
-    rows = [(sid, "A", 2000, None, None, CorrelationClass.ICC, r, n)
+    rows = [(sid, CorrelationClass.ICC, r, n)
             for sid, (r, n) in zip(ids, rs_ns)]
     index = [[i] for i in range(len(ids))]
     return Groups(Records.from_rows(rows), ids, {CorrelationClass.ICC: index},

@@ -57,7 +57,7 @@ def test_ks_rejects_out_of_range():
 
 def test_build_plot_sorts_and_ranks():
     plot = build_plot([0.8, 0.2, 0.6, 0.4])
-    assert plot.points == ((1, 0.2), (2, 0.4), (3, 0.6), (4, 0.8))
+    assert plot.ps == (0.2, 0.4, 0.6, 0.8)
     assert plot.n == 4
 
 
@@ -72,7 +72,7 @@ def test_build_plot_permutation_invariant():
 
 def test_build_plot_tie_handling_stable():
     plot = build_plot([0.4, 0.2, 0.4, 0.9])
-    assert [p for _, p in plot.points] == [0.2, 0.4, 0.4, 0.9]
+    assert plot.ps == (0.2, 0.4, 0.4, 0.9)
 
 
 def test_build_plot_minimum_points():
@@ -158,7 +158,7 @@ def test_null_simulation_mostly_null_consistent():
 
 def test_appending_duplicate_never_reorders_distinct_values():
     ps = [0.1, 0.3, 0.5, 0.7]
-    base = [p for _, p in build_plot(ps).points]
-    extended = [p for _, p in build_plot(ps + [0.3]).points]
+    base = list(build_plot(ps).ps)
+    extended = list(build_plot(ps + [0.3]).ps)
     assert extended == sorted(ps + [0.3])
     assert [p for p in extended if p != 0.3] == [p for p in base if p != 0.3]

@@ -1,12 +1,15 @@
 import dataclasses
 import json
 import math
+import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import metaplot.report
 from metaplot.fisher import Summaries, summarize_studies, summarize_z
 from metaplot.gaussian import GaussianSpec, PRESETS, ratio_table
 from metaplot.ingest import CorrelationClass, group_complete_studies, parse_records
@@ -26,7 +29,11 @@ from metaplot.report import (
 
 
 def build_report(csv_path, two_sided=True):
-    result = parse_records(csv_path.read_bytes())
+    return build_report_from_text(csv_path.read_bytes(), two_sided)
+
+
+def build_report_from_text(sheet, two_sided=True):
+    result = parse_records(sheet)
     assert not result.errors
     groups = group_complete_studies(result.records).groups
     summaries, z_panels, plots = {}, {}, {}
@@ -73,7 +80,7 @@ def expected_json(report):
                     "min_p": p.diagnostics.min_p,
                     "slope_fit": p.diagnostics.slope_fit,
                 },
-                "points": [[rank, pv] for rank, pv in p.points],
+                "points": [[rank, pv] for rank, pv in enumerate(p.ps, start=1)],
             }
             for tag, p in report.plots.items()
         },
@@ -188,7 +195,7 @@ pvalue_plots = st.builds(
     PValuePlot,
     cls=st.none() | st.sampled_from(CorrelationClass),
     alpha=finite,
-    points=st.lists(st.tuples(st.integers(), unit)).map(tuple),
+    ps=st.lists(unit).map(tuple),
     diagnostics=st.builds(
         PlotDiagnostics,
         ks_statistic=finite,
@@ -229,7 +236,7 @@ def test_json_point_keeps_its_own_zero_sign():
                           [0.3, 0.3], [1.6, 0.3], [0.0, 0.75])
     diagnostics = PlotDiagnostics(0.5, Probability(0.5), 1.0, Probability(0.5),
                                   Probability(0.0), PlotClass.AMBIGUOUS)
-    plot = PValuePlot(cls, 0.05, ((1, -0.0), (2, summaries.p_value[1])), diagnostics)
+    plot = PValuePlot(cls, 0.05, (-0.0, summaries.p_value[1]), diagnostics)
     report = AuditReport(
         metadata=AuditMetadata(input_sha256="e" * 64, tool_version="0.1.0"),
         summaries={"ICC": summaries},
@@ -251,7 +258,7 @@ def test_json_rejects_non_finite_floats(null_csv, bad):
     with pytest.raises(ValueError, match="not JSON compliant"):
         render_json(dataclasses.replace(report, summaries=summaries))
     plot = report.plots["ECC"]
-    plots = {**report.plots, "ECC": dataclasses.replace(plot, points=((1, bad),))}
+    plots = {**report.plots, "ECC": dataclasses.replace(plot, ps=(bad,))}
     with pytest.raises(ValueError, match="not JSON compliant"):
         render_json(dataclasses.replace(report, plots=plots))
 
@@ -259,6 +266,50 @@ def test_json_rejects_non_finite_floats(null_csv, bad):
 def test_json_byte_deterministic(null_csv):
     report = build_report(null_csv)
     assert render_json(report) == render_json(report)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 26, 27, 28])
+def test_json_blocks_join_like_one_array(null_csv, block_rows, monkeypatch):
+    # 27 studies per class: blocks that divide the rows, leave one over, hold
+    # all of them, or one row more
+    report = build_report(null_csv)
+    whole = render_json(report)
+    monkeypatch.setattr(metaplot.report, "_BLOCK_ROWS", block_rows)
+    assert render_json(report) == whole
+    assert_stdlib_bytes(report)
+
+
+def wide_sheet(studies, seed):
+    """A sheet laid out like the benchmark's wide one: one record per class,
+    r at six decimals, about 2% of studies missing a class."""
+    rng = random.Random(seed)
+    lines = ["study_id,author,year,title,journal,class,r,n"]
+    for i in range(studies):
+        n = rng.randint(20, 400)
+        classes = [c.value for c in CorrelationClass]
+        rng.shuffle(classes)
+        if rng.random() < 0.02:
+            classes.pop()
+        title = f"Study {i}" if i % 2 else ""
+        for cls in classes:
+            r = math.tanh(rng.gauss(0.1, 1.0) / math.sqrt(n - 3))
+            lines.append(f"s{i:06d},Author{i % 997},{1980 + i % 44},{title},,{cls},{r:.6f},{n}")
+    return "\n".join(lines) + "\n"
+
+
+def test_render_json_holds_the_document_about_once():
+    # The output and what it takes to write it: a document built as a list of
+    # strings, joined and then encoded, peaks at over three times its length.
+    report = build_report_from_text(wide_sheet(5000, seed=10))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        data = render_json(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data) > 4_000_000
+    assert peak < 2.5 * len(data), peak / len(data)
 
 
 def test_overflow_ratio_serializes_as_inf_token():
