@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).parent.parent))
 
 from conftest import bundled  # noqa: E402
 from test_manifest import MANIFEST, build_manifest  # noqa: E402
-from test_report import build_report  # noqa: E402
+from test_report import FOUR_SPECS, build_report  # noqa: E402
 
 from metaplot.gaussian import PRESETS  # noqa: E402
 from metaplot.ingest import CorrelationClass  # noqa: E402
@@ -40,6 +40,7 @@ def main() -> None:
     (out / "gaussians_g.svg").write_bytes(
         render_svg_gaussians([male, female], -4.664, 4.0)
     )
+    (out / "gaussians_4.svg").write_bytes(render_svg_gaussians(FOUR_SPECS, -6.0, 5.0))
     os.environ["METAPLOT_NO_COLOR"] = "1"
     with tempfile.TemporaryDirectory() as work:
         manifest = build_manifest(Path(work))

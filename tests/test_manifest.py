@@ -1,6 +1,8 @@
-"""Byte-identity guard for `audit`: the sha256 of every artifact, of stdout,
-of stderr and the exit code, for each bundled fixture and one seeded sheet
-under four flag sets, must match tests/golden/manifest.json.
+"""Byte-identity guard for `audit` and `tails`: the sha256 of every
+artifact, of stdout, of stderr and the exit code must match
+tests/golden/manifest.json, for each bundled fixture and one seeded sheet
+under four `audit` flag sets, and for three `tails` runs (both presets and
+a pair whose comparison tail underflows, so every ratio overflows).
 
 Regenerate with `PYTHONPATH=src python tests/golden/regenerate.py`, and
 only after a change to the artifacts that is meant and said so.
@@ -24,6 +26,11 @@ FLAG_SETS = {
     "mean-z-one-sided": ("--agg", "mean-z", "--one-sided"),
     "shared-n": ("--shared-n",),
     "mean-z-shared-n": ("--agg", "mean-z", "--shared-n"),
+}
+TAILS_FLAG_SETS = {
+    "g": ("--preset", "g"),
+    "things": ("--preset", "things"),
+    "overflow": ("--other-mu", "-40", "--thresholds", "0,1,40"),
 }
 SEEDED_NAME = "seeded_300.csv"
 _CLASSES = ("ICC", "ECC", "IEC")
@@ -62,10 +69,11 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def audit_digests(csv_path: Path, flags: tuple[str, ...], out: Path) -> dict:
+def cli_digests(argv: list[str], out: Path) -> dict:
+    """The digests of one `main(argv)` run that writes its artifacts to out."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
-        code = main(["audit", "--input", str(csv_path), "--out", str(out), *flags])
+        code = main([*argv, "--out", str(out)])
     digests = {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())}
     digests["exit"] = code
     digests["stdout"] = _sha(stdout.getvalue().encode("utf-8"))
@@ -79,11 +87,15 @@ def build_manifest(work: Path) -> dict:
     seeded.write_text(seeded_sheet(), encoding="utf-8", newline="")
     sheets = {"null_27": bundled("null_27.csv"), "effect_icc": bundled("effect_icc.csv"),
               "seeded_300": seeded}
-    return {
-        f"{sheet}/{flag_name}": audit_digests(path, flags, work / sheet / flag_name)
+    manifest = {
+        f"{sheet}/{flag_name}": cli_digests(["audit", "--input", str(path), *flags],
+                                            work / sheet / flag_name)
         for sheet, path in sheets.items()
         for flag_name, flags in FLAG_SETS.items()
     }
+    for flag_name, flags in TAILS_FLAG_SETS.items():
+        manifest[f"tails/{flag_name}"] = cli_digests(["tails", *flags], work / "tails" / flag_name)
+    return manifest
 
 
 def test_audit_artifacts_match_manifest(tmp_path, monkeypatch):

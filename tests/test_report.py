@@ -436,6 +436,14 @@ def test_svg_escapes_labels():
     assert "a<b&c" not in svg
 
 
+# Four curves: every legend row and every palette colour.
+FOUR_SPECS = (
+    *PRESETS["g"],
+    PRESETS["things"][1],
+    GaussianSpec("wide<&>", 1.5, 2.0),
+)
+
+
 def test_golden_files(null_csv, golden_dir):
     # Regenerate with: python tests/golden/regenerate.py
     report = build_report(null_csv)
@@ -446,6 +454,7 @@ def test_golden_files(null_csv, golden_dir):
             [report.z_panels[c.value] for c in CorrelationClass]
         ),
         "gaussians_g.svg": render_svg_gaussians([male, female], -4.664, 4.0),
+        "gaussians_4.svg": render_svg_gaussians(FOUR_SPECS, -6.0, 5.0),
     }
     for name, data in got.items():
         assert data == (golden_dir / name).read_bytes(), f"golden mismatch: {name}"
