@@ -220,9 +220,9 @@ def run_audit(args: argparse.Namespace) -> int:
     grouping = group_complete_studies(result.records)
     for study_id, reason in grouping.dropped:
         print(f"note: dropped study {study_id}: {reason}", file=sys.stderr)
-    if grouping.retained_count < MIN_POINTS:  # what build_plot needs
-        count = grouping.retained_count
-        found = f"{count or 'no'} complete stud{'y' if count == 1 else 'ies'}"
+    retained = len(grouping.groups)
+    if retained < MIN_POINTS:  # what build_plot needs
+        found = f"{retained or 'no'} complete stud{'y' if retained == 1 else 'ies'}"
         print(f"{args.input}: {found} (all three classes required), "
               f"a p-value plot needs at least {MIN_POINTS}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -252,9 +252,9 @@ def run_audit(args: argparse.Namespace) -> int:
         "shared_n": bool(args.shared_n),
         "classify_thresholds": asdict(thresholds),
         "format": sorted(args.format),
-        "studies_retained": grouping.retained_count,
-        "studies_dropped": grouping.dropped_count,
-        "total_n": grouping.total_n,
+        "studies_retained": retained,
+        "studies_dropped": len(grouping.dropped),
+        "total_n": sum(grouping.groups.study_n),
     }
     report = AuditReport(
         metadata=AuditMetadata(
@@ -271,7 +271,7 @@ def run_audit(args: argparse.Namespace) -> int:
     if "json" in args.format:
         artifacts["report.json"] = render_json(report)
     if "md" in args.format:
-        artifacts["report.md"] = render_markdown(report).encode("utf-8")
+        artifacts["report.md"] = render_markdown(report)
     if "svg" in args.format:
         for tag, plot in plots.items():
             artifacts[pplot_filename(tag)] = render_svg_pplot(plot)

@@ -52,7 +52,6 @@ class Summaries:
     """
 
     study_id: Sequence[str]
-    cls: Sequence[CorrelationClass]
     mean_r: Sequence[float]
     n: Sequence[int]
     fisher_z: Sequence[float]
@@ -127,7 +126,7 @@ def summarize_studies(
     for v in p:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"probability must lie in [0, 1], got {v!r}")
-    return Summaries(groups.study_id, [cls] * len(p), mean_r, n, fisher_z, se, z_score, p)
+    return Summaries(groups.study_id, mean_r, n, fisher_z, se, z_score, p)
 
 
 def _quantile(sorted_values: list[float], q: float) -> float:
@@ -167,8 +166,9 @@ def _histogram(values: list[float]) -> tuple[tuple[float, float, int], ...]:
 
 
 def summarize_z(summaries: Summaries, cls: CorrelationClass) -> ZSummary:
-    """Order statistics and histogram of the z-scores for one class."""
-    zs = sorted(z for c, z in zip(summaries.cls, summaries.z_score) if c is cls)
+    """Order statistics and histogram of the z-scores of one class's
+    summaries."""
+    zs = sorted(summaries.z_score)
     if not zs:
         raise ValueError(f"no summaries for class {cls.value}")
     return ZSummary(

@@ -126,15 +126,6 @@ class GroupingReport:
 
     groups: Groups
     dropped: list[tuple[str, str]]  # (study_id, reason)
-    total_n: int  # summed per-study n over retained groups
-
-    @property
-    def retained_count(self) -> int:
-        return len(self.groups)
-
-    @property
-    def dropped_count(self) -> int:
-        return len(self.dropped)
 
 
 Source = Union[bytes, str, TextIO, BinaryIO]
@@ -253,7 +244,7 @@ def group_complete_studies(records: Records) -> GroupingReport:
 
     Groups come back in ascending study_id order. Every input study is
     accounted for: either retained or listed in `dropped` with the missing
-    classes named. `total_n` sums the per-study n over retained groups.
+    classes named.
     """
     by_study: dict[str, list[int]] = {}
     for i, study_id in enumerate(records.study_id):
@@ -284,4 +275,4 @@ def group_complete_studies(records: Records) -> GroupingReport:
 
     record_index = dict(zip(_CLASSES, map(list, zip(*kept_index)))) or {c: [] for c in _CLASSES}
     groups = Groups(records, kept, record_index, study_n)
-    return GroupingReport(groups=groups, dropped=dropped, total_n=sum(study_n))
+    return GroupingReport(groups=groups, dropped=dropped)

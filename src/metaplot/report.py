@@ -8,26 +8,33 @@ display rounding only happens in Markdown and SVG.
 
 The JSON format is the stdlib's `json.dumps(d, sort_keys=True, indent=2,
 allow_nan=False)` plus a newline, byte for byte, where `d` is the report's
-dict form. CPython's C encoder only runs with `indent=None`, so the indented
-one is pure Python and cost more than any other layer of a large audit.
-`render_json` therefore writes the report itself, in document order, into
-one `io.BytesIO`, whose `getvalue()` hands its buffer over without a copy.
-Small sections go through `json.dumps` (`json_block`). The two bulk arrays,
-plot points and per-study summaries, are written from columns
-(`AuditReport.summaries` holds one `fisher.Summaries` per class),
-`_BLOCK_ROWS` rows at a time: each field is formatted over the block's slice
-of its column, strings by the encoder's own `encode_basestring_ascii` and
-numbers by `float.__repr__` and `int.__repr__`, as `json.dumps` writes them;
-the rows are joined with the fixed text between the fields, encoded and
-written. So the document is held once, beside one block's strings. Each
-class's p-value column is formatted once, before the plots: `build_plot`
-keeps the p-value objects it is given, so the points of a plot built from a
-`Summaries`' `p_value` column take their strings from it, by object
-identity, never by value, since 0.0 and -0.0 are equal but print
-differently. Within a block, an `se` object that several rows share
-(`summarize_studies` keeps one per distinct n) is formatted once, and the
-Markdown tables format each once per distinct n. The tests re-encode
-`render_json`'s output with the stdlib and require the same bytes.
+dict form. CPython's C encoder only runs with `indent=None`, so the
+indented one is pure Python and cost more than any other layer of a large
+audit. `render_json` therefore writes the report itself, in document order,
+into one `io.BytesIO`, whose `getvalue()` hands its buffer over without a
+copy. Small sections go through `json.dumps` (`json_block`). The two bulk
+arrays, plot points and per-study summaries, are written from columns
+(`AuditReport.summaries` holds one `fisher.Summaries` per class, and each
+summary's `"class"` is the tag it is filed under), `_BLOCK_ROWS` rows at a
+time: each field is formatted over the block's slice of its column, strings
+by the encoder's own `encode_basestring_ascii` and numbers by
+`float.__repr__` and `int.__repr__`, as `json.dumps` writes them; the rows
+are joined with the fixed text between the fields, encoded and written. So
+the document is held once, beside one block's strings. Each class's p-value
+column is formatted once, before the plots: `build_plot` keeps the p-value
+objects it is given, so the points of a plot built from a `Summaries`'
+`p_value` column take their strings from it, by object identity, never by
+value, since 0.0 and -0.0 are equal but print differently. Within a block,
+an `se` object that several rows share (`summarize_studies` keeps one per
+distinct n) is formatted once, and the Markdown tables format each once per
+distinct n. The tests re-encode `render_json`'s output with the stdlib and
+require the same bytes.
+
+`render_markdown` also writes into one `io.BytesIO`: its head, then each
+class's study table, formatted and encoded a table at a time.
+
+The three SVG figures share their elements: `_svg` (the document), `_line`,
+`_text`, `_axes` and `_xtick`.
 
 `report.json` still carries `"gap_report": null` and `"tail_tables": []`,
 written as fixed text. No audit fills them (`tails` and `simulate` write
@@ -214,22 +221,23 @@ def _write_rows(buf: BinaryIO, parts: Sequence[str], count: int,
     buf.write(f"\n{pad}]".encode())
 
 
-# The text around the fields of one row, in the stdlib encoder's layout.
+# The text around the fields of one row, in the stdlib encoder's layout. A
+# summary's "class" is the tag it is filed under, fixed text in its first part.
+_SUMMARY_HEAD = '      {\n        "class": %s,\n        "fisher_z": '
 _SUMMARY_PARTS = (
-    '      {\n        "class": ', ',\n        "fisher_z": ', ',\n        "mean_r": ',
-    ',\n        "n": ', ',\n        "p_value": ', ',\n        "se": ',
+    ',\n        "mean_r": ', ',\n        "n": ', ',\n        "p_value": ', ',\n        "se": ',
     ',\n        "study_id": ', ',\n        "z_score": ', "\n      }",
 )
 _POINT_PARTS = ("        [\n          ", ",\n          ", "\n        ]")
 
 
-def _write_summaries(buf: BinaryIO, s: Summaries, p_values: list[str]) -> None:
-    """A summaries array; p_values holds the p_value column's strings."""
-    tags = {c: _str(c.value) for c in set(s.cls)}
+def _write_summaries(buf: BinaryIO, tag: str, s: Summaries, p_values: list[str]) -> None:
+    """The summaries array of class tag; p_values holds the p_value column's
+    strings."""
+    parts = (_SUMMARY_HEAD % _str(tag), *_SUMMARY_PARTS)
 
     def columns(lo: int, hi: int) -> list[list[str]]:
         return [
-            list(map(tags.__getitem__, s.cls[lo:hi])),
             _json_floats(s.fisher_z[lo:hi]),
             _json_floats(s.mean_r[lo:hi]),
             list(map(_int, s.n[lo:hi])),
@@ -239,7 +247,7 @@ def _write_summaries(buf: BinaryIO, s: Summaries, p_values: list[str]) -> None:
             _json_floats(s.z_score[lo:hi]),
         ]
 
-    _write_rows(buf, _SUMMARY_PARTS, len(s), columns, "    ")
+    _write_rows(buf, parts, len(s), columns, "    ")
 
 
 def _write_plot(buf: BinaryIO, plot: PValuePlot, memo: dict[int, str]) -> None:
@@ -297,7 +305,7 @@ def render_json(report: AuditReport) -> bytes:
     del memo  # the summaries take their p-value strings from p_values
     buf.write(b',\n  "summaries": ')
     _write_by_tag(buf, report.summaries,
-                  lambda tag, s: _write_summaries(buf, s, p_values[tag]))
+                  lambda tag, s: _write_summaries(buf, tag, s, p_values[tag]))
     z_panels = {tag: _zsummary_to_dict(z) for tag, z in report.z_panels.items()}
     buf.write(
         ',\n  "tail_tables": [],\n'
@@ -322,26 +330,18 @@ def _md_cells(texts: Sequence[str]) -> list[str]:
     return [t.replace("|", "\\|").replace("\r", " ").replace("\n", " ") for t in texts]
 
 
-_MD_ROW = "| %s | %.4f | %s | %.4f | %s | %.4f | %.4f |"
+_MD_TABLE_HEAD = (
+    "### %s study summaries\n\n"
+    "| study | mean r | n | z | se | z-score | p |\n"
+    "|---|---|---|---|---|---|---|\n"
+)
+_MD_ROW = "| %s | %.4f | %s | %.4f | %s | %.4f | %.4f |\n"
 
 
-def _md_summary_table(tag: str, s: Summaries) -> list[str]:
-    lines = [
-        f"### {tag} study summaries",
-        "",
-        "| study | mean r | n | z | se | z-score | p |",
-        "|---|---|---|---|---|---|---|",
-    ]
-    if len(s):
-        rows = zip(_md_cells(s.study_id), s.mean_r, s.n, s.fisher_z,
-                   _format_once(s.se, _fixed4), s.z_score, s.p_value)
-        lines.append("\n".join(map(_MD_ROW.__mod__, rows)))
-    lines.append("")
-    return lines
-
-
-def render_markdown(report: AuditReport) -> str:
-    """Markdown report: verdicts, per-class tables, and figure links."""
+def render_markdown(report: AuditReport) -> bytes:
+    """Markdown report: verdicts, per-class tables, and figure links, UTF-8.
+    The head is encoded once, then each class's study table is formatted,
+    encoded and written into one buffer, a table at a time."""
     lines = [
         "# Meta-analysis reproducibility audit",
         "",
@@ -361,28 +361,30 @@ def render_markdown(report: AuditReport) -> str:
             f"| {d.classification.value} |"
         )
     lines.append("")
-    for tag in report.plots:
-        lines.append(f"![{tag} p-value plot]({pplot_filename(tag)})")
-    lines.append("")
-    lines.append("## Z-statistic quantiles")
-    lines.append("")
-    lines.append("| class | count | min | q1 | median | q3 | max |")
-    lines.append("|---|---|---|---|---|---|---|")
+    lines += (f"![{tag} p-value plot]({pplot_filename(tag)})" for tag in report.plots)
+    lines += ["", "## Z-statistic quantiles", "",
+              "| class | count | min | q1 | median | q3 | max |", "|---|---|---|---|---|---|---|"]
     for tag, z in report.z_panels.items():
         lines.append(
             f"| {tag} | {z.count} | {z.min:.4f} | {z.q1:.4f} | {z.median:.4f} "
             f"| {z.q3:.4f} | {z.max:.4f} |"
         )
     lines.append("")
-    for tag, ss in report.summaries.items():
-        lines.extend(_md_summary_table(tag, ss))
-    return "\n".join(lines) + "\n"
+    buf = io.BytesIO()
+    buf.write(("\n".join(lines) + "\n").encode("utf-8"))
+    for tag, s in report.summaries.items():
+        rows = zip(_md_cells(s.study_id), s.mean_r, s.n, s.fisher_z,
+                   _format_once(s.se, _fixed4), s.z_score, s.p_value)
+        table = _MD_TABLE_HEAD % tag + "".join(map(_MD_ROW.__mod__, rows)) + "\n"
+        buf.write(table.encode("utf-8"))
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # SVG
 
 _PALETTE = ("#1f6eb4", "#c23b22", "#2e8b57", "#8a5fbd")
+_BLACK = 'stroke="black" stroke-width="1"'
 
 
 def _f(v: float) -> str:
@@ -391,13 +393,21 @@ def _f(v: float) -> str:
     return "0.00" if s == "-0.00" else s
 
 
-def _svg_open(width: int, height: int) -> list[str]:
-    return [
+def _svg(width: int, height: int, body: list[str]) -> bytes:
+    """A whole SVG document: the frame and white background around body's
+    elements, one per line."""
+    return "\n".join([
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-    ]
+        *body,
+        "</svg>\n",
+    ]).encode("utf-8")
+
+
+def _line(x1: float, y1: float, x2: float, y2: float, style: str = _BLACK) -> str:
+    return f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" {style}/>'
 
 
 def _text(x: float, y: float, s: str, size: int = 11, anchor: str = "middle") -> str:
@@ -407,9 +417,19 @@ def _text(x: float, y: float, s: str, size: int = 11, anchor: str = "middle") ->
     )
 
 
-def render_svg_pplot(plot: PValuePlot, title: str | None = None) -> bytes:
+def _axes(left: float, top: float, pw: float, ph: float) -> list[str]:
+    """The y axis and the x axis of a plot area pw wide and ph high."""
+    return [_line(left, top, left, top + ph), _line(left, top + ph, left + pw, top + ph)]
+
+
+def _xtick(x: float, y: float, label: str) -> list[str]:
+    """A tick below the x axis at height y, and its label."""
+    return [_line(x, y, x, y + 4), _text(x, y + 16, label)]
+
+
+def render_svg_pplot(plot: PValuePlot) -> bytes:
     """Scatter of (rank, p) with a dashed uniform reference line and the
-    alpha rule line."""
+    alpha rule line, titled with the plot's class and verdict."""
     n = plot.n
     if n == 0:
         raise ValueError("cannot render an empty plot")
@@ -424,79 +444,49 @@ def render_svg_pplot(plot: PValuePlot, title: str | None = None) -> bytes:
     def sy(p: float) -> float:
         return top + ph * (1.0 - p)
 
-    if title is None:
-        tag = plot.cls.value if plot.cls is not None else "p-value"
-        title = f"{tag} p-value plot: {plot.diagnostics.classification.value}"
-
-    out = _svg_open(width, height)
-    out.append(_text(left + pw / 2, 18, title, size=13))
-    # axes
-    out.append(
-        f'<line x1="{_f(left)}" y1="{_f(top)}" x2="{_f(left)}" y2="{_f(top + ph)}" '
-        'stroke="black" stroke-width="1"/>'
-    )
-    out.append(
-        f'<line x1="{_f(left)}" y1="{_f(top + ph)}" x2="{_f(left + pw)}" '
-        f'y2="{_f(top + ph)}" stroke="black" stroke-width="1"/>'
-    )
+    tag = plot.cls.value if plot.cls is not None else "p-value"
+    title = f"{tag} p-value plot: {plot.diagnostics.classification.value}"
+    out = [_text(left + pw / 2, 18, title, size=13), *_axes(left, top, pw, ph)]
     for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = sy(tick)
-        out.append(
-            f'<line x1="{_f(left - 4)}" y1="{_f(y)}" x2="{_f(left)}" y2="{_f(y)}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        out.append(_text(left - 8, y + 4, f"{tick:.2f}", anchor="end"))
+        out += (_line(left - 4, y, left, y), _text(left - 8, y + 4, f"{tick:.2f}", anchor="end"))
     step = max(1, (n + 9) // 10)
-    for rank in range(1, n + 1):
-        if rank % step and rank != n:
-            continue
-        x = sx(rank)
-        out.append(
-            f'<line x1="{_f(x)}" y1="{_f(top + ph)}" x2="{_f(x)}" y2="{_f(top + ph + 4)}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        out.append(_text(x, top + ph + 16, str(rank)))
+    for rank in (*range(step, n, step), n):
+        out += _xtick(sx(rank), top + ph, str(rank))
     out.append(_text(left + pw / 2, height - 8, "rank"))
     out.append(
         f'<text x="14" y="{_f(top + ph / 2)}" font-family="sans-serif" font-size="11" '
         f'text-anchor="middle" transform="rotate(-90 14 {_f(top + ph / 2)})">p-value</text>'
     )
     # dashed uniform reference from (1, 1/n) to (n, n/(n+1))
-    out.append(
-        f'<line x1="{_f(sx(1))}" y1="{_f(sy(1.0 / n))}" x2="{_f(sx(n))}" '
-        f'y2="{_f(sy(n / (n + 1.0)))}" stroke="#888888" stroke-width="1" '
-        'stroke-dasharray="6,4"/>'
-    )
+    out.append(_line(sx(1), sy(1.0 / n), sx(n), sy(n / (n + 1.0)),
+                     'stroke="#888888" stroke-width="1" stroke-dasharray="6,4"'))
     # alpha rule line
     y_alpha = sy(plot.alpha)
-    out.append(
-        f'<line x1="{_f(left)}" y1="{_f(y_alpha)}" x2="{_f(left + pw)}" y2="{_f(y_alpha)}" '
-        'stroke="#c23b22" stroke-width="1" stroke-dasharray="2,3"/>'
-    )
+    out.append(_line(left, y_alpha, left + pw, y_alpha,
+                     'stroke="#c23b22" stroke-width="1" stroke-dasharray="2,3"'))
     out.append(
         f'<text x="{_f(left + pw)}" y="{_f(y_alpha - 4)}" font-family="sans-serif" '
         f'font-size="10" text-anchor="end" fill="#c23b22">alpha={plot.alpha:g}</text>'
     )
-    for rank, p in enumerate(plot.ps, start=1):
-        out.append(
-            f'<circle cx="{_f(sx(rank))}" cy="{_f(sy(p))}" r="3" fill="#1f6eb4"/>'
-        )
-    out.append("</svg>")
-    return ("\n".join(out) + "\n").encode("utf-8")
+    out.extend(
+        f'<circle cx="{_f(sx(rank))}" cy="{_f(sy(p))}" r="3" fill="#1f6eb4"/>'
+        for rank, p in enumerate(plot.ps, start=1)
+    )
+    return _svg(width, height, out)
 
 
-def render_svg_gaussians(
-    specs: Sequence[GaussianSpec],
-    lo: float,
-    hi: float,
-    samples: int = 241,
-) -> bytes:
+# Points per density curve, from lo to hi inclusive.
+_CURVE_SAMPLES = 241
+
+
+def render_svg_gaussians(specs: Sequence[GaussianSpec], lo: float, hi: float) -> bytes:
     """Overlaid normal density curves with a legend."""
     if not 1 <= len(specs) <= 4:
         raise ValueError("render_svg_gaussians takes 1 to 4 specs")
     if not lo < hi:
         raise ValueError(f"degenerate range ({lo!r}, {hi!r})")
-    curves = [curve_points(s, lo, hi, samples) for s in specs]
+    curves = [curve_points(s, lo, hi, _CURVE_SAMPLES) for s in specs]
     y_max = max(d for curve in curves for _, d in curve) * 1.08
     width, height = 480, 300
     left, right, top, bottom = 50.0, 16.0, 24.0, 40.0
@@ -509,47 +499,24 @@ def render_svg_gaussians(
     def sy(d: float) -> float:
         return top + ph * (1.0 - d / y_max)
 
-    out = _svg_open(width, height)
-    out.append(
-        f'<line x1="{_f(left)}" y1="{_f(top)}" x2="{_f(left)}" y2="{_f(top + ph)}" '
-        'stroke="black" stroke-width="1"/>'
-    )
-    out.append(
-        f'<line x1="{_f(left)}" y1="{_f(top + ph)}" x2="{_f(left + pw)}" '
-        f'y2="{_f(top + ph)}" stroke="black" stroke-width="1"/>'
-    )
+    out = _axes(left, top, pw, ph)
     tick = math.ceil(lo)
     while tick <= hi:
-        x = sx(tick)
-        out.append(
-            f'<line x1="{_f(x)}" y1="{_f(top + ph)}" x2="{_f(x)}" y2="{_f(top + ph + 4)}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        out.append(_text(x, top + ph + 16, f"{tick:g}"))
+        out += _xtick(sx(tick), top + ph, f"{tick:g}")
         tick += 1
     out.append(_text(left + pw / 2, height - 8, "score (reference SD units)"))
     for idx, (spec, curve) in enumerate(zip(specs, curves)):
-        color = _PALETTE[idx % len(_PALETTE)]
+        color = _PALETTE[idx]
         pts = " ".join(f"{_f(sx(x))},{_f(sy(d))}" for x, d in curve)
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
         ly = top + 14 + 16 * idx
-        out.append(
-            f'<line x1="{_f(left + pw - 150)}" y1="{_f(ly - 4)}" x2="{_f(left + pw - 130)}" '
-            f'y2="{_f(ly - 4)}" stroke="{color}" stroke-width="1.5"/>'
-        )
-        out.append(
-            _text(
-                left + pw - 124,
-                ly,
-                f"{spec.label} (mu={spec.mu:g}, sigma={spec.sigma:g})",
-                size=10,
-                anchor="start",
-            )
-        )
-    out.append("</svg>")
-    return ("\n".join(out) + "\n").encode("utf-8")
+        out.append(_line(left + pw - 150, ly - 4, left + pw - 130, ly - 4,
+                         f'stroke="{color}" stroke-width="1.5"'))
+        label = f"{spec.label} (mu={spec.mu:g}, sigma={spec.sigma:g})"
+        out.append(_text(left + pw - 124, ly, label, size=10, anchor="start"))
+    return _svg(width, height, out)
 
 
 def render_svg_zpanel(panels: Sequence[ZSummary]) -> bytes:
@@ -560,7 +527,7 @@ def render_svg_zpanel(panels: Sequence[ZSummary]) -> bytes:
     row_h = 130
     top_pad = 10
     height = top_pad + row_h * len(panels) + 10
-    out = _svg_open(width, height)
+    out = []
     for idx, z in enumerate(panels):
         oy = top_pad + row_h * idx
         out.append(_text(24, oy + 16, z.cls.value, size=12, anchor="start"))
@@ -584,42 +551,20 @@ def render_svg_zpanel(panels: Sequence[ZSummary]) -> bytes:
                 f'width="{_f(hw * (b_hi - b_lo) / span)}" height="{_f(bh)}" '
                 'fill="#9bbcdd" stroke="#1f6eb4" stroke-width="0.5"/>'
             )
-        out.append(
-            f'<line x1="{_f(hx)}" y1="{_f(base)}" x2="{_f(hx + hw)}" y2="{_f(base)}" '
-            'stroke="black" stroke-width="1"/>'
-        )
+        out.append(_line(hx, base, hx + hw, base))
         out.append(_text(sx(lo), base + 14, f"{lo:g}", size=9))
         out.append(_text(sx(hi), base + 14, f"{hi:g}", size=9))
         # box-and-whisker on the same axis, drawn above the histogram baseline
         by = oy + 34.0
         bx = {v: sx(max(lo, min(hi, v))) for v in (z.min, z.q1, z.median, z.q3, z.max)}
-        out.append(
-            f'<line x1="{_f(bx[z.min])}" y1="{_f(by)}" x2="{_f(bx[z.q1])}" y2="{_f(by)}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<line x1="{_f(bx[z.q3])}" y1="{_f(by)}" x2="{_f(bx[z.max])}" y2="{_f(by)}" '
-            'stroke="black" stroke-width="1"/>'
-        )
+        out.append(_line(bx[z.min], by, bx[z.q1], by))
+        out.append(_line(bx[z.q3], by, bx[z.max], by))
         out.append(
             f'<rect x="{_f(bx[z.q1])}" y="{_f(by - 8)}" width="{_f(bx[z.q3] - bx[z.q1])}" '
             'height="16" fill="none" stroke="black" stroke-width="1"/>'
         )
-        out.append(
-            f'<line x1="{_f(bx[z.median])}" y1="{_f(by - 8)}" x2="{_f(bx[z.median])}" '
-            f'y2="{_f(by + 8)}" stroke="black" stroke-width="1.5"/>'
-        )
-        out.append(
-            _text(
-                400,
-                oy + 60,
-                f"median {z.median:.3f}",
-                size=10,
-                anchor="middle",
-            )
-        )
-        out.append(
-            _text(400, oy + 74, f"IQR [{z.q1:.3f}, {z.q3:.3f}]", size=10, anchor="middle")
-        )
-    out.append("</svg>")
-    return ("\n".join(out) + "\n").encode("utf-8")
+        out.append(_line(bx[z.median], by - 8, bx[z.median], by + 8,
+                         'stroke="black" stroke-width="1.5"'))
+        out.append(_text(400, oy + 60, f"median {z.median:.3f}", size=10))
+        out.append(_text(400, oy + 74, f"IQR [{z.q1:.3f}, {z.q3:.3f}]", size=10))
+    return _svg(width, height, out)

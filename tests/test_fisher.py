@@ -184,7 +184,7 @@ def reference_summary(study_id, by_class, cls, mode, shared_n, two_sided):
     z_score = fisher_z / se
     sf = 0.5 * math.erfc((abs(z_score) if two_sided else z_score) / math.sqrt(2.0))
     p = min(1.0, 2.0 * sf) if two_sided else sf
-    return (study_id, cls, mean_r.hex(), n, fisher_z.hex(), se.hex(), z_score.hex(), p.hex())
+    return (study_id, mean_r.hex(), n, fisher_z.hex(), se.hex(), z_score.hex(), p.hex())
 
 
 record_values = st.tuples(
@@ -223,10 +223,10 @@ def test_summarize_studies_equals_reference(sheet, mode, shared_n, two_sided):
         got = summarize_studies(groups, cls, mode=mode, shared_n=shared_n, two_sided=two_sided)
         want = [reference_summary(sid, by_class, cls, mode, shared_n, two_sided)
                 for sid, by_class in studies]
-        columns = zip(got.study_id, got.cls, got.mean_r, got.n, got.fisher_z, got.se,
+        columns = zip(got.study_id, got.mean_r, got.n, got.fisher_z, got.se,
                       got.z_score, got.p_value)
-        assert [(sid, c, m.hex(), n, z.hex(), se.hex(), zs.hex(), p.hex())
-                for sid, c, m, n, z, se, zs, p in columns] == want
+        assert [(sid, m.hex(), n, z.hex(), se.hex(), zs.hex(), p.hex())
+                for sid, m, n, z, se, zs, p in columns] == want
 
 
 @pytest.mark.parametrize("mode", list(AggregationMode))
@@ -299,13 +299,13 @@ def test_summarize_z_quantiles_ordered_and_histogram_sums():
 
 def test_summarize_z_empty_raises():
     with pytest.raises(ValueError):
-        summarize_z(Summaries(*[()] * 8), CorrelationClass.ICC)
+        summarize_z(Summaries(*[()] * 7), CorrelationClass.ICC)
 
 
 def z_panel(zs):
     k = len(zs)
-    summaries = Summaries([f"s{i}" for i in range(k)], [CorrelationClass.ICC] * k, [0.0] * k,
-                          [4] * k, [0.0] * k, [1.0] * k, list(zs), [1.0] * k)
+    summaries = Summaries([f"s{i}" for i in range(k)], [0.0] * k, [4] * k, [0.0] * k,
+                          [1.0] * k, list(zs), [1.0] * k)
     return summarize_z(summaries, CorrelationClass.ICC)
 
 

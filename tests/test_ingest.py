@@ -196,7 +196,7 @@ def group(rows):
 def test_grouping_keeps_only_complete_studies():
     report = group(complete_study("s1") + complete_study("s2")[:2])  # s2 lacks IEC
     assert report.groups.study_id == ["s1"]
-    assert report.retained_count == 1
+    assert len(report.groups) == 1
     assert report.dropped == [("s2", "missing class(es): IEC")]
 
 
@@ -204,14 +204,14 @@ def test_grouping_sorted_and_totals():
     report = group(complete_study("b", n=20) + complete_study("a", n=15))
     assert report.groups.study_id == ["a", "b"]
     assert report.groups.study_n == [15, 20]
-    assert report.total_n == 35
+    assert sum(report.groups.study_n) == 35
 
 
 def test_grouping_empty_input_flagged():
     report = group([])
     assert len(report.groups) == 0
     assert report.dropped == []
-    assert report.total_n == 0
+    assert sum(report.groups.study_n) == 0
 
 
 def test_grouping_idempotent_on_duplication():
@@ -245,5 +245,5 @@ def test_paper_structure_fixture_counts(null_csv):
     result = parse_records(null_csv.read_bytes())
     assert not result.errors
     report = group_complete_studies(result.records)
-    assert report.retained_count == 27
-    assert report.total_n == 535
+    assert len(report.groups) == 27
+    assert sum(report.groups.study_n) == 535

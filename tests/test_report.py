@@ -87,7 +87,7 @@ def expected_json(report):
         "summaries": {
             tag: [
                 {
-                    "class": s["cls"].value,
+                    "class": tag,
                     "fisher_z": s["fisher_z"],
                     "mean_r": s["mean_r"],
                     "n": s["n"],
@@ -180,7 +180,6 @@ summaries_columns = st.integers(0, 4).flatmap(
     lambda k: st.builds(
         Summaries,
         study_id=columns(k, texts),
-        cls=columns(k, st.sampled_from(CorrelationClass)),
         mean_r=columns(k, finite),
         n=columns(k, st.integers()),
         fisher_z=columns(k, finite),
@@ -232,7 +231,7 @@ def test_json_point_keeps_its_own_zero_sign():
     # floats that print differently, so sharing p strings by value would
     # write the point as 0.0.
     cls = CorrelationClass.ICC
-    summaries = Summaries(["s1", "s2"], [cls, cls], [0.5, 0.1], [10, 10], [0.5, 0.1],
+    summaries = Summaries(["s1", "s2"], [0.5, 0.1], [10, 10], [0.5, 0.1],
                           [0.3, 0.3], [1.6, 0.3], [0.0, 0.75])
     diagnostics = PlotDiagnostics(0.5, Probability(0.5), 1.0, Probability(0.5),
                                   Probability(0.0), PlotClass.AMBIGUOUS)
@@ -330,7 +329,7 @@ def test_json_has_sorted_keys(null_csv):
 
 
 def test_markdown_contains_tables_and_figure_links(null_csv):
-    md = render_markdown(build_report(null_csv))
+    md = render_markdown(build_report(null_csv)).decode()
     assert "| class | n | KS stat |" in md
     assert "pplot_ICC.svg" in md and "pplot_IEC.svg" in md
     assert "| ICC |" in md
@@ -339,7 +338,7 @@ def test_markdown_contains_tables_and_figure_links(null_csv):
 
 def test_markdown_p_values_four_decimals(null_csv):
     report = build_report(null_csv)
-    md = render_markdown(report)
+    md = render_markdown(report).decode()
     assert f"{report.summaries['ICC'].p_value[0]:.4f}" in md
 
 
@@ -365,7 +364,7 @@ def test_markdown_study_cell_escapes_pipes_and_line_breaks():
             for tag, ss in summaries.items()
         },
     )
-    md = render_markdown(report)
+    md = render_markdown(report).decode()
     for tag in summaries:
         section = md.split(f"### {tag} study summaries\n\n")[1].split("\n\n")[0]
         body = section.splitlines()[2:]  # after the header and the rule
