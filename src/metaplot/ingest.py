@@ -9,11 +9,15 @@ may be empty; `r` must lie strictly inside (-1, 1); `n` must exceed 3 so
 the Fisher standard error 1/sqrt(n-3) exists, and may not exceed
 MAX_SAMPLE_SIZE.
 
-A parsed sheet is held as parallel columns (`Records`) of the fields the
-audit reads, `study_id`, `class`, `r` and `n`; `author`, `year`, `title` and
-`journal` are checked (`year` must parse as an integer), not kept. The
-complete studies are held as record indices per class (`Groups`); no per-row
-object is ever built. `_parse_row` is the one place a record is checked.
+A sheet is parsed as it is read: `csv.reader` runs over the decoded stream
+of a binary file (or of bytes), and each row's fields go straight into
+parallel columns (`Records`) of the fields the audit reads, `study_id`,
+`class`, `r` and `n`; `author`, `year`, `title` and `journal` are checked
+(`year` must parse as an integer), not kept. Neither the whole text nor a
+list of rows is ever held. The complete studies are held as one flat list of
+record positions per class, with each study's offsets into it (`Groups`); no
+per-row or per-study object is kept. `_parse_row` is the one place a record
+is checked.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, BinaryIO, Iterable, Sequence, TextIO, Union
+from itertools import pairwise
+from typing import Any, BinaryIO, Sequence, TextIO, Union
 
 __all__ = [
     "CorrelationClass",
@@ -81,11 +86,6 @@ class Records:
     r: Sequence[float]
     n: Sequence[int]
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple]) -> "Records":
-        """Transpose (study_id, cls, r, n) rows."""
-        return cls(*(list(zip(*rows)) or [(), (), (), ()]))
-
     def __len__(self) -> int:
         return len(self.r)
 
@@ -100,15 +100,18 @@ class ParseResult:
 class Groups:
     """Complete studies in ascending study_id order, as columns.
 
-    `record_index[cls][i]` lists the positions in `records` of study i's
-    records of class cls, in input order. `study_n[i]` is study i's
-    study-level n, its largest record n: extraction sheets typically repeat
-    one study-level n across rows, in which case this is exactly that n.
+    `positions[cls]` lists the positions in `records` of the studies' records
+    of class cls, study after study, each study's in input order; study i's
+    are `positions[cls][offsets[cls][i]:offsets[cls][i + 1]]`. `study_n[i]` is
+    study i's study-level n, its largest record n: extraction sheets
+    typically repeat one study-level n across rows, in which case this is
+    exactly that n.
     """
 
     records: Records
     study_id: list[str]
-    record_index: dict[CorrelationClass, list[list[int]]]
+    positions: dict[CorrelationClass, list[int]]
+    offsets: dict[CorrelationClass, list[int]]
     study_n: list[int]
 
     def __len__(self) -> int:
@@ -117,7 +120,8 @@ class Groups:
     def values(self, cls: CorrelationClass, column: str) -> list[list[Any]]:
         """Per study, `column`'s values of its records of class cls."""
         col = getattr(self.records, column)
-        return [[col[j] for j in idx] for idx in self.record_index[cls]]
+        flat = [col[j] for j in self.positions[cls]]  # faster than map(col.__getitem__)
+        return [flat[lo:hi] for lo, hi in pairwise(self.offsets[cls])]
 
 
 @dataclass
@@ -129,17 +133,6 @@ class GroupingReport:
 
 
 Source = Union[bytes, str, TextIO, BinaryIO]
-
-
-def _as_text(source: Source) -> str:
-    if hasattr(source, "read"):
-        source = source.read()  # type: ignore[union-attr]
-    if isinstance(source, bytes):
-        try:
-            return source.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise ParseFailure(f"input is not valid UTF-8: {exc}") from exc
-    return str(source)
 
 
 def _check_header(header: list[str] | None) -> None:
@@ -220,23 +213,46 @@ def parse_records(source: Source) -> ParseResult:
     Every data row yields exactly one record or one positioned error, and
     all errors are collected so a whole extraction sheet can be fixed in
     one pass. Input that cannot be read as a sheet at all raises
-    ParseFailure.
+    ParseFailure. A binary file is read as it is parsed, and left open.
     """
-    reader = csv.reader(io.StringIO(_as_text(source), newline=""))
-    rows: list[tuple] = []
+    if isinstance(source, str):
+        source = io.StringIO(source, newline="")
+    elif isinstance(source, bytes):
+        source = io.BytesIO(source)
+    text = source if isinstance(source, io.TextIOBase) else io.TextIOWrapper(
+        source, encoding="utf-8-sig", newline="")
+    reader = csv.reader(text)
+    columns: tuple[list, ...] = ([], [], [], [])
+    add_study_id, add_cls, add_r, add_n = (column.append for column in columns)
     errors: list[RowError] = []
     try:
         _check_header(next(reader, None))
         for row in reader:
             try:
-                rows.append(_parse_row(row))
+                study_id, cls, r, n = _parse_row(row)
             except ValueError as exc:
                 # a blank line, or only whitespace fields, never parses and is skipped
                 if "".join(row).strip():
                     errors.append(RowError(line=reader.line_num, message=str(exc)))
+            else:
+                add_study_id(study_id)
+                add_cls(cls)
+                add_r(r)
+                add_n(n)
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise ParseFailure(f"row {reader.line_num}: {exc}") from exc
-    return ParseResult(records=Records.from_rows(rows), errors=errors)
+    except UnicodeDecodeError as exc:
+        # exc.object is the chunk being decoded, which begins on the line
+        # after the last one read. (The decoder holds back a '\r' that ends
+        # a chunk, so a line ending in a lone '\r' there is not counted.)
+        head = exc.object[:exc.start]
+        line = reader.line_num + 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        bad = exc.object[exc.start:exc.end].hex(" ")
+        raise ParseFailure(f"row {line}: input is not valid UTF-8 ({exc.reason}: {bad})") from exc
+    finally:
+        if text is not source:
+            text.detach()  # so that collecting the wrapper does not close source
+    return ParseResult(records=Records(*map(tuple, columns)), errors=errors)
 
 
 def group_complete_studies(records: Records) -> GroupingReport:
@@ -257,9 +273,10 @@ def group_complete_studies(records: Records) -> GroupingReport:
     class_pos = list(map(_CLASS_POS.__getitem__, records.cls))
     n_of = records.n.__getitem__
     kept: list[str] = []
-    kept_index: list[tuple[list[int], ...]] = []
     study_n: list[int] = []
     dropped: list[tuple[str, str]] = []
+    positions: tuple[list[int], ...] = tuple([] for _ in _CLASSES)
+    offsets: tuple[list[int], ...] = tuple([0] for _ in _CLASSES)
     for study_id in sorted(by_study):
         members = by_study[study_id]
         index: tuple[list[int], ...] = tuple([] for _ in _CLASSES)
@@ -267,12 +284,14 @@ def group_complete_studies(records: Records) -> GroupingReport:
             index[class_pos[i]].append(i)
         if all(index):
             kept.append(study_id)
-            kept_index.append(index)
             study_n.append(max(map(n_of, members)))
+            for flat, bounds, idx in zip(positions, offsets, index):
+                flat += idx
+                bounds.append(len(flat))
         else:
             missing = [c.value for c, idx in zip(_CLASSES, index) if not idx]
             dropped.append((study_id, f"missing class(es): {', '.join(missing)}"))
 
-    record_index = dict(zip(_CLASSES, map(list, zip(*kept_index)))) or {c: [] for c in _CLASSES}
-    groups = Groups(records, kept, record_index, study_n)
+    groups = Groups(records, kept, dict(zip(_CLASSES, positions)),
+                    dict(zip(_CLASSES, offsets)), study_n)
     return GroupingReport(groups=groups, dropped=dropped)

@@ -1,7 +1,11 @@
+import math
+import random
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
+
+from metaplot.ingest import CorrelationClass
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -28,3 +32,21 @@ def demo_config() -> Path:
 @pytest.fixture
 def golden_dir() -> Path:
     return GOLDEN_DIR
+
+
+def wide_sheet(studies, seed):
+    """A sheet laid out like the benchmark's wide one: one record per class,
+    r at six decimals, about 2% of studies missing a class."""
+    rng = random.Random(seed)
+    lines = ["study_id,author,year,title,journal,class,r,n"]
+    for i in range(studies):
+        n = rng.randint(20, 400)
+        classes = [c.value for c in CorrelationClass]
+        rng.shuffle(classes)
+        if rng.random() < 0.02:
+            classes.pop()
+        title = f"Study {i}" if i % 2 else ""
+        for cls in classes:
+            r = math.tanh(rng.gauss(0.1, 1.0) / math.sqrt(n - 3))
+            lines.append(f"s{i:06d},Author{i % 997},{1980 + i % 44},{title},,{cls},{r:.6f},{n}")
+    return "\n".join(lines) + "\n"

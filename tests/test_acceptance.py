@@ -92,9 +92,10 @@ def _summaries(rs_ns):
     # and run through the library's per-study pipeline.
     cls = CorrelationClass.ICC
     ids = [f"s{i}" for i in range(len(rs_ns))]
-    records = Records.from_rows((sid, cls, r, n)
-                                for sid, (r, n) in zip(ids, rs_ns))
-    groups = Groups(records, ids, {cls: [[i] for i in range(len(ids))]}, list(records.n))
+    ns = [n for _, n in rs_ns]
+    records = Records(ids, [cls] * len(ids), [r for r, _ in rs_ns], ns)
+    groups = Groups(records, ids, {cls: list(range(len(ids)))},
+                    {cls: list(range(len(ids) + 1))}, ns)
     return summarize_studies(groups, cls)
 
 

@@ -248,7 +248,61 @@ def test_failed_render_writes_no_artifacts(null_csv, tmp_path, capsys, monkeypat
     with pytest.raises(RuntimeError, match="render failed"):
         main(["audit", "--input", str(null_csv), "--out", str(out)])
     assert capsys.readouterr().out == ""
-    assert not out.exists()
+    # and no staging directory is left beside it
+    assert list(tmp_path.iterdir()) == []
+
+    monkeypatch.undo()
+    assert main(["audit", "--input", str(null_csv), "--out", str(out)]) == EXIT_OK
+    assert list(tmp_path.iterdir()) == [out]
+    assert len(list(out.iterdir())) == 6
+
+
+def test_failed_tails_render_writes_no_artifacts(tmp_path, capsys, monkeypatch):
+    def boom(specs, lo, hi):
+        raise RuntimeError("render failed")
+
+    # tails.svg renders after tails.json
+    monkeypatch.setattr(metaplot.cli, "render_svg_gaussians", boom)
+    with pytest.raises(RuntimeError, match="render failed"):
+        main(["tails", "--preset", "g", "--out", str(tmp_path / "out")])
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_whose_parents_are_missing_is_made(null_csv, tmp_path):
+    out = tmp_path / "a" / "b" / "out"
+    assert main(["audit", "--input", str(null_csv), "--out", str(out)]) == EXIT_OK
+    assert list(out.parent.iterdir()) == [out]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "pplot_ECC.svg", "pplot_ICC.svg", "pplot_IEC.svg", "report.json", "report.md",
+        "zpanel.svg"]
+    # the mode of a directory made by mkdir, not the staging directory's 0o700
+    (tmp_path / "plain").mkdir()
+    assert out.stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
+def test_existing_out_keeps_its_other_files(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    (out / "tails.json").write_text("replaced")
+    assert main(["tails", "--preset", "g", "--out", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "tails.json", "tails.svg"]
+    assert (out / "notes.txt").read_text() == "kept"
+    assert json.loads((out / "tails.json").read_bytes())["config"]["preset"] == "g"
+
+
+def test_audit_reads_a_sheet_from_a_pipe(null_csv, tmp_path):
+    # /dev/stdin is a pipe here, which cannot seek back after hashing
+    argv = [sys.executable, "-m", "metaplot.cli", "audit", "--input", "/dev/stdin",
+            "--out", str(tmp_path / "piped")]
+    proc = subprocess.run(argv, input=null_csv.read_bytes(), capture_output=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert main(["audit", "--input", str(null_csv), "--out", str(tmp_path / "file")]) == EXIT_OK
+    for name in ("report.json", "report.md", "zpanel.svg"):
+        piped = (tmp_path / "piped" / name).read_bytes()
+        assert piped.replace(b"stdin", b"null_27.csv") == (tmp_path / "file" / name).read_bytes()
 
 
 @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])

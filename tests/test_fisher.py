@@ -55,11 +55,10 @@ def icc_groups(rs_ns):
     single ICC record, reaching summarize_studies without parse_records'
     checks."""
     ids = [f"s{i}" for i in range(len(rs_ns))]
-    rows = [(sid, CorrelationClass.ICC, r, n)
-            for sid, (r, n) in zip(ids, rs_ns)]
-    index = [[i] for i in range(len(ids))]
-    return Groups(Records.from_rows(rows), ids, {CorrelationClass.ICC: index},
-                  [n for _, n in rs_ns])
+    ns = [n for _, n in rs_ns]
+    records = Records(ids, [CorrelationClass.ICC] * len(ids), [r for r, _ in rs_ns], ns)
+    return Groups(records, ids, {CorrelationClass.ICC: list(range(len(ids)))},
+                  {CorrelationClass.ICC: list(range(len(ids) + 1))}, ns)
 
 
 def test_aggregate_mean_of_two():

@@ -1,6 +1,12 @@
+import re
+import tempfile
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import wide_sheet
 
 from metaplot.ingest import (
     MAX_SAMPLE_SIZE,
@@ -86,9 +92,7 @@ def test_fields_padded_with_whitespace_parse_as_stripped(pad):
     fields = ["s1", "A", "2000", "", "", "ICC", "0.5", "12"]
     result = parse_records(rows(",".join(f"{pad}{f}{pad}" for f in fields)))
     assert not result.errors
-    assert result.records == Records.from_rows(
-        [("s1", CorrelationClass.ICC, 0.5, 12)]
-    )
+    assert result.records == Records(("s1",), (CorrelationClass.ICC,), (0.5,), (12,))
 
 
 def test_sample_size_upper_bound():
@@ -156,13 +160,34 @@ sheet_bodies = (
 )
 
 
+def parsed_or_failure(source):
+    """What parse_records makes of source: its result, or its ParseFailure's
+    message."""
+    try:
+        return parse_records(source)
+    except ParseFailure as exc:
+        return str(exc)
+
+
+def parsed_from_file(data):
+    """parsed_or_failure of data written to a binary file, which parsing
+    must leave open."""
+    with tempfile.TemporaryFile() as binary:
+        binary.write(data)
+        binary.seek(0)
+        parsed = parsed_or_failure(binary)
+        assert not binary.closed
+    return parsed
+
+
 @settings(max_examples=300, deadline=None)
 @given(body=sheet_bodies)
 def test_any_bytes_after_the_header_give_records_and_positioned_errors(body):
     data = (HEADER + "\n").encode() + body
-    try:
-        result = parse_records(data)
-    except ParseFailure:
+    result = parsed_or_failure(data)
+    assert parsed_from_file(data) == result
+    if isinstance(result, str):
+        assert result.startswith("row "), result
         return
     assert isinstance(result, ParseResult)
     lines = [e.line for e in result.errors]
@@ -174,6 +199,46 @@ def test_any_bytes_after_the_header_give_records_and_positioned_errors(body):
     assert all(isinstance(c, CorrelationClass) for c in result.records.cls)
     assert all(abs(r) < 1.0 for r in result.records.r)
     assert all(4 <= n <= MAX_SAMPLE_SIZE for n in result.records.n)
+
+
+@pytest.mark.parametrize("char", ["é", "€", "\U0001f600"])
+def test_character_across_a_decoder_chunk_boundary(char):
+    # the decoder reads 8 KiB at a time; put each byte boundary of char there
+    for split in range(1, len(char.encode())):
+        head = rows(*(f"s{i},A,2000,,,ICC,0.5,12" for i in range(200)))
+        pad = 8192 - split - len(head.encode()) - len("x,")
+        text = head + f"x,{'A' * pad}{char},2000,,,ICC,0.5,12\n"
+        assert text.encode().index(char.encode()) == 8192 - split
+        result = parsed_from_file(text.encode())
+        assert result == parse_records(text)
+        assert not result.errors and len(result.records) == 201
+
+
+def test_invalid_utf8_far_into_the_sheet_names_its_row():
+    good = [f"s{i},Author,2000,Some title,,ICC,0.5,12" for i in range(2000)]
+    data = rows(*good).encode() + b"s9,Au\xffthor,2000,,,ICC,0.5,12\n"
+    assert len(data) > 65536
+    message = "row 2002: input is not valid UTF-8 (invalid start byte: ff)"
+    with pytest.raises(ParseFailure, match=f"^{re.escape(message)}$"):
+        parse_records(data)
+    assert parsed_from_file(data) == message
+
+
+def test_parsing_holds_about_the_columns_it_returns(tmp_path):
+    # The sheet is parsed as it is read. Decoding it whole, wrapping the text
+    # in a StringIO and keeping a list of row tuples peaked at 3.5 times the
+    # columns.
+    sheet = tmp_path / "sheet.csv"
+    sheet.write_text(wide_sheet(10_000, seed=12), encoding="utf-8")
+    with open(sheet, "rb") as binary:
+        tracemalloc.start()
+        try:
+            result = parse_records(binary)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert len(result.records) > 29_000 and not result.errors
+    assert peak < 2 * held, peak / held
 
 
 def test_record_validation_direct():
@@ -190,7 +255,7 @@ def complete_study(sid, n=10, r=0.1):
 
 
 def group(rows):
-    return group_complete_studies(Records.from_rows(rows))
+    return group_complete_studies(Records(*zip(*rows)) if rows else Records((), (), (), ()))
 
 
 def test_grouping_keeps_only_complete_studies():
@@ -222,8 +287,8 @@ def test_grouping_idempotent_on_duplication():
 def test_duplicate_rows_are_retained_not_deduplicated():
     report = group(complete_study("s1") + complete_study("s1"))
     # both copies of each class's record, in input order
-    index = {cls: [[k, k + 3]] for k, cls in enumerate(CorrelationClass)}
-    assert report.groups.record_index == index
+    assert report.groups.positions == {cls: [k, k + 3] for k, cls in enumerate(CorrelationClass)}
+    assert report.groups.offsets == {cls: [0, 2] for cls in CorrelationClass}
 
 
 def test_every_study_accounted_for_exactly_once():

@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
-import random
 import re
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import wide_sheet
 
 import metaplot.report
 from metaplot.fisher import Summaries, summarize_studies, summarize_z
@@ -276,24 +277,6 @@ def test_json_blocks_join_like_one_array(null_csv, block_rows, monkeypatch):
     monkeypatch.setattr(metaplot.report, "_BLOCK_ROWS", block_rows)
     assert render_json(report) == whole
     assert_stdlib_bytes(report)
-
-
-def wide_sheet(studies, seed):
-    """A sheet laid out like the benchmark's wide one: one record per class,
-    r at six decimals, about 2% of studies missing a class."""
-    rng = random.Random(seed)
-    lines = ["study_id,author,year,title,journal,class,r,n"]
-    for i in range(studies):
-        n = rng.randint(20, 400)
-        classes = [c.value for c in CorrelationClass]
-        rng.shuffle(classes)
-        if rng.random() < 0.02:
-            classes.pop()
-        title = f"Study {i}" if i % 2 else ""
-        for cls in classes:
-            r = math.tanh(rng.gauss(0.1, 1.0) / math.sqrt(n - 3))
-            lines.append(f"s{i:06d},Author{i % 997},{1980 + i % 44},{title},,{cls},{r:.6f},{n}")
-    return "\n".join(lines) + "\n"
 
 
 def test_render_json_holds_the_document_about_once():
