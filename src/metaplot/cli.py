@@ -9,10 +9,11 @@ Exit codes: 0 success, 1 I/O failure, 2 validation failure.
 
 Each subcommand checks its inputs, then writes each artifact as soon as it
 renders, through _artifact_writer: into a staging directory made beside
---out, which becomes --out once every artifact has rendered (if --out
-exists, the files move into it). No artifact's bytes outlive their write,
-and the console lines follow. A bad input or a failed render leaves no
---out, and no staging directory.
+--out, which becomes --out once every artifact has rendered, or, if --out
+is a directory already, made inside it, whose files then move up into it.
+No artifact's bytes outlive their write, and the console lines follow. A
+bad input or a failed render leaves no --out, no staging directory, and
+none of the parents that --out lacked.
 
 main() turns CPython's cyclic garbage collector off while the subcommand
 runs and restores the caller's setting on return, also when an exception
@@ -37,7 +38,6 @@ import os
 import shutil
 import statistics
 import sys
-import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
@@ -122,30 +122,30 @@ def _parse_thresholds(spec: str) -> list[float]:
 @contextmanager
 def _artifact_writer(out: str) -> Iterator[Callable[[str, bytes], None]]:
     """Yield write(name, data), which writes one artifact as soon as it has
-    rendered, into a staging directory beside `out`. When the block ends,
-    the staging directory becomes `out`, or, if `out` exists, its files move
-    into it; if the block raises, the staging directory goes and `out` is
-    never made."""
+    rendered, into a staging directory. If `out` is a directory, staging is
+    made inside it, and its files move up into `out` when the block ends;
+    that needs no rights on `out`'s parent, and never crosses a filesystem.
+    Otherwise staging is made beside `out`, with any missing parents, and
+    is renamed to `out`. If the block raises, staging goes, and so do the
+    parents it made."""
     out_dir = Path(out)
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=out_dir.parent))
+    into = out_dir.is_dir()
+    made = None if into else next(
+        (p for p in reversed(out_dir.parents) if not os.path.lexists(p)), None)
+    # made by mkdir, so that renamed to `out` it has the mode mkdir gives
+    staging = ((out_dir if into else out_dir.parent)
+               / f".{out_dir.name}-{os.getpid()}-{os.urandom(4).hex()}")
     try:
+        staging.mkdir(parents=True)
         yield lambda name, data: (staging / name).write_bytes(data)
-        if out_dir.is_dir():  # its other files stay
+        if into:  # the other files of `out` stay
             for path in staging.iterdir():
                 os.replace(path, out_dir / path.name)
             staging.rmdir()
         else:
-            # One rename, with no directory left to delete, saves 0.1-0.3 ms
-            # a run over moving each file (2-vCPU VM, ext4). mkdtemp made
-            # staging 0o700, so it first gets the mode mkdir gives, 0o777
-            # less the umask, which can only be read by setting it.
-            umask = os.umask(0)
-            os.umask(umask)
-            staging.chmod(0o777 & ~umask)
             staging.rename(out_dir)
     except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
+        shutil.rmtree(made or staging, ignore_errors=True)
         raise
 
 

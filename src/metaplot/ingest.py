@@ -14,10 +14,10 @@ of a binary file (or of bytes), and each row's fields go straight into
 parallel columns (`Records`) of the fields the audit reads, `study_id`,
 `class`, `r` and `n`; `author`, `year`, `title` and `journal` are checked
 (`year` must parse as an integer), not kept. Neither the whole text nor a
-list of rows is ever held. The complete studies are held as one flat list of
-record positions per class, with each study's offsets into it (`Groups`); no
-per-row or per-study object is kept. `_parse_row` is the one place a record
-is checked.
+list of rows is ever held (any other reader is read whole first). The
+complete studies are held as one flat list of record positions per class,
+with each study's offsets into it (`Groups`); no per-row or per-study
+object is kept. `_parse_row` is the one place a record is checked.
 """
 
 from __future__ import annotations
@@ -207,19 +207,39 @@ def _parse_row(row: list[str]) -> tuple:
     return study_id, cls, r, n
 
 
+def _undecodable_line(binary: BinaryIO, lines_read: int, exc: UnicodeDecodeError) -> int:
+    r"""The line of the bytes a decoder of `binary` failed on, after the
+    reader had read `lines_read` lines. exc.object is the chunk being
+    decoded, which ends where binary was left and begins on the line after
+    the last one read, unless the text before it ends in a lone '\r': the
+    decoder holds that back to see whether '\n' follows, so its line was
+    not read. A binary that cannot seek back to look (a pipe) leaves that
+    line uncounted."""
+    head = exc.object[:exc.start]
+    line = lines_read + 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+    if binary.seekable() and exc.object[:1] != b"\n":
+        start = binary.tell() - len(exc.object)
+        if start > 0:
+            binary.seek(start - 1)
+            line += binary.read(1) == b"\r"
+    return line
+
+
 def parse_records(source: Source) -> ParseResult:
     """Parse CSV input into validated study records.
 
     Every data row yields exactly one record or one positioned error, and
     all errors are collected so a whole extraction sheet can be fixed in
     one pass. Input that cannot be read as a sheet at all raises
-    ParseFailure. A binary file is read as it is parsed, and left open.
+    ParseFailure. A binary file (an io.RawIOBase or io.BufferedIOBase) is
+    read as it is parsed, and left open; any other object with .read() is
+    read whole first.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source, newline="")
-    elif isinstance(source, bytes):
-        source = io.BytesIO(source)
-    text = source if isinstance(source, io.TextIOBase) else io.TextIOWrapper(
+    if not isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        if hasattr(source, "read"):
+            source = source.read()  # type: ignore[union-attr]
+        source = io.StringIO(source, newline="") if isinstance(source, str) else io.BytesIO(source)
+    text = source if isinstance(source, io.StringIO) else io.TextIOWrapper(
         source, encoding="utf-8-sig", newline="")
     reader = csv.reader(text)
     columns: tuple[list, ...] = ([], [], [], [])
@@ -242,11 +262,7 @@ def parse_records(source: Source) -> ParseResult:
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise ParseFailure(f"row {reader.line_num}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        # exc.object is the chunk being decoded, which begins on the line
-        # after the last one read. (The decoder holds back a '\r' that ends
-        # a chunk, so a line ending in a lone '\r' there is not counted.)
-        head = exc.object[:exc.start]
-        line = reader.line_num + 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        line = _undecodable_line(source, reader.line_num, exc)
         bad = exc.object[exc.start:exc.end].hex(" ")
         raise ParseFailure(f"row {line}: input is not valid UTF-8 ({exc.reason}: {bad})") from exc
     finally:

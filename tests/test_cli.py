@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -250,6 +251,10 @@ def test_failed_render_writes_no_artifacts(null_csv, tmp_path, capsys, monkeypat
     assert capsys.readouterr().out == ""
     # and no staging directory is left beside it
     assert list(tmp_path.iterdir()) == []
+    # nor any of the parents a nested --out lacked
+    with pytest.raises(RuntimeError, match="render failed"):
+        main(["audit", "--input", str(null_csv), "--out", str(tmp_path / "a" / "b" / "out")])
+    assert list(tmp_path.iterdir()) == []
 
     monkeypatch.undo()
     assert main(["audit", "--input", str(null_csv), "--out", str(out)]) == EXIT_OK
@@ -291,6 +296,37 @@ def test_existing_out_keeps_its_other_files(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "tails.json", "tails.svg"]
     assert (out / "notes.txt").read_text() == "kept"
     assert json.loads((out / "tails.json").read_bytes())["config"]["preset"] == "g"
+
+
+def test_existing_out_needs_no_rights_on_its_parent(tmp_path, monkeypatch):
+    # --out may be a home directory or a mount point: its parent may be
+    # read-only, or on another filesystem
+    parent = tmp_path / "locked"
+    out = parent / "out"
+    out.mkdir(parents=True)
+    (out / "notes.txt").write_text("kept")
+    render = metaplot.cli.render_svg_gaussians
+    seen = []
+
+    def spy(*args):  # tails.svg renders after tails.json is written
+        seen.append(sorted(os.listdir(parent)))
+        return render(*args)
+
+    def boom(*args):
+        raise RuntimeError("render failed")
+
+    parent.chmod(0o555)
+    try:
+        monkeypatch.setattr(metaplot.cli, "render_svg_gaussians", boom)
+        with pytest.raises(RuntimeError, match="render failed"):
+            main(["tails", "--preset", "g", "--out", str(out)])
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+        monkeypatch.setattr(metaplot.cli, "render_svg_gaussians", spy)
+        assert main(["tails", "--preset", "g", "--out", str(out)]) == EXIT_OK
+    finally:
+        parent.chmod(0o755)
+    assert seen == [["out"]]
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "tails.json", "tails.svg"]
 
 
 def test_audit_reads_a_sheet_from_a_pipe(null_csv, tmp_path):

@@ -1,3 +1,5 @@
+import io
+import os
 import re
 import tempfile
 import tracemalloc
@@ -222,6 +224,51 @@ def test_invalid_utf8_far_into_the_sheet_names_its_row():
     with pytest.raises(ParseFailure, match=f"^{re.escape(message)}$"):
         parse_records(data)
     assert parsed_from_file(data) == message
+
+
+def test_invalid_utf8_read_from_a_pipe_names_its_row():
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "wb") as sink:
+        sink.write(rows("s1,A,2000,,,ICC,0.5,12").encode() + b"s2,\xff,2000,,,ICC,0.5,12\n")
+    with os.fdopen(read_end, "rb") as pipe:
+        assert not pipe.seekable()
+        message = parsed_or_failure(pipe)
+    assert message == "row 3: input is not valid UTF-8 (invalid start byte: ff)"
+
+
+@pytest.mark.parametrize("after", [b"", b"s9,A", b"\r\r"], ids=["at-once", "later", "blank-lines"])
+def test_invalid_utf8_after_a_lone_cr_ending_a_chunk_names_its_row(after):
+    # The decoder holds back a '\r' that ends its 8 KiB chunk, to see whether
+    # '\n' follows, so the line it ends has not been read when the next
+    # chunk fails to decode.
+    head = "\r".join([HEADER] + [f"s{i},A,2000,,,ICC,0.5,12" for i in range(300)]).encode()
+    pad = 8192 - len(head) - len(b"\rx,") - len(b",2000,,,ICC,0.5,12\r")
+    head += b"\rx," + b"A" * pad + b",2000,,,ICC,0.5,12\r"
+    assert len(head) == 8192 and head.count(b"\r") == 302
+    data = head + after + b"\xff,A,2000,,,ICC,0.5,12\r"
+    line = 303 + after.count(b"\r")
+    message = f"row {line}: input is not valid UTF-8 (invalid start byte: ff)"
+    assert parsed_or_failure(data) == message
+    assert parsed_from_file(data) == message
+
+
+def test_text_streams_and_other_readers_are_read_whole():
+    text = rows("s1,A,2000,,,ICC,0.5,12", "s2,A,x,,,ICC,0.5,12")
+    expected = parse_records(text)
+    assert len(expected.records) == 1 and len(expected.errors) == 1
+
+    class Reader:  # only .read(), as the parser once required
+        def __init__(self, data):
+            self.read = lambda: data
+
+    assert parse_records(Reader(text)) == expected
+    assert parse_records(Reader(text.encode())) == expected
+    assert parse_records(io.StringIO(text)) == expected
+    # a text stream that is no io.TextIOBase
+    with tempfile.SpooledTemporaryFile(mode="w+") as spooled:
+        spooled.write(text)
+        spooled.seek(0)
+        assert parse_records(spooled) == expected
 
 
 def test_parsing_holds_about_the_columns_it_returns(tmp_path):
