@@ -15,6 +15,23 @@ No artifact's bytes outlive their write, and the console lines follow. A
 bad input or a failed render leaves no --out, no staging directory, and
 none of the parents that --out lacked.
 
+On a sheet of at least _FORK_MIN_STUDIES retained studies, audit forks once
+the report is built: a child renders and writes report.md and the SVGs into
+the same staging directory while this process renders and writes
+report.json, the longest of them (on 98k studies about 2.1 s, against 1.3 s
+for report.md and the SVGs together). It forks only when report.json and
+report.md or an SVG are asked for, the process runs one thread, and it may
+run on more than one CPU; otherwise every artifact renders here, in the
+order json, md, svg. The gate is a size, because the fork has a cost: on a
+2-vCPU machine a fork, exit and wait took 3.6 ms at 31 MB RSS and 22 ms at
+378 MB, while report.md and the SVGs take about 13 us per study, so at
+10,000 studies the overlap saves several times the fork at any of those
+sizes (685 -> 547 ms for a whole audit). The child's memory is its own:
+getrusage(RUSAGE_SELF) does not count it (its peak on 98k studies was
+175 MB, most of it pages shared with this process until written), and a
+tracer in this process sees neither its renders nor their spans, only this
+process's wait for it.
+
 main() turns CPython's cyclic garbage collector off while the subcommand
 runs and restores the caller's setting on return, also when an exception
 escapes. Reference counting still frees every object; the cyclic collector
@@ -38,7 +55,8 @@ import os
 import shutil
 import statistics
 import sys
-from contextlib import contextmanager
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
@@ -85,6 +103,11 @@ _COLORS = {
     PlotClass.AMBIGUOUS: "\x1b[33m",
 }
 _RESET = "\x1b[0m"
+
+
+# The fewest retained studies at which audit renders report.md and the SVGs
+# in a forked child; see the module docstring.
+_FORK_MIN_STUDIES = 10_000
 
 
 class CliValidationError(ValueError):
@@ -147,6 +170,80 @@ def _artifact_writer(out: str) -> Iterator[Callable[[str, bytes], None]]:
     except BaseException:
         shutil.rmtree(made or staging, ignore_errors=True)
         raise
+
+
+def _fork_pays(formats: set[str], retained: int) -> bool:
+    """Whether audit renders report.md and the SVGs in a forked child while
+    report.json renders here: both sides have work, the sheet is large
+    enough to repay the fork, and a second CPU and a one-thread process
+    make it safe and useful."""
+    return ("json" in formats and not formats.isdisjoint({"md", "svg"})
+            and retained >= _FORK_MIN_STUDIES
+            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1 and len(os.sched_getaffinity(0)) > 1)
+
+
+@contextmanager
+def _forked(task: Callable[[], None]) -> Iterator[None]:
+    """Run task() in a forked child while the block runs in this process.
+
+    The child always ends in os._exit: it flushes none of the stdio it
+    inherited and runs none of the caller's finally blocks. An exception it
+    raises comes back pickled through a pipe (as a RuntimeError holding its
+    traceback if it does not pickle and load back) and is raised here once
+    the block is done; a child killed by a signal becomes a RuntimeError
+    naming it. If the block raises, the child is killed. Either way it is
+    reaped before this returns or raises. If no process can be forked,
+    task() runs here first."""
+    import pickle  # only an audit that forks pays for these imports
+    import signal
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        task()
+        yield
+        return
+    if pid == 0:  # the child
+        status = 1
+        try:
+            os.close(read_fd)
+            payload = b""
+            try:
+                task()
+            except BaseException as exc:
+                try:
+                    payload = pickle.dumps(exc)
+                    pickle.loads(payload)  # some exceptions dump but do not load
+                except BaseException:
+                    import traceback
+                    payload = pickle.dumps(RuntimeError("".join(traceback.format_exception(exc))))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        try:
+            yield
+            # read to the end before waiting: a payload larger than the
+            # pipe's buffer would otherwise block the child's exit
+            payload = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if payload:
+        raise pickle.loads(payload)
+    if code:
+        raise RuntimeError("the forked child " + (
+            f"was killed by {signal.Signals(-code).name}" if code < 0
+            else f"exited with status {code}"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,14 +401,21 @@ def run_audit(args: argparse.Namespace) -> int:
     )
 
     with _artifact_writer(args.out) as write:
-        if "json" in args.format:
-            write("report.json", render_json(report))
-        if "md" in args.format:
-            write("report.md", render_markdown(report))
-        if "svg" in args.format:
-            for tag, plot in plots.items():
-                write(pplot_filename(tag), render_svg_pplot(plot))
-            write("zpanel.svg", render_svg_zpanel([z_panels[c.value] for c in CorrelationClass]))
+        def write_md_svg() -> None:
+            if "md" in args.format:
+                write("report.md", render_markdown(report))
+            if "svg" in args.format:
+                for tag, plot in plots.items():
+                    write(pplot_filename(tag), render_svg_pplot(plot))
+                write("zpanel.svg",
+                      render_svg_zpanel([z_panels[c.value] for c in CorrelationClass]))
+
+        forking = _fork_pays(args.format, retained)
+        with _forked(write_md_svg) if forking else nullcontext():
+            if "json" in args.format:
+                write("report.json", render_json(report))
+        if not forking:
+            write_md_svg()
 
     for cls in CorrelationClass:
         print(_verdict_line(cls.value, plots[cls.value].diagnostics.classification))

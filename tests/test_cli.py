@@ -4,9 +4,11 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -20,6 +22,7 @@ import metaplot.cli
 from metaplot.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from metaplot.fisher import HISTOGRAM_MAX_BINS
 from metaplot.ingest import REQUIRED_COLUMNS
+from test_manifest import MANIFEST, build_manifest
 
 pytestmark = pytest.mark.usefixtures("no_color")
 
@@ -341,6 +344,151 @@ def test_audit_reads_a_sheet_from_a_pipe(null_csv, tmp_path):
         assert piped.replace(b"stdin", b"null_27.csv") == (tmp_path / "file" / name).read_bytes()
 
 
+@pytest.fixture
+def forking(monkeypatch):
+    """Fork on every audit that renders report.json and report.md or an SVG,
+    as on a sheet above the gate on two CPUs. Yields the pids os.fork
+    returned to this process; afterwards no child may be left, running or
+    unreaped."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(metaplot.cli, "_FORK_MIN_STUDIES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    yield forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_audit_matches_manifest(forking, tmp_path):
+    want = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    assert build_manifest(tmp_path) == want
+    assert len(forking) == sum(case.split("/")[0] != "tails" for case in want) == 12
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("not this one")
+
+
+class Unloadable(Exception):  # pickles, but loading calls Unloadable(message)
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+@pytest.mark.parametrize("renderer, exc", [
+    ("render_svg_zpanel", RuntimeError("render failed")),  # in the child
+    ("render_json", RuntimeError("render failed")),  # here
+    ("render_svg_zpanel", ValueError("x" * 200_000)),  # beyond a pipe's buffer
+    ("render_markdown", Unpicklable("no pickle")),
+    ("render_markdown", Unloadable("no", "load")),
+], ids=["child", "parent", "large", "unpicklable", "unloadable"])
+def test_forked_render_failure_leaves_nothing(
+    renderer, exc, forking, null_csv, tmp_path, capsys, monkeypatch
+):
+    def boom(*args):
+        raise exc
+
+    monkeypatch.setattr(metaplot.cli, renderer, boom)
+    for out in (tmp_path / "out", tmp_path / "a" / "b" / "out"):
+        with pytest.raises(Exception) as raised:
+            main(["audit", "--input", str(null_csv), "--out", str(out)])
+        if isinstance(exc, (Unpicklable, Unloadable)):  # its traceback, as text
+            assert type(raised.value) is RuntimeError
+            assert f"{type(exc).__name__}: {exc}" in str(raised.value)
+            assert "in boom" in str(raised.value)
+        else:
+            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+    assert len(forking) == 2
+
+
+def test_forked_child_killed_by_a_signal_leaves_nothing(
+    forking, null_csv, tmp_path, capsys, monkeypatch
+):
+    here = os.getpid()
+
+    def die(panels):
+        assert os.getpid() != here  # only ever in the child
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(metaplot.cli, "render_svg_zpanel", die)
+    with pytest.raises(RuntimeError, match="killed by SIGKILL"):
+        main(["audit", "--input", str(null_csv), "--out", str(tmp_path / "out")])
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+    assert len(forking) == 1
+
+
+def test_forked_child_is_killed_when_this_side_is_interrupted(
+    forking, null_csv, tmp_path, monkeypatch
+):
+    def stall(panels):
+        time.sleep(60)
+
+    def interrupt(report):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(metaplot.cli, "render_svg_zpanel", stall)
+    monkeypatch.setattr(metaplot.cli, "render_json", interrupt)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["audit", "--input", str(null_csv), "--out", str(tmp_path / "out")])
+    assert time.monotonic() - start < 30  # not waited out
+    assert list(tmp_path.iterdir()) == []
+    assert len(forking) == 1
+
+
+def test_audit_renders_here_when_no_process_can_be_forked(null_csv, tmp_path, monkeypatch):
+    tried = []
+
+    def no_process():
+        tried.append(True)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    serial, fallback = tmp_path / "serial", tmp_path / "fallback"
+    assert main(["audit", "--input", str(null_csv), "--out", str(serial)]) == EXIT_OK
+    monkeypatch.setattr(metaplot.cli, "_FORK_MIN_STUDIES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", no_process)
+    assert main(["audit", "--input", str(null_csv), "--out", str(fallback)]) == EXIT_OK
+    assert tried and read_dir(fallback) == read_dir(serial)
+
+
+@pytest.mark.parametrize("case", ["below-gate", "second-thread", "one-cpu", "json", "md,svg"])
+def test_audit_forks_only_above_the_gate(case, null_csv, tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("forked")
+
+    if case != "below-gate":
+        monkeypatch.setattr(metaplot.cli, "_FORK_MIN_STUDIES", 0)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0} if case == "one-cpu" else {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", refuse)
+    formats = case if case in ("json", "md,svg") else "json,md,svg"
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if case == "second-thread":
+        thread.start()
+    try:
+        out = tmp_path / "out"
+        argv = ["audit", "--input", str(null_csv), "--out", str(out), "--format", formats]
+        assert main(argv) == EXIT_OK
+    finally:
+        release.set()
+        if thread.is_alive():
+            thread.join()
+    assert len(list(out.iterdir())) == {"json": 1, "md,svg": 5}.get(formats, 6)
+
+
 @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
 def caller_gc(request):
     """Set the collector as the caller of main() had it; put it back afterwards."""
@@ -649,8 +797,9 @@ def test_no_color_env_suppresses_ansi(null_csv, tmp_path, capsys):
 
 
 def test_import_cli_leaves_numpy_unloaded():
-    # only simulate needs numpy; audit and tails start without it
-    code = "import sys, metaplot.cli; sys.exit('numpy' in sys.modules)"
+    # only simulate needs numpy, and only an audit that forks needs pickle;
+    # audit and tails start without either
+    code = "import sys, metaplot.cli; sys.exit('numpy' in sys.modules or 'pickle' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 

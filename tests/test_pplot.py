@@ -136,6 +136,27 @@ def test_classify_extreme_min_p_blocks_null_verdict():
     assert plot.diagnostics.classification is not PlotClass.NULL_CONSISTENT
 
 
+def test_null_rates_stated_for_the_default_thresholds():
+    # the figures in the ClassifyThresholds and classify docstrings
+    n, alpha, t = 27, 0.05, DEFAULT_CLASSIFY_THRESHOLDS
+
+    def count_exceeds(k):  # P(Binomial(n, alpha) > k)
+        return 1.0 - sum(math.comb(n, i) * alpha**i * (1 - alpha) ** (n - i)
+                         for i in range(k + 1))
+
+    assert round(count_exceeds(2), 4) == 0.1505
+    assert round(count_exceeds(3), 4) == 0.0437
+    # the default admits 3 of 27 under alpha and no more
+    assert classify(3 / n, 0.9, 0.3, alpha, n, t) is PlotClass.NULL_CONSISTENT
+    assert classify(4 / n, 0.9, 0.3, alpha, n, t) is PlotClass.AMBIGUOUS
+
+    cutoff = alpha * t.null_max_frac_below / n
+    assert f"{cutoff:.1e}" == "2.2e-04"
+    assert round(1.0 - (1.0 - cutoff) ** n, 4) == 0.0060
+    assert classify(0.0, 0.9, cutoff, alpha, n, t) is PlotClass.NULL_CONSISTENT
+    assert classify(0.0, 0.9, math.nextafter(cutoff, 0.0), alpha, n, t) is PlotClass.AMBIGUOUS
+
+
 def test_classify_thresholds_configurable():
     strict = ClassifyThresholds(null_max_frac_below=0.0, null_min_ks_p=0.5)
     ps = [0.03] + [0.1 * (i + 1) for i in range(9)]
