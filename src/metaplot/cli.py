@@ -16,21 +16,32 @@ bad input or a failed render leaves no --out, no staging directory, and
 none of the parents that --out lacked.
 
 On a sheet of at least _FORK_MIN_STUDIES retained studies, audit forks once
-the report is built: a child renders and writes report.md and the SVGs into
-the same staging directory while this process renders and writes
-report.json, the longest of them (on 98k studies about 2.1 s, against 1.3 s
-for report.md and the SVGs together). It forks only when report.json and
-report.md or an SVG are asked for, the process runs one thread, and it may
-run on more than one CPU; otherwise every artifact renders here, in the
-order json, md, svg. The gate is a size, because the fork has a cost: on a
-2-vCPU machine a fork, exit and wait took 3.6 ms at 31 MB RSS and 22 ms at
-378 MB, while report.md and the SVGs take about 13 us per study, so at
-10,000 studies the overlap saves several times the fork at any of those
-sizes (685 -> 547 ms for a whole audit). The child's memory is its own:
+the report is built and splits the rendering in two. The child renders
+report.json's "last" piece (see report.render_json), the summaries array of
+the last class in sorted tag order, into a dot-named part file in the
+staging directory, and then renders and writes report.md and the SVGs. This
+process renders and writes report.json's "head", everything before that
+array, waits for the child, appends the part and the short "tail", and
+deletes the part before staging becomes --out. The split balances the two
+sides: on the 98k studies of a benchmark sheet, rendered one after another
+in one process, the head took 0.89-0.93 s and the part 0.28-0.29 s, against
+0.68-0.74 s for report.md and the SVGs and 1.14-1.15 s for the whole
+report.json (three runs each, unnormalised, on a 2-vCPU machine in its fast
+state; in its slow state each figure about doubles). When this process
+rendered the whole report.json, the second CPU idled once the child was
+done; the split took the benchmark's audit_wide from 3.82 to 3.54 s
+(BENCH_14.json). It forks only when report.json and report.md or an SVG are
+asked for, the process runs one thread, and it may run on more than one
+CPU; otherwise every artifact renders here, in the order json, md, svg. The
+gate is a size, because the fork has a cost: on a 2-vCPU machine a fork,
+exit and wait took 3.6 ms at 31 MB RSS and 22 ms at 378 MB, while report.md
+and the SVGs take about 13 us per study, so at 10,000 studies the overlap
+saves several times the fork at any of those sizes (685 -> 547 ms for a
+whole audit). The child's memory is its own:
 getrusage(RUSAGE_SELF) does not count it (its peak on 98k studies was
-175 MB, most of it pages shared with this process until written), and a
+171 MB, most of it pages shared with this process until written), and a
 tracer in this process sees neither its renders nor their spans, only this
-process's wait for it.
+process's render_json calls for the head and the tail, and its wait.
 
 main() turns CPython's cyclic garbage collector off while the subcommand
 runs and restores the caller's setting on return, also when an exception
@@ -56,7 +67,7 @@ import shutil
 import statistics
 import sys
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
@@ -143,9 +154,9 @@ def _parse_thresholds(spec: str) -> list[float]:
 
 
 @contextmanager
-def _artifact_writer(out: str) -> Iterator[Callable[[str, bytes], None]]:
-    """Yield write(name, data), which writes one artifact as soon as it has
-    rendered, into a staging directory. If `out` is a directory, staging is
+def _artifact_writer(out: str) -> Iterator[Path]:
+    """Yield a staging directory, into which the block writes each artifact
+    as soon as it has rendered. If `out` is a directory, staging is
     made inside it, and its files move up into `out` when the block ends;
     that needs no rights on `out`'s parent, and never crosses a filesystem.
     Otherwise staging is made beside `out`, with any missing parents, and
@@ -160,7 +171,7 @@ def _artifact_writer(out: str) -> Iterator[Callable[[str, bytes], None]]:
                / f".{out_dir.name}-{os.getpid()}-{os.urandom(4).hex()}")
     try:
         staging.mkdir(parents=True)
-        yield lambda name, data: (staging / name).write_bytes(data)
+        yield staging
         if into:  # the other files of `out` stay
             for path in staging.iterdir():
                 os.replace(path, out_dir / path.name)
@@ -173,10 +184,10 @@ def _artifact_writer(out: str) -> Iterator[Callable[[str, bytes], None]]:
 
 
 def _fork_pays(formats: set[str], retained: int) -> bool:
-    """Whether audit renders report.md and the SVGs in a forked child while
-    report.json renders here: both sides have work, the sheet is large
-    enough to repay the fork, and a second CPU and a one-thread process
-    make it safe and useful."""
+    """Whether audit renders report.json's last summaries array, report.md
+    and the SVGs in a forked child while the rest of report.json renders
+    here: both sides have work, the sheet is large enough to repay the fork,
+    and a second CPU and a one-thread process make it safe and useful."""
     return ("json" in formats and not formats.isdisjoint({"md", "svg"})
             and retained >= _FORK_MIN_STUDIES
             and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
@@ -400,22 +411,34 @@ def run_audit(args: argparse.Namespace) -> int:
         plots=plots,
     )
 
-    with _artifact_writer(args.out) as write:
+    with _artifact_writer(args.out) as staging:
         def write_md_svg() -> None:
             if "md" in args.format:
-                write("report.md", render_markdown(report))
+                (staging / "report.md").write_bytes(render_markdown(report))
             if "svg" in args.format:
                 for tag, plot in plots.items():
-                    write(pplot_filename(tag), render_svg_pplot(plot))
-                write("zpanel.svg",
-                      render_svg_zpanel([z_panels[c.value] for c in CorrelationClass]))
+                    (staging / pplot_filename(tag)).write_bytes(render_svg_pplot(plot))
+                (staging / "zpanel.svg").write_bytes(
+                    render_svg_zpanel([z_panels[c.value] for c in CorrelationClass]))
 
-        forking = _fork_pays(args.format, retained)
-        with _forked(write_md_svg) if forking else nullcontext():
+        json_path = staging / "report.json"
+        if not _fork_pays(args.format, retained):
             if "json" in args.format:
-                write("report.json", render_json(report))
-        if not forking:
+                json_path.write_bytes(render_json(report))
             write_md_svg()
+        else:  # the child renders report.json's "last" piece, report.md and the SVGs
+            part = staging / ".report.json.last"
+
+            def write_part_md_svg() -> None:
+                part.write_bytes(render_json(report, "last"))
+                write_md_svg()
+
+            with _forked(write_part_md_svg):
+                json_path.write_bytes(render_json(report, "head"))
+            with open(json_path, "ab") as json_file, open(part, "rb") as last:
+                shutil.copyfileobj(last, json_file)
+                json_file.write(render_json(report, "tail"))
+            part.unlink()
 
     for cls in CorrelationClass:
         print(_verdict_line(cls.value, plots[cls.value].diagnostics.classification))
@@ -439,9 +462,9 @@ def run_tails(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliValidationError(str(exc)) from exc
 
-    with _artifact_writer(args.out) as write:
+    with _artifact_writer(args.out) as staging:
         if "json" in args.format:
-            write("tails.json", json_bytes({
+            (staging / "tails.json").write_bytes(json_bytes({
                 "config": {
                     "subcommand": "tails",
                     "preset": args.preset,
@@ -454,7 +477,7 @@ def run_tails(args: argparse.Namespace) -> int:
             sigma_max = max(ref.sigma, other.sigma)
             lo = min(ref.mu, other.mu) - 4.0 * sigma_max
             hi = max(ref.mu, other.mu) + 4.0 * sigma_max
-            write("tails.svg", render_svg_gaussians([ref, other], lo, hi))
+            (staging / "tails.svg").write_bytes(render_svg_gaussians([ref, other], lo, hi))
 
     header = f"{'SD':>6} {'tail(' + table.ref.label + ')':>14} " \
              f"{'tail(' + table.other.label + ')':>14} {'ratio':>8}"
@@ -517,8 +540,8 @@ def run_simulate(args: argparse.Namespace) -> int:
         payload["mean"] = {"gap_unadjusted": mean_u, "gap_adjusted": mean_a}
         payload["sd"] = {"gap_unadjusted": sd_u, "gap_adjusted": sd_a}
 
-    with _artifact_writer(args.out) as write:
-        write("gap.json", json_bytes(payload))
+    with _artifact_writer(args.out) as staging:
+        (staging / "gap.json").write_bytes(json_bytes(payload))
     print("\n".join(lines))
     return EXIT_OK
 

@@ -30,6 +30,11 @@ distinct n) is formatted once, and the Markdown tables format each once per
 distinct n. The tests re-encode `render_json`'s output with the stdlib and
 require the same bytes.
 
+`render_json(report, piece)` writes one of the three pieces the document is
+the join of, with the same code: "head", everything before the last class's
+summaries array, "last", that array, and "tail", the rest. `audit` renders
+"last" in a forked child while "head" renders (see `cli`).
+
 `render_markdown` also writes into one `io.BytesIO`: its head, then each
 class's study table, formatted and encoded a table at a time.
 
@@ -269,48 +274,71 @@ def _write_plot(buf: BinaryIO, plot: PValuePlot, memo: dict[int, str]) -> None:
 
 
 def _write_by_tag(
-    buf: BinaryIO, by_tag: Mapping[str, Any], write: Callable[[str, Any], None]
+    buf: BinaryIO, by_tag: Mapping[str, Any], write: Callable[[str, Any], None],
+    close: bool = True,
 ) -> None:
-    """A top-level field's object: one entry per class tag, in sorted order."""
+    """A top-level field's object: one entry per class tag, in sorted order.
+    Without close, a non-empty object is left open after its last entry."""
     sep = "{\n"
     for tag, value in sorted(by_tag.items()):
         buf.write(f"{sep}    {_str(tag)}: ".encode())
         write(tag, value)
         sep = ",\n"
-    buf.write(b"\n  }" if by_tag else b"{}")
+    if not by_tag:
+        buf.write(b"{}")
+    elif close:
+        buf.write(b"\n  }")
 
 
-def render_json(report: AuditReport) -> bytes:
+def render_json(report: AuditReport, piece: str | None = None) -> bytes:
     """Deterministic JSON encoding: sorted keys, full float precision. See the
-    module docstring for the format and how it is written."""
-    meta = report.metadata
-    metadata = {
-        "input_sha256": meta.input_sha256,
-        "tool_version": meta.tool_version,
-        "config": meta.config,
-    }
-    # Each class's p-values are formatted once, before the plots, whose points
-    # take their strings from memo (float object id -> string;
-    # `report.summaries` keeps those objects alive).
-    p_values = {tag: _json_floats(s.p_value) for tag, s in report.summaries.items()}
-    memo: dict[int, str] = {}
-    for tag, s in report.summaries.items():
-        memo.update(zip(map(id, s.p_value), p_values[tag]))
+    module docstring for the format and how it is written.
+
+    The document is the join of three pieces, and piece names one of them:
+    "head", everything before the summaries array of the last class in
+    sorted tag order; "last", that array; and "tail", everything after it.
+    Each piece alone formats only what its own text needs."""
+    summaries = report.summaries
+    last = sorted(summaries)[-1:]  # no tag without summaries
+    p_values: dict[str, list[str]] = {}  # tag -> its p-value column's strings
     buf = io.BytesIO()
-    buf.write(
-        '{\n  "gap_report": null,\n'
-        f'  "metadata": {json_block(metadata, "  ")},\n  "plots": '.encode()
-    )
-    _write_by_tag(buf, report.plots, lambda tag, plot: _write_plot(buf, plot, memo))
-    del memo  # the summaries take their p-value strings from p_values
-    buf.write(b',\n  "summaries": ')
-    _write_by_tag(buf, report.summaries,
-                  lambda tag, s: _write_summaries(buf, tag, s, p_values[tag]))
-    z_panels = {tag: _zsummary_to_dict(z) for tag, z in report.z_panels.items()}
-    buf.write(
-        ',\n  "tail_tables": [],\n'
-        f'  "z_panels": {json_block(z_panels, "  ")}\n}}\n'.encode()
-    )
+    if piece in (None, "head"):
+        meta = report.metadata
+        metadata = {
+            "input_sha256": meta.input_sha256,
+            "tool_version": meta.tool_version,
+            "config": meta.config,
+        }
+        # Each class's p-values are formatted once, before the plots, whose
+        # points take their strings from memo (float object id -> string;
+        # `report.summaries` keeps those objects alive).
+        p_values.update((tag, _json_floats(s.p_value)) for tag, s in summaries.items())
+        memo: dict[int, str] = {}
+        for tag, s in summaries.items():
+            memo.update(zip(map(id, s.p_value), p_values[tag]))
+        buf.write(
+            '{\n  "gap_report": null,\n'
+            f'  "metadata": {json_block(metadata, "  ")},\n  "plots": '.encode()
+        )
+        _write_by_tag(buf, report.plots, lambda tag, plot: _write_plot(buf, plot, memo))
+        del memo  # the summaries take their p-value strings from p_values
+
+        def write_summaries(tag: str, s: Summaries) -> None:
+            if tag not in last:  # whose array is the "last" piece
+                _write_summaries(buf, tag, s, p_values[tag])
+
+        buf.write(b',\n  "summaries": ')
+        _write_by_tag(buf, summaries, write_summaries, close=False)
+    if piece in (None, "last"):
+        for tag in last:
+            s = summaries[tag]
+            _write_summaries(buf, tag, s, p_values.get(tag) or _json_floats(s.p_value))
+    if piece in (None, "tail"):
+        z_panels = {tag: _zsummary_to_dict(z) for tag, z in report.z_panels.items()}
+        buf.write(
+            (b"\n  }" if summaries else b"") + b',\n  "tail_tables": [],\n'
+            + f'  "z_panels": {json_block(z_panels, "  ")}\n}}\n'.encode()
+        )
     return buf.getvalue()
 
 

@@ -383,21 +383,42 @@ class Unloadable(Exception):  # pickles, but loading calls Unloadable(message)
         super().__init__(f"{what}: {why}")
 
 
+def failing_piece(piece, exc):
+    """A render_json that raises exc when asked for piece, and renders any
+    other piece."""
+    render_json = metaplot.cli.render_json
+
+    def render(report, asked=None):
+        if asked == piece:
+            raise exc
+        return render_json(report, asked)
+
+    return render
+
+
 @pytest.mark.parametrize("renderer, exc", [
     ("render_svg_zpanel", RuntimeError("render failed")),  # in the child
-    ("render_json", RuntimeError("render failed")),  # here
+    (("render_json", "head"), RuntimeError("render failed")),  # here, with the child running
     ("render_svg_zpanel", ValueError("x" * 200_000)),  # beyond a pipe's buffer
     ("render_markdown", Unpicklable("no pickle")),
     ("render_markdown", Unloadable("no", "load")),
-], ids=["child", "parent", "large", "unpicklable", "unloadable"])
+    (("render_json", "last"), RuntimeError("render failed")),  # the child's first render
+    (("render_json", "tail"), RuntimeError("render failed")),  # here, after the child
+], ids=["child", "parent", "large", "unpicklable", "unloadable", "part", "tail"])
 def test_forked_render_failure_leaves_nothing(
     renderer, exc, forking, null_csv, tmp_path, capsys, monkeypatch
 ):
     def boom(*args):
         raise exc
 
+    if isinstance(renderer, tuple):
+        renderer, piece = renderer
+        boom = failing_piece(piece, exc)
     monkeypatch.setattr(metaplot.cli, renderer, boom)
-    for out in (tmp_path / "out", tmp_path / "a" / "b" / "out"):
+    kept = tmp_path / "kept"  # an --out that exists: its own file stays
+    kept.mkdir()
+    (kept / "notes.txt").write_bytes(b"keep")
+    for out in (tmp_path / "out", tmp_path / "a" / "b" / "out", kept):
         with pytest.raises(Exception) as raised:
             main(["audit", "--input", str(null_csv), "--out", str(out)])
         if isinstance(exc, (Unpicklable, Unloadable)):  # its traceback, as text
@@ -407,8 +428,25 @@ def test_forked_render_failure_leaves_nothing(
         else:
             assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
         assert capsys.readouterr().out == ""
-        assert list(tmp_path.iterdir()) == []
-    assert len(forking) == 2
+        assert sorted(tmp_path.rglob("*")) == [kept, kept / "notes.txt"]
+    assert len(forking) == 3
+
+
+def test_forked_audit_into_an_existing_out_keeps_its_files(
+    forking, null_csv, tmp_path, monkeypatch
+):
+    out, serial = tmp_path / "out", tmp_path / "serial"
+    out.mkdir()
+    (out / "notes.txt").write_bytes(b"keep")
+    assert main(["audit", "--input", str(null_csv), "--out", str(out)]) == EXIT_OK
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main(["audit", "--input", str(null_csv), "--out", str(serial)]) == EXIT_OK
+    assert len(forking) == 1  # the second run, on one CPU, rendered here
+    want = {"notes.txt": b"keep", **read_dir(serial)}
+    assert len(want) == 7
+    assert sorted(os.listdir(out)) == sorted(want)  # no part file, no staging directory
+    assert read_dir(out) == want
+    assert sorted(os.listdir(tmp_path)) == ["out", "serial"]
 
 
 def test_forked_child_killed_by_a_signal_leaves_nothing(
@@ -428,17 +466,37 @@ def test_forked_child_killed_by_a_signal_leaves_nothing(
     assert len(forking) == 1
 
 
+def test_forked_child_killed_while_rendering_the_part_leaves_nothing(
+    forking, null_csv, tmp_path, capsys, monkeypatch
+):
+    here = os.getpid()
+    render_json = metaplot.cli.render_json
+
+    def die(report, piece=None):
+        if piece == "last":
+            assert os.getpid() != here  # only ever in the child
+            os.kill(os.getpid(), signal.SIGKILL)
+        return render_json(report, piece)
+
+    monkeypatch.setattr(metaplot.cli, "render_json", die)
+    out = tmp_path / "kept"
+    out.mkdir()
+    (out / "notes.txt").write_bytes(b"keep")
+    with pytest.raises(RuntimeError, match="killed by SIGKILL"):
+        main(["audit", "--input", str(null_csv), "--out", str(out)])
+    assert capsys.readouterr().out == ""
+    assert sorted(tmp_path.rglob("*")) == [out, out / "notes.txt"]
+    assert len(forking) == 1
+
+
 def test_forked_child_is_killed_when_this_side_is_interrupted(
     forking, null_csv, tmp_path, monkeypatch
 ):
     def stall(panels):
         time.sleep(60)
 
-    def interrupt(report):
-        raise KeyboardInterrupt
-
     monkeypatch.setattr(metaplot.cli, "render_svg_zpanel", stall)
-    monkeypatch.setattr(metaplot.cli, "render_json", interrupt)
+    monkeypatch.setattr(metaplot.cli, "render_json", failing_piece("head", KeyboardInterrupt))
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         main(["audit", "--input", str(null_csv), "--out", str(tmp_path / "out")])

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from metaplot.pplot import (
@@ -68,6 +70,16 @@ def test_build_plot_permutation_invariant():
     for _ in range(5):
         rng.shuffle(ps)
         assert build_plot(ps) == base
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_build_plot_permutation_invariant_with_ties(data):
+    # a few distinct values, alpha among them at times, so that most draws tie
+    pool = data.draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.05, 1.0]),
+                              min_size=1, max_size=4))
+    ps = data.draw(st.lists(st.sampled_from(pool), min_size=3, max_size=60))
+    assert build_plot(data.draw(st.permutations(ps))) == build_plot(ps)
 
 
 def test_build_plot_tie_handling_stable():

@@ -139,11 +139,17 @@ def test_json_round_trip_minimal(null_csv):
     assert_json_values(build_report(null_csv))
 
 
+PIECES = ("head", "last", "tail")
+
+
 def assert_stdlib_bytes(report):
-    """render_json writes what the stdlib indent=2 encoder writes."""
-    text = render_json(report).decode("utf-8")
+    """render_json writes what the stdlib indent=2 encoder writes, and so do
+    its pieces, joined."""
+    data = render_json(report)
+    text = data.decode("utf-8")
     oracle = json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False)
     assert text == oracle + "\n"
+    assert b"".join(render_json(report, piece) for piece in PIECES) == data
 
 
 @pytest.mark.parametrize("fixture", ["null_csv", "effect_csv"])
@@ -276,7 +282,10 @@ def test_json_blocks_join_like_one_array(null_csv, block_rows, monkeypatch):
     whole = render_json(report)
     monkeypatch.setattr(metaplot.report, "_BLOCK_ROWS", block_rows)
     assert render_json(report) == whole
-    assert_stdlib_bytes(report)
+    assert_stdlib_bytes(report)  # which joins the pieces too
+    # the middle piece is the last class's summaries array
+    assert render_json(report, "head").endswith(b'\n    "IEC": ')
+    assert json.loads(render_json(report, "last")) == json.loads(whole)["summaries"]["IEC"]
 
 
 def test_render_json_holds_the_document_about_once():
