@@ -16,32 +16,30 @@ bad input or a failed render leaves no --out, no staging directory, and
 none of the parents that --out lacked.
 
 On a sheet of at least _FORK_MIN_STUDIES retained studies, audit forks once
-the report is built and splits the rendering in two. The child renders
-report.json's "last" piece (see report.render_json), the summaries array of
-the last class in sorted tag order, into a dot-named part file in the
-staging directory, and then renders and writes report.md and the SVGs. This
-process renders and writes report.json's "head", everything before that
-array, waits for the child, appends the part and the short "tail", and
-deletes the part before staging becomes --out. The split balances the two
-sides: on the 98k studies of a benchmark sheet, rendered one after another
-in one process, the head took 0.89-0.93 s and the part 0.28-0.29 s, against
-0.68-0.74 s for report.md and the SVGs and 1.14-1.15 s for the whole
-report.json (three runs each, unnormalised, on a 2-vCPU machine in its fast
-state; in its slow state each figure about doubles). When this process
-rendered the whole report.json, the second CPU idled once the child was
-done; the split took the benchmark's audit_wide from 3.82 to 3.54 s
-(BENCH_14.json). It forks only when report.json and report.md or an SVG are
-asked for, the process runs one thread, and it may run on more than one
-CPU; otherwise every artifact renders here, in the order json, md, svg. The
-gate is a size, because the fork has a cost: on a 2-vCPU machine a fork,
-exit and wait took 3.6 ms at 31 MB RSS and 22 ms at 378 MB, while report.md
-and the SVGs take about 13 us per study, so at 10,000 studies the overlap
-saves several times the fork at any of those sizes (685 -> 547 ms for a
-whole audit). The child's memory is its own:
-getrusage(RUSAGE_SELF) does not count it (its peak on 98k studies was
-171 MB, most of it pages shared with this process until written), and a
-tracer in this process sees neither its renders nor their spans, only this
-process's render_json calls for the head and the tail, and its wait.
+the report is built and splits the rendering in two at a key of
+report.json (see report.render_json). The child renders the "rest", the
+value of "summaries" and everything after it, into a dot-named part file in
+the staging directory. This process renders and writes the "head",
+everything before that value, then report.md and the SVGs, waits for the
+child, appends the part and deletes it before staging becomes --out. Each
+process formats only the floats it writes. The two sides are about even: on
+the 98k studies of a benchmark sheet, rendered one after another in one
+process, the head took 0.54-0.58 s and report.md and the SVGs 1.37-1.41 s,
+against 1.72-1.80 s for the rest and 2.29-2.31 s for the whole report.json
+(three runs each, unnormalised, on a 2-vCPU machine in its slow state; in
+its fast state each figure about halves). It forks only when report.json
+and report.md or an SVG are asked for, the process runs one thread, and it
+may run on more than one CPU; otherwise every artifact renders here, in the
+order json, md, svg. The gate is a size, because the fork has a cost: on a
+2-vCPU machine a fork, exit and wait took 3.6 ms at 31 MB RSS and 22 ms at
+378 MB, while the rest renders in about 18 us per study (the slow state
+above), so at 10,000 studies the overlap saves several times the fork at
+any of those sizes. The child's memory is its own: getrusage(RUSAGE_SELF)
+does not count it (its peak on 98k studies was 211 MB, with the 80 MB part
+it renders; much of the rest is pages shared with this process until
+written), and a tracer in this process sees neither the child's render nor
+its span, only this process's render_json call for the head, its report.md
+and SVG renders, and its wait.
 
 main() turns CPython's cyclic garbage collector off while the subcommand
 runs and restores the caller's setting on return, also when an exception
@@ -116,8 +114,8 @@ _COLORS = {
 _RESET = "\x1b[0m"
 
 
-# The fewest retained studies at which audit renders report.md and the SVGs
-# in a forked child; see the module docstring.
+# The fewest retained studies at which audit renders part of report.json in
+# a forked child; see the module docstring.
 _FORK_MIN_STUDIES = 10_000
 
 
@@ -184,10 +182,10 @@ def _artifact_writer(out: str) -> Iterator[Path]:
 
 
 def _fork_pays(formats: set[str], retained: int) -> bool:
-    """Whether audit renders report.json's last summaries array, report.md
-    and the SVGs in a forked child while the rest of report.json renders
-    here: both sides have work, the sheet is large enough to repay the fork,
-    and a second CPU and a one-thread process make it safe and useful."""
+    """Whether audit renders report.json's "rest" in a forked child while its
+    head, report.md and the SVGs render here: both sides have work, the
+    sheet is large enough to repay the fork, and a second CPU and a
+    one-thread process make it safe and useful."""
     return ("json" in formats and not formats.isdisjoint({"md", "svg"})
             and retained >= _FORK_MIN_STUDIES
             and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
@@ -426,18 +424,13 @@ def run_audit(args: argparse.Namespace) -> int:
             if "json" in args.format:
                 json_path.write_bytes(render_json(report))
             write_md_svg()
-        else:  # the child renders report.json's "last" piece, report.md and the SVGs
-            part = staging / ".report.json.last"
-
-            def write_part_md_svg() -> None:
-                part.write_bytes(render_json(report, "last"))
-                write_md_svg()
-
-            with _forked(write_part_md_svg):
+        else:  # the child renders report.json's "rest", this process all else
+            part = staging / ".report.json.rest"
+            with _forked(lambda: part.write_bytes(render_json(report, "rest"))):
                 json_path.write_bytes(render_json(report, "head"))
-            with open(json_path, "ab") as json_file, open(part, "rb") as last:
-                shutil.copyfileobj(last, json_file)
-                json_file.write(render_json(report, "tail"))
+                write_md_svg()
+            with open(json_path, "ab") as json_file, open(part, "rb") as rest:
+                shutil.copyfileobj(rest, json_file)
             part.unlink()
 
     for cls in CorrelationClass:

@@ -233,12 +233,14 @@ def parse_records(source: Source) -> ParseResult:
     one pass. Input that cannot be read as a sheet at all raises
     ParseFailure. A binary file (an io.RawIOBase or io.BufferedIOBase) is
     read as it is parsed, and left open; any other object with .read() is
-    read whole first.
+    read whole first. A leading byte order mark is skipped, in text as in
+    bytes.
     """
     if not isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
         if hasattr(source, "read"):
             source = source.read()  # type: ignore[union-attr]
-        source = io.StringIO(source, newline="") if isinstance(source, str) else io.BytesIO(source)
+        source = (io.StringIO(source.removeprefix("\ufeff"), newline="")  # as utf-8-sig does
+                  if isinstance(source, str) else io.BytesIO(source))
     text = source if isinstance(source, io.StringIO) else io.TextIOWrapper(
         source, encoding="utf-8-sig", newline="")
     reader = csv.reader(text)

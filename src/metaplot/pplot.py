@@ -170,8 +170,6 @@ def build_plot(
     their original input order (stable sort), which never reorders
     distinct values.
     """
-    # float() returns a float itself, so ps holds the caller's objects and
-    # render_json can reuse the strings it writes for a Summaries' p-values
     ps = [float(p) for p in p_values]
     for p in ps:
         if not 0.0 <= p <= 1.0:

@@ -20,20 +20,17 @@ time: each field is formatted over the block's slice of its column, strings
 by the encoder's own `encode_basestring_ascii` and numbers by
 `float.__repr__` and `int.__repr__`, as `json.dumps` writes them; the rows
 are joined with the fixed text between the fields, encoded and written. So
-the document is held once, beside one block's strings. Each class's p-value
-column is formatted once, before the plots: `build_plot` keeps the p-value
-objects it is given, so the points of a plot built from a `Summaries`'
-`p_value` column take their strings from it, by object identity, never by
-value, since 0.0 and -0.0 are equal but print differently. Within a block,
-an `se` object that several rows share (`summarize_studies` keeps one per
+the document is held once, beside one block's strings. Within a block, an
+`se` object that several rows share (`summarize_studies` keeps one per
 distinct n) is formatted once, and the Markdown tables format each once per
 distinct n. The tests re-encode `render_json`'s output with the stdlib and
 require the same bytes.
 
-`render_json(report, piece)` writes one of the three pieces the document is
-the join of, with the same code: "head", everything before the last class's
-summaries array, "last", that array, and "tail", the rest. `audit` renders
-"last" in a forked child while "head" renders (see `cli`).
+`render_json(report, piece)` writes one of the two pieces the document is
+the join of, with the same code: "head", everything before the value of
+"summaries", and "rest", that value and everything after it. `audit`
+renders "rest" in a forked child while "head", `report.md` and the SVGs
+render in its own process (see `cli`).
 
 `render_markdown` also writes into one `io.BytesIO`: its head, then each
 class's study table, formatted and encoded a table at a time.
@@ -53,7 +50,7 @@ import html
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, BinaryIO, Callable, Mapping, Sequence
@@ -184,17 +181,6 @@ def _format_once(values: Sequence[Any], fmt: Callable[[list], list[str]]) -> lis
     return list(map(strs.__getitem__, ids))
 
 
-def _json_floats_shared(values: Sequence[float], memo: dict[int, str]) -> list[str]:
-    """`_json_floats(values)`, taking the string of any object memo (id ->
-    string, of objects that outlive it) already holds."""
-    strs = list(map(memo.get, map(id, values)))
-    if None in strs:
-        misses = [i for i, s in enumerate(strs) if s is None]
-        for i, s in zip(misses, _json_floats([values[i] for i in misses])):
-            strs[i] = s
-    return strs
-
-
 def _join_rows(parts: Sequence[str], columns: Sequence[list[str]], sep: str) -> str:
     """`sep.join(rows)`, where row i is parts[0] + columns[0][i] + parts[1] +
     ... + columns[-1][i] + parts[-1]; the columns are not empty."""
@@ -236,9 +222,8 @@ _SUMMARY_PARTS = (
 _POINT_PARTS = ("        [\n          ", ",\n          ", "\n        ]")
 
 
-def _write_summaries(buf: BinaryIO, tag: str, s: Summaries, p_values: list[str]) -> None:
-    """The summaries array of class tag; p_values holds the p_value column's
-    strings."""
+def _write_summaries(buf: BinaryIO, tag: str, s: Summaries) -> None:
+    """The summaries array of class tag."""
     parts = (_SUMMARY_HEAD % _str(tag), *_SUMMARY_PARTS)
 
     def columns(lo: int, hi: int) -> list[list[str]]:
@@ -246,7 +231,7 @@ def _write_summaries(buf: BinaryIO, tag: str, s: Summaries, p_values: list[str])
             _json_floats(s.fisher_z[lo:hi]),
             _json_floats(s.mean_r[lo:hi]),
             list(map(_int, s.n[lo:hi])),
-            p_values[lo:hi],
+            _json_floats(s.p_value[lo:hi]),
             _format_once(s.se[lo:hi], _json_floats),
             list(map(_str, s.study_id[lo:hi])),
             _json_floats(s.z_score[lo:hi]),
@@ -255,7 +240,7 @@ def _write_summaries(buf: BinaryIO, tag: str, s: Summaries, p_values: list[str])
     _write_rows(buf, parts, len(s), columns, "    ")
 
 
-def _write_plot(buf: BinaryIO, plot: PValuePlot, memo: dict[int, str]) -> None:
+def _write_plot(buf: BinaryIO, plot: PValuePlot) -> None:
     cls = plot.cls.value if plot.cls is not None else None
     diagnostics = json_block(_diagnostics_to_dict(plot.diagnostics), "      ")
     buf.write(
@@ -267,76 +252,44 @@ def _write_plot(buf: BinaryIO, plot: PValuePlot, memo: dict[int, str]) -> None:
 
     def columns(lo: int, hi: int) -> list[list[str]]:
         ranks = list(map(_int, range(lo + 1, hi + 1)))
-        return [ranks, _json_floats_shared(plot.ps[lo:hi], memo)]
+        return [ranks, _json_floats(plot.ps[lo:hi])]
 
     _write_rows(buf, _POINT_PARTS, plot.n, columns, "      ")
     buf.write(b"\n    }")
 
 
 def _write_by_tag(
-    buf: BinaryIO, by_tag: Mapping[str, Any], write: Callable[[str, Any], None],
-    close: bool = True,
+    buf: BinaryIO, by_tag: Mapping[str, Any], write: Callable[[str, Any], None]
 ) -> None:
-    """A top-level field's object: one entry per class tag, in sorted order.
-    Without close, a non-empty object is left open after its last entry."""
+    """A top-level field's object: one entry per class tag, in sorted order."""
     sep = "{\n"
     for tag, value in sorted(by_tag.items()):
         buf.write(f"{sep}    {_str(tag)}: ".encode())
         write(tag, value)
         sep = ",\n"
-    if not by_tag:
-        buf.write(b"{}")
-    elif close:
-        buf.write(b"\n  }")
+    buf.write(b"\n  }" if by_tag else b"{}")
 
 
 def render_json(report: AuditReport, piece: str | None = None) -> bytes:
     """Deterministic JSON encoding: sorted keys, full float precision. See the
     module docstring for the format and how it is written.
 
-    The document is the join of three pieces, and piece names one of them:
-    "head", everything before the summaries array of the last class in
-    sorted tag order; "last", that array; and "tail", everything after it.
-    Each piece alone formats only what its own text needs."""
-    summaries = report.summaries
-    last = sorted(summaries)[-1:]  # no tag without summaries
-    p_values: dict[str, list[str]] = {}  # tag -> its p-value column's strings
+    The document is the join of two pieces, and piece names one of them:
+    "head", everything before the value of "summaries", and "rest", that
+    value and everything after it."""
     buf = io.BytesIO()
     if piece in (None, "head"):
-        meta = report.metadata
-        metadata = {
-            "input_sha256": meta.input_sha256,
-            "tool_version": meta.tool_version,
-            "config": meta.config,
-        }
-        # Each class's p-values are formatted once, before the plots, whose
-        # points take their strings from memo (float object id -> string;
-        # `report.summaries` keeps those objects alive).
-        p_values.update((tag, _json_floats(s.p_value)) for tag, s in summaries.items())
-        memo: dict[int, str] = {}
-        for tag, s in summaries.items():
-            memo.update(zip(map(id, s.p_value), p_values[tag]))
         buf.write(
             '{\n  "gap_report": null,\n'
-            f'  "metadata": {json_block(metadata, "  ")},\n  "plots": '.encode()
+            f'  "metadata": {json_block(asdict(report.metadata), "  ")},\n  "plots": '.encode()
         )
-        _write_by_tag(buf, report.plots, lambda tag, plot: _write_plot(buf, plot, memo))
-        del memo  # the summaries take their p-value strings from p_values
-
-        def write_summaries(tag: str, s: Summaries) -> None:
-            if tag not in last:  # whose array is the "last" piece
-                _write_summaries(buf, tag, s, p_values[tag])
-
+        _write_by_tag(buf, report.plots, lambda tag, plot: _write_plot(buf, plot))
         buf.write(b',\n  "summaries": ')
-        _write_by_tag(buf, summaries, write_summaries, close=False)
-    if piece in (None, "last"):
-        for tag in last:
-            s = summaries[tag]
-            _write_summaries(buf, tag, s, p_values.get(tag) or _json_floats(s.p_value))
-    if piece in (None, "tail"):
+    if piece in (None, "rest"):
+        _write_by_tag(buf, report.summaries, lambda tag, s: _write_summaries(buf, tag, s))
         z_panels = {tag: _zsummary_to_dict(z) for tag, z in report.z_panels.items()}
         buf.write(
-            (b"\n  }" if summaries else b"") + b',\n  "tail_tables": [],\n'
+            b',\n  "tail_tables": [],\n'
             + f'  "z_panels": {json_block(z_panels, "  ")}\n}}\n'.encode()
         )
     return buf.getvalue()

@@ -388,23 +388,23 @@ def failing_piece(piece, exc):
     other piece."""
     render_json = metaplot.cli.render_json
 
-    def render(report, asked=None):
+    def boom(report, asked=None):
         if asked == piece:
             raise exc
         return render_json(report, asked)
 
-    return render
+    return boom
 
 
 @pytest.mark.parametrize("renderer, exc", [
-    ("render_svg_zpanel", RuntimeError("render failed")),  # in the child
+    (("render_json", "rest"), RuntimeError("render failed")),  # the child's only render
     (("render_json", "head"), RuntimeError("render failed")),  # here, with the child running
-    ("render_svg_zpanel", ValueError("x" * 200_000)),  # beyond a pipe's buffer
-    ("render_markdown", Unpicklable("no pickle")),
-    ("render_markdown", Unloadable("no", "load")),
-    (("render_json", "last"), RuntimeError("render failed")),  # the child's first render
-    (("render_json", "tail"), RuntimeError("render failed")),  # here, after the child
-], ids=["child", "parent", "large", "unpicklable", "unloadable", "part", "tail"])
+    (("render_json", "rest"), ValueError("x" * 200_000)),  # beyond a pipe's buffer
+    (("render_json", "rest"), Unpicklable("no pickle")),
+    (("render_json", "rest"), Unloadable("no", "load")),
+    ("render_markdown", RuntimeError("render failed")),  # here, after the head
+    ("render_svg_zpanel", RuntimeError("render failed")),  # here, the last render
+], ids=["child", "parent", "large", "unpicklable", "unloadable", "markdown", "svg"])
 def test_forked_render_failure_leaves_nothing(
     renderer, exc, forking, null_csv, tmp_path, capsys, monkeypatch
 ):
@@ -432,6 +432,34 @@ def test_forked_render_failure_leaves_nothing(
     assert len(forking) == 3
 
 
+def test_forked_audit_renders_report_md_and_the_svgs_here(
+    forking, null_csv, tmp_path, monkeypatch
+):
+    # calls is this process's list: a call in the child appends to its copy
+    calls = []
+
+    def spy(name):
+        render = getattr(metaplot.cli, name)
+
+        def spied(*args):
+            calls.append((name, *args[1:], os.getpid()))
+            return render(*args)
+
+        monkeypatch.setattr(metaplot.cli, name, spied)
+
+    for name in ("render_json", "render_markdown", "render_svg_pplot", "render_svg_zpanel"):
+        spy(name)
+    out = tmp_path / "out"
+    assert main(["audit", "--input", str(null_csv), "--out", str(out)]) == EXIT_OK
+    assert len(forking) == 1
+    here = os.getpid()
+    assert calls == [("render_json", "head", here), ("render_markdown", here),
+                     *[("render_svg_pplot", here)] * 3, ("render_svg_zpanel", here)]
+    # the child rendered "rest"
+    whole = json.loads((out / "report.json").read_bytes())
+    assert set(whole["summaries"]) == {"ICC", "ECC", "IEC"} and "z_panels" in whole
+
+
 def test_forked_audit_into_an_existing_out_keeps_its_files(
     forking, null_csv, tmp_path, monkeypatch
 ):
@@ -449,18 +477,27 @@ def test_forked_audit_into_an_existing_out_keeps_its_files(
     assert sorted(os.listdir(tmp_path)) == ["out", "serial"]
 
 
+def killed_in_the_part():
+    """A render_json that SIGKILLs the process rendering "rest", which is
+    never this one."""
+    here = os.getpid()
+    render_json = metaplot.cli.render_json
+
+    def die(report, piece=None):
+        if piece == "rest":
+            assert os.getpid() != here  # only ever in the child
+            os.kill(os.getpid(), signal.SIGKILL)
+        return render_json(report, piece)
+
+    return die
+
+
 def test_forked_child_killed_by_a_signal_leaves_nothing(
     forking, null_csv, tmp_path, capsys, monkeypatch
 ):
-    here = os.getpid()
-
-    def die(panels):
-        assert os.getpid() != here  # only ever in the child
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    monkeypatch.setattr(metaplot.cli, "render_svg_zpanel", die)
+    monkeypatch.setattr(metaplot.cli, "render_json", killed_in_the_part())
     with pytest.raises(RuntimeError, match="killed by SIGKILL"):
-        main(["audit", "--input", str(null_csv), "--out", str(tmp_path / "out")])
+        main(["audit", "--input", str(null_csv), "--out", str(tmp_path / "a" / "out")])
     assert capsys.readouterr().out == ""
     assert list(tmp_path.iterdir()) == []
     assert len(forking) == 1
@@ -469,16 +506,7 @@ def test_forked_child_killed_by_a_signal_leaves_nothing(
 def test_forked_child_killed_while_rendering_the_part_leaves_nothing(
     forking, null_csv, tmp_path, capsys, monkeypatch
 ):
-    here = os.getpid()
-    render_json = metaplot.cli.render_json
-
-    def die(report, piece=None):
-        if piece == "last":
-            assert os.getpid() != here  # only ever in the child
-            os.kill(os.getpid(), signal.SIGKILL)
-        return render_json(report, piece)
-
-    monkeypatch.setattr(metaplot.cli, "render_json", die)
+    monkeypatch.setattr(metaplot.cli, "render_json", killed_in_the_part())
     out = tmp_path / "kept"
     out.mkdir()
     (out / "notes.txt").write_bytes(b"keep")
@@ -492,11 +520,12 @@ def test_forked_child_killed_while_rendering_the_part_leaves_nothing(
 def test_forked_child_is_killed_when_this_side_is_interrupted(
     forking, null_csv, tmp_path, monkeypatch
 ):
-    def stall(panels):
-        time.sleep(60)
+    def render_json(report, piece=None):
+        if piece == "rest":  # the child
+            time.sleep(60)
+        raise KeyboardInterrupt  # here, in the head
 
-    monkeypatch.setattr(metaplot.cli, "render_svg_zpanel", stall)
-    monkeypatch.setattr(metaplot.cli, "render_json", failing_piece("head", KeyboardInterrupt))
+    monkeypatch.setattr(metaplot.cli, "render_json", render_json)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         main(["audit", "--input", str(null_csv), "--out", str(tmp_path / "out")])

@@ -271,6 +271,16 @@ def test_text_streams_and_other_readers_are_read_whole():
         assert parse_records(spooled) == expected
 
 
+def test_a_leading_bom_is_skipped_in_text_as_in_bytes():
+    text = rows("s1,A,2000,,,ICC,0.5,12", "s2,A,2000,,,IEC,-0.25,40")
+    expected = parse_records(text.encode())
+    assert not expected.errors and len(expected.records) == 2
+    bom = "\ufeff" + text
+    for source in (bom.encode(), io.BytesIO(bom.encode()), bom, io.StringIO(bom)):
+        result = parse_records(source)
+        assert not result.errors and result.records == expected.records, source
+
+
 def test_parsing_holds_about_the_columns_it_returns(tmp_path):
     # The sheet is parsed as it is read. Decoding it whole, wrapping the text
     # in a StringIO and keeping a list of row tuples peaked at 3.5 times the
