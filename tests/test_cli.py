@@ -404,7 +404,8 @@ def failing_piece(piece, exc):
     (("render_json", "rest"), Unloadable("no", "load")),
     ("render_markdown", RuntimeError("render failed")),  # here, after the head
     ("render_svg_zpanel", RuntimeError("render failed")),  # here, the last render
-], ids=["child", "parent", "large", "unpicklable", "unloadable", "markdown", "svg"])
+    ("shutil.copyfileobj", RuntimeError("join failed")),  # joining the child's part, after it
+], ids=["child", "parent", "large", "unpicklable", "unloadable", "markdown", "svg", "part"])
 def test_forked_render_failure_leaves_nothing(
     renderer, exc, forking, null_csv, tmp_path, capsys, monkeypatch
 ):
@@ -414,7 +415,7 @@ def test_forked_render_failure_leaves_nothing(
     if isinstance(renderer, tuple):
         renderer, piece = renderer
         boom = failing_piece(piece, exc)
-    monkeypatch.setattr(metaplot.cli, renderer, boom)
+    monkeypatch.setattr(f"metaplot.cli.{renderer}", boom)
     kept = tmp_path / "kept"  # an --out that exists: its own file stays
     kept.mkdir()
     (kept / "notes.txt").write_bytes(b"keep")
