@@ -13,33 +13,26 @@ renders, through _artifact_writer: into a staging directory made beside
 is a directory already, made inside it, whose files then move up into it.
 No artifact's bytes outlive their write, and the console lines follow. A
 bad input or a failed render leaves no --out, no staging directory, and
-none of the parents that --out lacked.
+none of the parents that --out lacked. An existing --out that holds a
+directory by an artifact's name is left as it was (exit 1).
 
 On a sheet of at least _FORK_MIN_STUDIES retained studies, audit forks once
-the report is built and splits the rendering in two at a key of
-report.json (see report.render_json). The child renders the "rest", the
-value of "summaries" and everything after it, into a dot-named part file in
-the staging directory. This process renders and writes the "head",
-everything before that value, then report.md and the SVGs, waits for the
-child, appends the part and deletes it before staging becomes --out. Each
-process formats only the floats it writes. The two sides are about even: on
-the 98k studies of a benchmark sheet, rendered one after another in one
-process, the head took 0.54-0.58 s and report.md and the SVGs 1.37-1.41 s,
-against 1.72-1.80 s for the rest and 2.29-2.31 s for the whole report.json
-(three runs each, unnormalised, on a 2-vCPU machine in its slow state; in
-its fast state each figure about halves). It forks only when report.json
-and report.md or an SVG are asked for, the process runs one thread, and it
-may run on more than one CPU; otherwise every artifact renders here, in the
-order json, md, svg. The gate is a size, because the fork has a cost: on a
-2-vCPU machine a fork, exit and wait took 3.6 ms at 31 MB RSS and 22 ms at
-378 MB, while the rest renders in about 18 us per study (the slow state
-above), so at 10,000 studies the overlap saves several times the fork at
-any of those sizes. The child's memory is its own: getrusage(RUSAGE_SELF)
-does not count it (its peak on 98k studies was 211 MB, with the 80 MB part
-it renders; much of the rest is pages shared with this process until
-written), and a tracer in this process sees neither the child's render nor
-its span, only this process's render_json call for the head, its report.md
-and SVG renders, and its wait.
+the report is built: the child renders report.json and writes it into the
+staging directory, while this process renders and writes report.md and the
+SVGs, then waits for the child before staging becomes --out. This side is
+the longer: on the 98k studies of a benchmark sheet, rendered one after
+another in one process, report.json took 0.80 s, and report.md 0.82 s and
+the three p-value plots 0.33 s (best of three, unnormalised, on a 2-vCPU
+machine). It forks only when report.json and report.md or an SVG are asked
+for, the process runs one thread, and it may run on more than one CPU;
+otherwise every artifact renders here, in the order json, md, svg. The gate
+is a size, because the fork has a cost: on a 2-vCPU machine a fork, exit
+and wait took 3.6 ms at 31 MB RSS and 22 ms at 378 MB, while report.json
+renders in about 8 us per study (the figure above), so at 10,000 studies
+the overlap saves several times the fork at any of those sizes. The
+child's memory is its own: getrusage(RUSAGE_SELF) does not count it, and a
+tracer in this process sees neither the child's render nor its span, only
+this process's report.md and SVG renders and its wait.
 
 main() turns CPython's cyclic garbage collector off while the subcommand
 runs and restores the caller's setting on return, also when an exception
@@ -56,6 +49,7 @@ as they find it.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import hashlib
 import io
@@ -114,8 +108,8 @@ _COLORS = {
 _RESET = "\x1b[0m"
 
 
-# The fewest retained studies at which audit renders part of report.json in
-# a forked child; see the module docstring.
+# The fewest retained studies at which audit renders report.json in a forked
+# child; see the module docstring.
 _FORK_MIN_STUDIES = 10_000
 
 
@@ -158,8 +152,9 @@ def _artifact_writer(out: str) -> Iterator[Path]:
     made inside it, and its files move up into `out` when the block ends;
     that needs no rights on `out`'s parent, and never crosses a filesystem.
     Otherwise staging is made beside `out`, with any missing parents, and
-    is renamed to `out`. If the block raises, staging goes, and so do the
-    parents it made."""
+    is renamed to `out`. If the block raises, or an artifact's name is a
+    directory in `out`, staging goes, and so do the parents it made, before
+    any file of `out` is replaced."""
     out_dir = Path(out)
     into = out_dir.is_dir()
     made = None if into else next(
@@ -171,8 +166,15 @@ def _artifact_writer(out: str) -> Iterator[Path]:
         staging.mkdir(parents=True)
         yield staging
         if into:  # the other files of `out` stay
-            for path in staging.iterdir():
-                os.replace(path, out_dir / path.name)
+            names = os.listdir(staging)
+            # a directory in the way would fail its move after earlier ones
+            # had replaced files of `out`, leaving two runs' artifacts mixed
+            for name in names:
+                if os.path.isdir(out_dir / name) and not os.path.islink(out_dir / name):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                            str(out_dir / name))
+            for name in names:
+                os.replace(staging / name, out_dir / name)
             staging.rmdir()
         else:
             staging.rename(out_dir)
@@ -182,10 +184,11 @@ def _artifact_writer(out: str) -> Iterator[Path]:
 
 
 def _fork_pays(formats: set[str], retained: int) -> bool:
-    """Whether audit renders report.json's "rest" in a forked child while its
-    head, report.md and the SVGs render here: both sides have work, the
-    sheet is large enough to repay the fork, and a second CPU and a
-    one-thread process make it safe and useful."""
+    """Whether audit renders report.json in a forked child while report.md
+    and the SVGs render here: both sides have work, the sheet is large
+    enough to repay the fork, and a second CPU and a one-thread process make
+    it safe and useful. Rendered one after the other on a 98k-study sheet,
+    report.json takes 0.80 s and report.md and the SVGs 1.15 s."""
     return ("json" in formats and not formats.isdisjoint({"md", "svg"})
             and retained >= _FORK_MIN_STUDIES
             and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
@@ -424,14 +427,9 @@ def run_audit(args: argparse.Namespace) -> int:
             if "json" in args.format:
                 json_path.write_bytes(render_json(report))
             write_md_svg()
-        else:  # the child renders report.json's "rest", this process all else
-            part = staging / ".report.json.rest"
-            with _forked(lambda: part.write_bytes(render_json(report, "rest"))):
-                json_path.write_bytes(render_json(report, "head"))
+        else:  # the child renders report.json, this process all else
+            with _forked(lambda: json_path.write_bytes(render_json(report))):
                 write_md_svg()
-            with open(json_path, "ab") as json_file, open(part, "rb") as rest:
-                shutil.copyfileobj(rest, json_file)
-            part.unlink()
 
     for cls in CorrelationClass:
         print(_verdict_line(cls.value, plots[cls.value].diagnostics.classification))

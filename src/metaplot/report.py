@@ -12,36 +12,35 @@ dict form. CPython's C encoder only runs with `indent=None`, so the
 indented one is pure Python and cost more than any other layer of a large
 audit. `render_json` therefore writes the report itself, in document order,
 into one `io.BytesIO`, whose `getvalue()` hands its buffer over without a
-copy. Small sections go through `json.dumps` (`json_block`). The two bulk
-arrays, plot points and per-study summaries, are written from columns
-(`AuditReport.summaries` holds one `fisher.Summaries` per class, and each
-summary's `"class"` is the tag it is filed under), `_BLOCK_ROWS` rows at a
-time: each field is formatted over the block's slice of its column, strings
-by the encoder's own `encode_basestring_ascii` and numbers by
-`float.__repr__` and `int.__repr__`, as `json.dumps` writes them; the rows
-are joined with the fixed text between the fields, encoded and written. So
-the document is held once, beside one block's strings. Within a block, an
-`se` object that several rows share (`summarize_studies` keeps one per
-distinct n) is formatted once, and the Markdown tables format each once per
-distinct n. The tests re-encode `render_json`'s output with the stdlib and
-require the same bytes.
+copy. Small sections go through `json.dumps` (`json_block`). The one bulk
+array, each class's per-study summaries, is written from the columns of its
+`fisher.Summaries`, `_BLOCK_ROWS` rows at a time: each field is formatted
+over the block's slice of its column, strings by the encoder's own
+`encode_basestring_ascii` and numbers by `float.__repr__` and
+`int.__repr__`, as `json.dumps` writes them; the rows are joined with the
+fixed text between the fields, encoded and written. So the document is held
+once, beside one block's strings. The tests re-encode `render_json`'s
+output with the stdlib and require the same bytes.
 
-`render_json(report, piece)` writes one of the two pieces the document is
-the join of, with the same code: "head", everything before the value of
-"summaries", and "rest", that value and everything after it. `audit`
-renders "rest" in a forked child while "head", `report.md` and the SVGs
-render in its own process (see `cli`).
+report.json is schema 2 (`"schema_version": 2`). Its keys are `metadata`
+(with the run's `config`), `plots` (each class's alpha, class and
+diagnostics), `summaries` (per study: `study_id`, `mean_r`, `n` and
+`p_value`) and `z_panels`. Schema 1 also held each study's `class`,
+`fisher_z`, `se` and `z_score`, each plot's sorted p-values as `points`,
+and the always-empty `gap_report` and `tail_tables`. The dropped study
+fields are exact functions of what is kept, as `fisher.summarize_studies`
+computes them: `fisher_z = math.atanh(mean_r)`, `se = 1 / math.sqrt(n - 3)`
+and `z_score = fisher_z / se`; a plot's points are its class's `p_value`s,
+sorted, against their ranks 1 to n. Later fields only add keys to schema 2.
 
 `render_markdown` also writes into one `io.BytesIO`: its head, then each
-class's study table, formatted and encoded a table at a time.
+class's study table, formatted and encoded a table at a time. An `se`
+object that several rows share (`summarize_studies` keeps one per distinct
+n) is formatted once.
 
 The three SVG figures share their elements: `_svg` (the document), `_line`,
-`_text`, `_axes` and `_xtick`.
-
-`report.json` still carries `"gap_report": null` and `"tail_tables": []`,
-written as fixed text. No audit fills them (`tails` and `simulate` write
-their own `tails.json` and `gap.json`), but dropping the keys would change
-the bytes of every report, which is left to a schema version change.
+`_text`, `_axes` and `_xtick`. A p-value plot draws one circle per occupied
+whole-pixel cell (see `render_svg_pplot`).
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any, BinaryIO, Callable, Mapping, Sequence
+from typing import Any, BinaryIO, Callable, Sequence
 
 from .fisher import Summaries, ZSummary
 from .gaussian import GaussianSpec, TailTable, curve_points
@@ -192,106 +191,54 @@ def _join_rows(parts: Sequence[str], columns: Sequence[list[str]], sep: str) -> 
     return "".join(chain.from_iterable(zip(*fields)))
 
 
-# Rows of a bulk array formatted, joined and encoded at a time.
+# Rows of a summaries array formatted, joined and encoded at a time.
 _BLOCK_ROWS = 4096
 
+# The text around the fields of one summary, in the stdlib encoder's layout.
+_SUMMARY_PARTS = (
+    '      {\n        "mean_r": ', ',\n        "n": ', ',\n        "p_value": ',
+    ',\n        "study_id": ', "\n      }",
+)
 
-def _write_rows(buf: BinaryIO, parts: Sequence[str], count: int,
-                columns: Callable[[int, int], list[list[str]]], pad: str) -> None:
-    """A bulk array of count rows at nesting pad, written a block of rows at a
-    time: columns(lo, hi) formats the fields of rows lo to hi - 1."""
-    if not count:
+
+def _write_summaries(buf: BinaryIO, s: Summaries) -> None:
+    """One class's summaries array, written a block of rows at a time."""
+    if not len(s):
         buf.write(b"[]")
         return
     sep = b"[\n"
-    for lo in range(0, count, _BLOCK_ROWS):
+    for lo in range(0, len(s), _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        columns = [_json_floats(s.mean_r[lo:hi]), list(map(_int, s.n[lo:hi])),
+                   _json_floats(s.p_value[lo:hi]), list(map(_str, s.study_id[lo:hi]))]
         buf.write(sep)
-        rows = _join_rows(parts, columns(lo, min(lo + _BLOCK_ROWS, count)), ",\n")
-        buf.write(rows.encode())
+        buf.write(_join_rows(_SUMMARY_PARTS, columns, ",\n").encode())
         sep = b",\n"
-    buf.write(f"\n{pad}]".encode())
+    buf.write(b"\n    ]")
 
 
-# The text around the fields of one row, in the stdlib encoder's layout. A
-# summary's "class" is the tag it is filed under, fixed text in its first part.
-_SUMMARY_HEAD = '      {\n        "class": %s,\n        "fisher_z": '
-_SUMMARY_PARTS = (
-    ',\n        "mean_r": ', ',\n        "n": ', ',\n        "p_value": ', ',\n        "se": ',
-    ',\n        "study_id": ', ',\n        "z_score": ', "\n      }",
-)
-_POINT_PARTS = ("        [\n          ", ",\n          ", "\n        ]")
-
-
-def _write_summaries(buf: BinaryIO, tag: str, s: Summaries) -> None:
-    """The summaries array of class tag."""
-    parts = (_SUMMARY_HEAD % _str(tag), *_SUMMARY_PARTS)
-
-    def columns(lo: int, hi: int) -> list[list[str]]:
-        return [
-            _json_floats(s.fisher_z[lo:hi]),
-            _json_floats(s.mean_r[lo:hi]),
-            list(map(_int, s.n[lo:hi])),
-            _json_floats(s.p_value[lo:hi]),
-            _format_once(s.se[lo:hi], _json_floats),
-            list(map(_str, s.study_id[lo:hi])),
-            _json_floats(s.z_score[lo:hi]),
-        ]
-
-    _write_rows(buf, parts, len(s), columns, "    ")
-
-
-def _write_plot(buf: BinaryIO, plot: PValuePlot) -> None:
-    cls = plot.cls.value if plot.cls is not None else None
-    diagnostics = json_block(_diagnostics_to_dict(plot.diagnostics), "      ")
-    buf.write(
-        f'{{\n      "alpha": {json_block(plot.alpha)},\n'
-        f'      "class": {json_block(cls)},\n'
-        f'      "diagnostics": {diagnostics},\n'
-        '      "points": '.encode()
-    )
-
-    def columns(lo: int, hi: int) -> list[list[str]]:
-        ranks = list(map(_int, range(lo + 1, hi + 1)))
-        return [ranks, _json_floats(plot.ps[lo:hi])]
-
-    _write_rows(buf, _POINT_PARTS, plot.n, columns, "      ")
-    buf.write(b"\n    }")
-
-
-def _write_by_tag(
-    buf: BinaryIO, by_tag: Mapping[str, Any], write: Callable[[str, Any], None]
-) -> None:
-    """A top-level field's object: one entry per class tag, in sorted order."""
-    sep = "{\n"
-    for tag, value in sorted(by_tag.items()):
-        buf.write(f"{sep}    {_str(tag)}: ".encode())
-        write(tag, value)
-        sep = ",\n"
-    buf.write(b"\n  }" if by_tag else b"{}")
-
-
-def render_json(report: AuditReport, piece: str | None = None) -> bytes:
+def render_json(report: AuditReport) -> bytes:
     """Deterministic JSON encoding: sorted keys, full float precision. See the
-    module docstring for the format and how it is written.
-
-    The document is the join of two pieces, and piece names one of them:
-    "head", everything before the value of "summaries", and "rest", that
-    value and everything after it."""
+    module docstring for the format and how it is written."""
+    plots = {
+        tag: {"alpha": plot.alpha, "class": plot.cls.value if plot.cls is not None else None,
+              "diagnostics": _diagnostics_to_dict(plot.diagnostics)}
+        for tag, plot in report.plots.items()
+    }
+    z_panels = {tag: _zsummary_to_dict(z) for tag, z in report.z_panels.items()}
     buf = io.BytesIO()
-    if piece in (None, "head"):
-        buf.write(
-            '{\n  "gap_report": null,\n'
-            f'  "metadata": {json_block(asdict(report.metadata), "  ")},\n  "plots": '.encode()
-        )
-        _write_by_tag(buf, report.plots, lambda tag, plot: _write_plot(buf, plot))
-        buf.write(b',\n  "summaries": ')
-    if piece in (None, "rest"):
-        _write_by_tag(buf, report.summaries, lambda tag, s: _write_summaries(buf, tag, s))
-        z_panels = {tag: _zsummary_to_dict(z) for tag, z in report.z_panels.items()}
-        buf.write(
-            b',\n  "tail_tables": [],\n'
-            + f'  "z_panels": {json_block(z_panels, "  ")}\n}}\n'.encode()
-        )
+    buf.write(
+        f'{{\n  "metadata": {json_block(asdict(report.metadata), "  ")},\n'
+        f'  "plots": {json_block(plots, "  ")},\n'
+        '  "schema_version": 2,\n  "summaries": '.encode()
+    )
+    sep = "{\n"
+    for tag, s in sorted(report.summaries.items()):
+        buf.write(f"{sep}    {_str(tag)}: ".encode())
+        _write_summaries(buf, s)
+        sep = ",\n"
+    buf.write(b"\n  }" if report.summaries else b"{}")
+    buf.write(f',\n  "z_panels": {json_block(z_panels, "  ")}\n}}\n'.encode())
     return buf.getvalue()
 
 
@@ -410,7 +357,13 @@ def _xtick(x: float, y: float, label: str) -> list[str]:
 
 def render_svg_pplot(plot: PValuePlot) -> bytes:
     """Scatter of (rank, p) with a dashed uniform reference line and the
-    alpha rule line, titled with the plot's class and verdict."""
+    alpha rule line, titled with the plot's class and verdict.
+
+    One circle is drawn per occupied whole-pixel cell `(int(x), int(y))`: the
+    first point of the cell in rank order, at its own coordinates. Up to 407
+    points the ranks lie at least a pixel apart, so every point is drawn; a
+    large plot draws a few hundred circles (690 of 98,031 on one benchmark
+    sheet), and each point left out lies in the cell of a circle drawn."""
     n = plot.n
     if n == 0:
         raise ValueError("cannot render an empty plot")
@@ -450,10 +403,15 @@ def render_svg_pplot(plot: PValuePlot) -> bytes:
         f'<text x="{_f(left + pw)}" y="{_f(y_alpha - 4)}" font-family="sans-serif" '
         f'font-size="10" text-anchor="end" fill="#c23b22">alpha={plot.alpha:g}</text>'
     )
-    out.extend(
-        f'<circle cx="{_f(sx(rank))}" cy="{_f(sy(p))}" r="3" fill="#1f6eb4"/>'
-        for rank, p in enumerate(plot.ps, start=1)
-    )
+    # x rises with rank and y falls as p rises, so a cell's points are
+    # consecutive: each is drawn unless the point before it shares its cell
+    last = None
+    for rank, p in enumerate(plot.ps, start=1):
+        x, y = sx(rank), sy(p)
+        cell = (int(x), int(y))
+        if cell != last:
+            last = cell
+            out.append(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="3" fill="#1f6eb4"/>')
     return _svg(width, height, out)
 
 

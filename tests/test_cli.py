@@ -332,6 +332,29 @@ def test_existing_out_needs_no_rights_on_its_parent(tmp_path, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "tails.json", "tails.svg"]
 
 
+def test_existing_out_holding_a_directory_by_an_artifact_name_is_left_as_it_was(
+    null_csv, effect_csv, tmp_path, capsys
+):
+    # a move onto the directory fails; refused before the first move, so no
+    # artifact of the second run replaces one of the first
+    out = tmp_path / "out"
+    assert main(["audit", "--input", str(effect_csv), "--out", str(out)]) == EXIT_OK
+    (out / "report.md").unlink()
+    (out / "report.md").mkdir()
+    (out / "report.md" / "notes.txt").write_bytes(b"keep")
+
+    def snapshot():
+        return {str(p.relative_to(out)): p.read_bytes() if p.is_file() else None
+                for p in out.rglob("*")}
+
+    before = snapshot()
+    capsys.readouterr()
+    assert main(["audit", "--input", str(null_csv), "--out", str(out)]) == EXIT_IO
+    assert "Is a directory" in capsys.readouterr().err
+    assert snapshot() == before
+    assert sorted(os.listdir(tmp_path)) == ["out"]
+
+
 def test_audit_reads_a_sheet_from_a_pipe(null_csv, tmp_path):
     # /dev/stdin is a pipe here, which cannot seek back after hashing
     argv = [sys.executable, "-m", "metaplot.cli", "audit", "--input", "/dev/stdin",
@@ -383,39 +406,21 @@ class Unloadable(Exception):  # pickles, but loading calls Unloadable(message)
         super().__init__(f"{what}: {why}")
 
 
-def failing_piece(piece, exc):
-    """A render_json that raises exc when asked for piece, and renders any
-    other piece."""
-    render_json = metaplot.cli.render_json
-
-    def boom(report, asked=None):
-        if asked == piece:
-            raise exc
-        return render_json(report, asked)
-
-    return boom
-
-
 @pytest.mark.parametrize("renderer, exc", [
-    (("render_json", "rest"), RuntimeError("render failed")),  # the child's only render
-    (("render_json", "head"), RuntimeError("render failed")),  # here, with the child running
-    (("render_json", "rest"), ValueError("x" * 200_000)),  # beyond a pipe's buffer
-    (("render_json", "rest"), Unpicklable("no pickle")),
-    (("render_json", "rest"), Unloadable("no", "load")),
-    ("render_markdown", RuntimeError("render failed")),  # here, after the head
+    ("render_json", RuntimeError("render failed")),  # the child's only render
+    ("render_json", ValueError("x" * 200_000)),  # beyond a pipe's buffer
+    ("render_json", Unpicklable("no pickle")),
+    ("render_json", Unloadable("no", "load")),
+    ("render_markdown", RuntimeError("render failed")),  # here, with the child running
     ("render_svg_zpanel", RuntimeError("render failed")),  # here, the last render
-    ("shutil.copyfileobj", RuntimeError("join failed")),  # joining the child's part, after it
-], ids=["child", "parent", "large", "unpicklable", "unloadable", "markdown", "svg", "part"])
+], ids=["child", "large", "unpicklable", "unloadable", "markdown", "svg"])
 def test_forked_render_failure_leaves_nothing(
     renderer, exc, forking, null_csv, tmp_path, capsys, monkeypatch
 ):
     def boom(*args):
         raise exc
 
-    if isinstance(renderer, tuple):
-        renderer, piece = renderer
-        boom = failing_piece(piece, exc)
-    monkeypatch.setattr(f"metaplot.cli.{renderer}", boom)
+    monkeypatch.setattr(metaplot.cli, renderer, boom)
     kept = tmp_path / "kept"  # an --out that exists: its own file stays
     kept.mkdir()
     (kept / "notes.txt").write_bytes(b"keep")
@@ -443,7 +448,7 @@ def test_forked_audit_renders_report_md_and_the_svgs_here(
         render = getattr(metaplot.cli, name)
 
         def spied(*args):
-            calls.append((name, *args[1:], os.getpid()))
+            calls.append((name, os.getpid()))
             return render(*args)
 
         monkeypatch.setattr(metaplot.cli, name, spied)
@@ -454,9 +459,9 @@ def test_forked_audit_renders_report_md_and_the_svgs_here(
     assert main(["audit", "--input", str(null_csv), "--out", str(out)]) == EXIT_OK
     assert len(forking) == 1
     here = os.getpid()
-    assert calls == [("render_json", "head", here), ("render_markdown", here),
-                     *[("render_svg_pplot", here)] * 3, ("render_svg_zpanel", here)]
-    # the child rendered "rest"
+    assert calls == [("render_markdown", here), *[("render_svg_pplot", here)] * 3,
+                     ("render_svg_zpanel", here)]
+    # the child rendered report.json
     whole = json.loads((out / "report.json").read_bytes())
     assert set(whole["summaries"]) == {"ICC", "ECC", "IEC"} and "z_panels" in whole
 
@@ -473,22 +478,19 @@ def test_forked_audit_into_an_existing_out_keeps_its_files(
     assert len(forking) == 1  # the second run, on one CPU, rendered here
     want = {"notes.txt": b"keep", **read_dir(serial)}
     assert len(want) == 7
-    assert sorted(os.listdir(out)) == sorted(want)  # no part file, no staging directory
+    assert sorted(os.listdir(out)) == sorted(want)  # no staging directory
     assert read_dir(out) == want
     assert sorted(os.listdir(tmp_path)) == ["out", "serial"]
 
 
-def killed_in_the_part():
-    """A render_json that SIGKILLs the process rendering "rest", which is
+def killed_in_the_child():
+    """A render_json that SIGKILLs the process rendering report.json, which is
     never this one."""
     here = os.getpid()
-    render_json = metaplot.cli.render_json
 
-    def die(report, piece=None):
-        if piece == "rest":
-            assert os.getpid() != here  # only ever in the child
-            os.kill(os.getpid(), signal.SIGKILL)
-        return render_json(report, piece)
+    def die(report):
+        assert os.getpid() != here  # only ever in the child
+        os.kill(os.getpid(), signal.SIGKILL)
 
     return die
 
@@ -496,7 +498,7 @@ def killed_in_the_part():
 def test_forked_child_killed_by_a_signal_leaves_nothing(
     forking, null_csv, tmp_path, capsys, monkeypatch
 ):
-    monkeypatch.setattr(metaplot.cli, "render_json", killed_in_the_part())
+    monkeypatch.setattr(metaplot.cli, "render_json", killed_in_the_child())
     with pytest.raises(RuntimeError, match="killed by SIGKILL"):
         main(["audit", "--input", str(null_csv), "--out", str(tmp_path / "a" / "out")])
     assert capsys.readouterr().out == ""
@@ -507,7 +509,7 @@ def test_forked_child_killed_by_a_signal_leaves_nothing(
 def test_forked_child_killed_while_rendering_the_part_leaves_nothing(
     forking, null_csv, tmp_path, capsys, monkeypatch
 ):
-    monkeypatch.setattr(metaplot.cli, "render_json", killed_in_the_part())
+    monkeypatch.setattr(metaplot.cli, "render_json", killed_in_the_child())
     out = tmp_path / "kept"
     out.mkdir()
     (out / "notes.txt").write_bytes(b"keep")
@@ -521,12 +523,14 @@ def test_forked_child_killed_while_rendering_the_part_leaves_nothing(
 def test_forked_child_is_killed_when_this_side_is_interrupted(
     forking, null_csv, tmp_path, monkeypatch
 ):
-    def render_json(report, piece=None):
-        if piece == "rest":  # the child
-            time.sleep(60)
-        raise KeyboardInterrupt  # here, in the head
+    def render_json(report):  # the child
+        time.sleep(60)
+
+    def render_markdown(report):  # here
+        raise KeyboardInterrupt
 
     monkeypatch.setattr(metaplot.cli, "render_json", render_json)
+    monkeypatch.setattr(metaplot.cli, "render_markdown", render_markdown)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         main(["audit", "--input", str(null_csv), "--out", str(tmp_path / "out")])

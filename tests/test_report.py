@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 import re
 import tracemalloc
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import wide_sheet
 
 import metaplot.report
-from metaplot.fisher import Summaries, summarize_studies, summarize_z
+from metaplot.fisher import AggregationMode, Summaries, summarize_studies, summarize_z
 from metaplot.gaussian import GaussianSpec, PRESETS, ratio_table
 from metaplot.ingest import CorrelationClass, group_complete_studies, parse_records
 from metaplot.numerics import Probability
@@ -63,7 +64,6 @@ def expected_json(report):
     """What report.json must hold, built field by field from the dataclasses."""
     meta = report.metadata
     return {
-        "gap_report": None,
         "metadata": {
             "config": meta.config,
             "input_sha256": meta.input_sha256,
@@ -81,27 +81,22 @@ def expected_json(report):
                     "min_p": p.diagnostics.min_p,
                     "slope_fit": p.diagnostics.slope_fit,
                 },
-                "points": [[rank, pv] for rank, pv in enumerate(p.ps, start=1)],
             }
             for tag, p in report.plots.items()
         },
+        "schema_version": 2,
         "summaries": {
             tag: [
                 {
-                    "class": tag,
-                    "fisher_z": s["fisher_z"],
                     "mean_r": s["mean_r"],
                     "n": s["n"],
                     "p_value": s["p_value"],
-                    "se": s["se"],
                     "study_id": s["study_id"],
-                    "z_score": s["z_score"],
                 }
                 for s in study_rows(ss)
             ]
             for tag, ss in report.summaries.items()
         },
-        "tail_tables": [],
         "z_panels": {
             tag: {
                 "class": z.cls.value,
@@ -139,18 +134,11 @@ def test_json_round_trip_minimal(null_csv):
     assert_json_values(build_report(null_csv))
 
 
-PIECES = ("head", "rest")
-
-
 def assert_stdlib_bytes(report):
-    """render_json writes what the stdlib indent=2 encoder writes, and so do
-    its pieces, joined, the first ending at the value of "summaries"."""
-    data = render_json(report)
-    text = data.decode("utf-8")
+    """render_json writes what the stdlib indent=2 encoder writes."""
+    text = render_json(report).decode("utf-8")
     oracle = json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False)
     assert text == oracle + "\n"
-    assert render_json(report, "head").endswith(b'\n  "summaries": ')
-    assert b"".join(render_json(report, piece) for piece in PIECES) == data
 
 
 @pytest.mark.parametrize("fixture", ["null_csv", "effect_csv"])
@@ -159,6 +147,38 @@ def test_json_matches_stdlib_encoder(fixture, two_sided, request):
     report = build_report(request.getfixturevalue(fixture), two_sided=two_sided)
     assert_stdlib_bytes(report)
     assert_json_values(report)
+
+
+@pytest.mark.parametrize("fixture", ["null_csv", "effect_csv"])
+@pytest.mark.parametrize("mode", list(AggregationMode))
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_json_rows_recompute_the_dropped_fields(fixture, mode, two_sided, request):
+    # schema 2 keeps study_id, mean_r, n and p_value; fisher_z, se, z_score and
+    # p_value itself follow from mean_r and n, bit for bit
+    groups = group_complete_studies(
+        parse_records(request.getfixturevalue(fixture).read_bytes()).records).groups
+    summaries = {cls.value: summarize_studies(groups, cls, mode=mode, two_sided=two_sided)
+                 for cls in CorrelationClass}
+    report = AuditReport(
+        metadata=AuditMetadata(input_sha256="e" * 64, tool_version="0.1.0"),
+        summaries=summaries, z_panels={}, plots={},
+    )
+    rows = json.loads(render_json(report))["summaries"]
+    for tag, ss in summaries.items():
+        got = []
+        for row in rows[tag]:
+            fisher_z = math.atanh(row["mean_r"])
+            se = 1.0 / math.sqrt(row["n"] - 3)
+            z = fisher_z / se
+            if two_sided:
+                p = min(1.0, 2.0 * (0.5 * math.erfc(abs(z) / math.sqrt(2.0))))
+            else:
+                p = 0.5 * math.erfc(z / math.sqrt(2.0))
+            assert p.hex() == row["p_value"].hex()
+            got.append((row["study_id"], row["mean_r"], row["n"], fisher_z, se, z, p))
+        want = list(zip(ss.study_id, ss.mean_r, ss.n, ss.fisher_z, ss.se, ss.z_score,
+                        ss.p_value))
+        assert exact(got) == exact(want)
 
 
 def test_json_empty_report_matches_stdlib_encoder():
@@ -234,40 +254,32 @@ def test_json_matches_stdlib_encoder_for_any_report(input_name, summaries, plots
     assert_json_values(report)
 
 
-def test_json_point_keeps_its_own_zero_sign():
-    # A summary p of 0.0 and a plot point of -0.0 under the same tag: equal
-    # floats that print differently, so sharing p strings by value would
-    # write the point as 0.0.
-    cls = CorrelationClass.ICC
-    summaries = Summaries(["s1", "s2"], [0.5, 0.1], [10, 10], [0.5, 0.1],
-                          [0.3, 0.3], [1.6, 0.3], [0.0, 0.75])
-    diagnostics = PlotDiagnostics(0.5, Probability(0.5), 1.0, Probability(0.5),
-                                  Probability(0.0), PlotClass.AMBIGUOUS)
-    plot = PValuePlot(cls, 0.05, (-0.0, summaries.p_value[1]), diagnostics)
+def test_json_mean_r_keeps_its_own_zero_sign():
+    # mean r of 0.0 and of -0.0 in one column: equal floats that print
+    # differently, so sharing their strings by value would write one wrongly
+    summaries = Summaries(["s1", "s2", "s3"], [0.0, -0.0, 0.1], [10, 10, 10], [0.0, -0.0, 0.1],
+                          [0.3, 0.3, 0.3], [0.0, -0.0, 0.3], [1.0, 1.0, 0.75])
     report = AuditReport(
         metadata=AuditMetadata(input_sha256="e" * 64, tool_version="0.1.0"),
         summaries={"ICC": summaries},
         z_panels={},
-        plots={"ICC": plot},
+        plots={},
     )
     assert_stdlib_bytes(report)
     assert_json_values(report)
     text = render_json(report).decode()
-    assert '"p_value": 0.0,' in text and "          -0.0\n" in text
+    assert '"mean_r": 0.0,' in text and '"mean_r": -0.0,' in text
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_json_rejects_non_finite_floats(null_csv, bad):
     report = build_report(null_csv)
     ss = report.summaries["ICC"]
-    z_scores = [bad, *ss.z_score[1:]]
-    summaries = {**report.summaries, "ICC": dataclasses.replace(ss, z_score=z_scores)}
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        render_json(dataclasses.replace(report, summaries=summaries))
-    plot = report.plots["ECC"]
-    plots = {**report.plots, "ECC": dataclasses.replace(plot, ps=(bad,))}
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        render_json(dataclasses.replace(report, plots=plots))
+    for field in ("mean_r", "p_value"):  # the float fields report.json writes
+        column = [bad, *getattr(ss, field)[1:]]
+        summaries = {**report.summaries, "ICC": dataclasses.replace(ss, **{field: column})}
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            render_json(dataclasses.replace(report, summaries=summaries))
 
 
 def test_json_byte_deterministic(null_csv):
@@ -283,16 +295,13 @@ def test_json_blocks_join_like_one_array(null_csv, block_rows, monkeypatch):
     whole = render_json(report)
     monkeypatch.setattr(metaplot.report, "_BLOCK_ROWS", block_rows)
     assert render_json(report) == whole
-    assert_stdlib_bytes(report)  # which joins the pieces too
-    # "rest" is the value of "summaries" and the fields after it
-    rest = json.loads(b'{"summaries": ' + render_json(report, "rest"))
-    assert rest == {key: v for key, v in json.loads(whole).items() if key >= "summaries"}
+    assert_stdlib_bytes(report)
 
 
 def test_render_json_holds_the_document_about_once():
     # The output and what it takes to write it: a document built as a list of
     # strings, joined and then encoded, peaks at over three times its length.
-    report = build_report_from_text(wide_sheet(5000, seed=10))
+    report = build_report_from_text(wide_sheet(12_000, seed=10))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -379,6 +388,42 @@ def test_svg_pplot_structure(null_csv):
     assert "stroke-dasharray" in svg  # reference + alpha rule lines
     assert "alpha=0.05" in svg
     assert "</svg>" in svg
+
+
+def unthinned_circles(plot):
+    """Every point of a p-value plot as render_svg_pplot places it, with its
+    whole-pixel cell: (cell, circle element) in rank order."""
+    left, top, pw, ph = 56.0, 30.0, 408.0, 284.0
+    circles = []
+    for rank, p in enumerate(plot.ps, start=1):
+        x, y = left + pw * rank / (plot.n + 1), top + ph * (1.0 - p)
+        circles.append(((int(x), int(y)),
+                        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#1f6eb4"/>'))
+    return circles
+
+
+@pytest.mark.filterwarnings("ignore:only .* p-values")
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 3000) | st.sampled_from([406, 407, 408]),
+    seed=st.integers(0, 2**32 - 1),
+    decimals=st.sampled_from([1, 2, 3, 17]),
+)
+def test_svg_pplot_draws_the_first_point_of_each_pixel_cell(n, seed, decimals):
+    rng = random.Random(seed)
+    ps = sorted([0.0, 1.0, *(round(rng.random(), decimals) for _ in range(n - 2))])
+    plot = build_plot(ps, alpha=0.05, cls=CorrelationClass.ICC)
+    lines = render_svg_pplot(plot).decode().split("\n")
+    drawn = [line for line in lines if line.startswith("<circle")]
+    first = lines.index(drawn[0])
+    assert lines[first:first + len(drawn)] == drawn  # one run of circles
+    circles = unthinned_circles(plot)
+    firsts = [c for k, (cell, c) in enumerate(circles) if k == 0 or circles[k - 1][0] != cell]
+    assert drawn == firsts
+    assert len(drawn) == len({cell for cell, _ in circles})  # each cell once
+    if n <= 407:  # the unthinned document, byte for byte
+        unthinned = [*lines[:first], *(c for _, c in circles), *lines[first + len(drawn):]]
+        assert render_svg_pplot(plot) == "\n".join(unthinned).encode()
 
 
 def test_svg_deterministic(null_csv):
