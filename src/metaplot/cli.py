@@ -19,20 +19,21 @@ directory by an artifact's name is left as it was (exit 1).
 On a sheet of at least _FORK_MIN_STUDIES retained studies, audit forks once
 the report is built: the child renders report.json and writes it into the
 staging directory, while this process renders and writes report.md and the
-SVGs, then waits for the child before staging becomes --out. This side is
-the longer: on the 98k studies of a benchmark sheet, rendered one after
-another in one process, report.json took 0.80 s, and report.md 0.82 s and
-the three p-value plots 0.33 s (best of three, unnormalised, on a 2-vCPU
-machine). It forks only when report.json and report.md or an SVG are asked
-for, the process runs one thread, and it may run on more than one CPU;
-otherwise every artifact renders here, in the order json, md, svg. The gate
-is a size, because the fork has a cost: on a 2-vCPU machine a fork, exit
-and wait took 3.6 ms at 31 MB RSS and 22 ms at 378 MB, while report.json
-renders in about 8 us per study (the figure above), so at 10,000 studies
-the overlap saves several times the fork at any of those sizes. The
-child's memory is its own: getrusage(RUSAGE_SELF) does not count it, and a
-tracer in this process sees neither the child's render nor its span, only
-this process's report.md and SVG renders and its wait.
+SVGs, then waits for the child before staging becomes --out. The two sides
+are about even: on the 98k studies of a benchmark sheet, rendered one after
+another in one process, report.json took 0.68-0.92 s, and report.md
+0.52-0.63 s and the three p-value plots 0.23-0.36 s (best of three, three
+runs, unnormalised, on a 2-vCPU machine). It forks only when report.json
+and report.md or an SVG are asked for, the process runs one thread, and it
+may run on more than one CPU; otherwise every artifact renders here, in the
+order json, md, svg. The gate is a size, because the fork has a cost: on a
+2-vCPU machine a fork, exit and wait took 3.6 ms at 31 MB RSS and 22 ms at
+378 MB, while report.json renders in about 8 us per study (the figure
+above), so at 10,000 studies the overlap saves several times the fork at
+any of those sizes. The child's memory is its own: getrusage(RUSAGE_SELF)
+does not count it, and a tracer in this process sees neither the child's
+render nor its span, only this process's report.md and SVG renders and its
+wait.
 
 main() turns CPython's cyclic garbage collector off while the subcommand
 runs and restores the caller's setting on return, also when an exception
@@ -54,11 +55,13 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import statistics
 import sys
 import threading
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
@@ -79,6 +82,7 @@ from .ingest import CorrelationClass, ParseFailure, group_complete_studies, pars
 from .pplot import (
     DEFAULT_CLASSIFY_THRESHOLDS,
     MIN_POINTS,
+    SOFT_MIN_POINTS,
     ClassifyThresholds,
     PlotClass,
     build_plot,
@@ -188,7 +192,7 @@ def _fork_pays(formats: set[str], retained: int) -> bool:
     and the SVGs render here: both sides have work, the sheet is large
     enough to repay the fork, and a second CPU and a one-thread process make
     it safe and useful. Rendered one after the other on a 98k-study sheet,
-    report.json takes 0.80 s and report.md and the SVGs 1.15 s."""
+    report.json takes 0.68-0.92 s and report.md and the SVGs 0.74-0.99 s."""
     return ("json" in formats and not formats.isdisjoint({"md", "svg"})
             and retained >= _FORK_MIN_STUDIES
             and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
@@ -369,6 +373,9 @@ def run_audit(args: argparse.Namespace) -> int:
         print(f"{args.input}: {found} (all three classes required), "
               f"a p-value plot needs at least {MIN_POINTS}", file=sys.stderr)
         return EXIT_VALIDATION
+    if retained < SOFT_MIN_POINTS:  # said once here, not warned by build_plot
+        print(f"note: only {retained} complete studies; p-value plot diagnostics "
+              f"are weak below {SOFT_MIN_POINTS}", file=sys.stderr)
 
     two_sided = not args.one_sided
     summaries = {}
@@ -380,9 +387,11 @@ def run_audit(args: argparse.Namespace) -> int:
         )
         summaries[cls.value] = ss
         z_panels[cls.value] = summarize_z(ss, cls)
-        plots[cls.value] = build_plot(
-            ss.p_value, alpha=args.alpha, cls=cls, thresholds=thresholds
-        )
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"only \d+ p-values", UserWarning)
+            plots[cls.value] = build_plot(
+                ss.p_value, alpha=args.alpha, cls=cls, thresholds=thresholds
+            )
     dropped, total_n = len(grouping.dropped), sum(grouping.groups.study_n)
     del result, grouping  # rendering reads none of the records
 
@@ -452,6 +461,12 @@ def run_tails(args: argparse.Namespace) -> int:
         table = ratio_table(ref, other, thresholds)
     except ValueError as exc:
         raise CliValidationError(str(exc)) from exc
+    sigma_max = max(ref.sigma, other.sigma)
+    lo = min(ref.mu, other.mu) - 4.0 * sigma_max
+    hi = max(ref.mu, other.mu) + 4.0 * sigma_max
+    if "svg" in args.format and not math.isfinite(hi - lo):
+        raise CliValidationError(f"tails.svg cannot span ({lo!r}, {hi!r}); "
+                                 "--format json writes the table alone")
 
     with _artifact_writer(args.out) as staging:
         if "json" in args.format:
@@ -465,9 +480,6 @@ def run_tails(args: argparse.Namespace) -> int:
                 "table": tail_table_to_dict(table),
             }))
         if "svg" in args.format:
-            sigma_max = max(ref.sigma, other.sigma)
-            lo = min(ref.mu, other.mu) - 4.0 * sigma_max
-            hi = max(ref.mu, other.mu) + 4.0 * sigma_max
             (staging / "tails.svg").write_bytes(render_svg_gaussians([ref, other], lo, hi))
 
     header = f"{'SD':>6} {'tail(' + table.ref.label + ')':>14} " \

@@ -6,7 +6,9 @@ converted back to a p-value under the standard normal distribution.
 
 `summarize_studies` works on columns: it reads a `Groups` and returns a
 `Summaries`, whose fields are lists with one entry per study, computed with
-`math` functions mapped over those lists.
+`math` functions mapped over those lists. It keeps each study's mean r, n,
+z-score and p-value; Fisher z and its standard error follow exactly from
+mean r and n, and are not kept.
 """
 
 from __future__ import annotations
@@ -47,15 +49,12 @@ class AggregationMode(str, Enum):
 class Summaries:
     """Per-study summaries as parallel columns, one entry per study.
 
-    `summarize_studies` fills `se` with one float object per distinct n and
-    `p_value` with plain floats, each checked to lie in [0, 1].
+    `summarize_studies` checks each `p_value` to lie in [0, 1].
     """
 
     study_id: Sequence[str]
     mean_r: Sequence[float]
     n: Sequence[int]
-    fisher_z: Sequence[float]
-    se: Sequence[float]
     z_score: Sequence[float]
     p_value: Sequence[float]
 
@@ -88,12 +87,12 @@ def summarize_studies(
 
     MEAN_R: average the r values, then transform. MEAN_Z: average the
     per-record arctanh(r) values and report mean_r = tanh(mean z) so that
-    fisher_z == arctanh(mean_r) holds in both modes. n is the sum of the
-    class records' n; with shared_n=True it is the study-level n (largest
-    record n in the group), for sheets where every record re-reports one
-    participant pool. Then z = arctanh(mean_r), se = 1/sqrt(n-3),
-    z_score = z/se, and the p-value is two-sided (2 * P(Z > |z_score|)) or,
-    with two_sided=False, the upper tail, i.e. a test for a positive
+    z = arctanh(mean_r) holds in both modes. n is the sum of the class
+    records' n; with shared_n=True it is the study-level n (largest record n
+    in the group), for sheets where every record re-reports one participant
+    pool. Then z = arctanh(mean_r), se = 1/sqrt(n-3), z_score = z/se, and
+    the p-value is two-sided (2 * P(Z > |z_score|)) or, with
+    two_sided=False, the upper tail, i.e. a test for a positive
     correlation. tests/test_fisher.py writes this out from its definition
     with the math module and requires every field to be equal.
 
@@ -113,10 +112,8 @@ def summarize_studies(
             raise ValueError("sample size must exceed 3")
         if not abs(m) < 1.0:  # also rejects NaN
             raise ValueError(f"arctanh requires |r| < 1, got {m!r}")
-    fisher_z = list(map(math.atanh, mean_r))
     se_of_n = {k: 1.0 / math.sqrt(k - 3) for k in set(n)}
-    se = list(map(se_of_n.__getitem__, n))
-    z_score = list(map(truediv, fisher_z, se))
+    z_score = list(map(truediv, map(math.atanh, mean_r), map(se_of_n.__getitem__, n)))
     # 0.5 * erfc is std_normal_sf; halving then doubling is kept on purpose,
     # as it rounds differently from erfc alone when erfc is subnormal
     if two_sided:
@@ -126,7 +123,7 @@ def summarize_studies(
     for v in p:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"probability must lie in [0, 1], got {v!r}")
-    return Summaries(groups.study_id, mean_r, n, fisher_z, se, z_score, p)
+    return Summaries(groups.study_id, mean_r, n, z_score, p)
 
 
 def _quantile(sorted_values: list[float], q: float) -> float:

@@ -25,18 +25,17 @@ output with the stdlib and require the same bytes.
 report.json is schema 2 (`"schema_version": 2`). Its keys are `metadata`
 (with the run's `config`), `plots` (each class's alpha, class and
 diagnostics), `summaries` (per study: `study_id`, `mean_r`, `n` and
-`p_value`) and `z_panels`. Schema 1 also held each study's `class`,
-`fisher_z`, `se` and `z_score`, each plot's sorted p-values as `points`,
+`p_value`) and `z_panels`. Schema 1 also held each study's class, Fisher
+z, standard error and z-score, each plot's sorted p-values as `points`,
 and the always-empty `gap_report` and `tail_tables`. The dropped study
 fields are exact functions of what is kept, as `fisher.summarize_studies`
-computes them: `fisher_z = math.atanh(mean_r)`, `se = 1 / math.sqrt(n - 3)`
-and `z_score = fisher_z / se`; a plot's points are its class's `p_value`s,
-sorted, against their ranks 1 to n. Later fields only add keys to schema 2.
+computes them: z = `math.atanh(mean_r)`, se = `1 / math.sqrt(n - 3)` and
+z-score = z / se; a plot's points are its class's `p_value`s, sorted,
+against their ranks 1 to n. Later fields only add keys to schema 2.
 
 `render_markdown` also writes into one `io.BytesIO`: its head, then each
-class's study table, formatted and encoded a table at a time. An `se`
-object that several rows share (`summarize_studies` keeps one per distinct
-n) is formatted once.
+class's study table (study, mean r, n, z-score and p), formatted and
+encoded a table at a time.
 
 The three SVG figures share their elements: `_svg` (the document), `_line`,
 `_text`, `_axes` and `_xtick`. A p-value plot draws one circle per occupied
@@ -50,9 +49,9 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any, BinaryIO, Callable, Sequence
+from typing import Any, BinaryIO, Sequence
 
 from .fisher import Summaries, ZSummary
 from .gaussian import GaussianSpec, TailTable, curve_points
@@ -168,18 +167,6 @@ def _json_floats(values: Sequence[float]) -> list[str]:
     return list(map(_float, values))
 
 
-def _fixed4(values: Sequence[float]) -> list[str]:
-    return list(map(format, values, repeat(".4f")))
-
-
-def _format_once(values: Sequence[Any], fmt: Callable[[list], list[str]]) -> list[str]:
-    """`fmt(values)`, with fmt called once per distinct object in values."""
-    ids = list(map(id, values))
-    distinct = dict(zip(ids, values))
-    strs = dict(zip(distinct, fmt(list(distinct.values()))))
-    return list(map(strs.__getitem__, ids))
-
-
 def _join_rows(parts: Sequence[str], columns: Sequence[list[str]], sep: str) -> str:
     """`sep.join(rows)`, where row i is parts[0] + columns[0][i] + parts[1] +
     ... + columns[-1][i] + parts[-1]; the columns are not empty."""
@@ -260,10 +247,10 @@ def _md_cells(texts: Sequence[str]) -> list[str]:
 
 _MD_TABLE_HEAD = (
     "### %s study summaries\n\n"
-    "| study | mean r | n | z | se | z-score | p |\n"
-    "|---|---|---|---|---|---|---|\n"
+    "| study | mean r | n | z-score | p |\n"
+    "|---|---|---|---|---|\n"
 )
-_MD_ROW = "| %s | %.4f | %s | %.4f | %s | %.4f | %.4f |\n"
+_MD_ROW = "| %s | %.4f | %s | %.4f | %.4f |\n"
 
 
 def render_markdown(report: AuditReport) -> bytes:
@@ -301,8 +288,7 @@ def render_markdown(report: AuditReport) -> bytes:
     buf = io.BytesIO()
     buf.write(("\n".join(lines) + "\n").encode("utf-8"))
     for tag, s in report.summaries.items():
-        rows = zip(_md_cells(s.study_id), s.mean_r, s.n, s.fisher_z,
-                   _format_once(s.se, _fixed4), s.z_score, s.p_value)
+        rows = zip(_md_cells(s.study_id), s.mean_r, s.n, s.z_score, s.p_value)
         table = _MD_TABLE_HEAD % tag + "".join(map(_MD_ROW.__mod__, rows)) + "\n"
         buf.write(table.encode("utf-8"))
     return buf.getvalue()
@@ -420,11 +406,15 @@ _CURVE_SAMPLES = 241
 
 
 def render_svg_gaussians(specs: Sequence[GaussianSpec], lo: float, hi: float) -> bytes:
-    """Overlaid normal density curves with a legend."""
+    """Overlaid normal density curves with a legend. The x ticks fall on the
+    multiples of the smallest step of 1, 2, 5, 10, 20, 50, ... that leaves
+    at most 12 of them between lo and hi."""
     if not 1 <= len(specs) <= 4:
         raise ValueError("render_svg_gaussians takes 1 to 4 specs")
     if not lo < hi:
         raise ValueError(f"degenerate range ({lo!r}, {hi!r})")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"range ({lo!r}, {hi!r}) is too wide to plot")
     curves = [curve_points(s, lo, hi, _CURVE_SAMPLES) for s in specs]
     y_max = max(d for curve in curves for _, d in curve) * 1.08
     width, height = 480, 300
@@ -439,10 +429,10 @@ def render_svg_gaussians(specs: Sequence[GaussianSpec], lo: float, hi: float) ->
         return top + ph * (1.0 - d / y_max)
 
     out = _axes(left, top, pw, ph)
-    tick = math.ceil(lo)
-    while tick <= hi:
-        out += _xtick(sx(tick), top + ph, f"{tick:g}")
-        tick += 1
+    steps = (m * 10**e for e in count() for m in (1, 2, 5))
+    step = next(s for s in steps if math.floor(hi / s) - math.ceil(lo / s) < 12)
+    for k in range(math.ceil(lo / step), math.floor(hi / step) + 1):
+        out += _xtick(sx(k * step), top + ph, f"{k * step:g}")
     out.append(_text(left + pw / 2, height - 8, "score (reference SD units)"))
     for idx, (spec, curve) in enumerate(zip(specs, curves)):
         color = _PALETTE[idx]

@@ -113,6 +113,26 @@ def test_audit_incomplete_studies_reported(tmp_path, capsys):
     assert "no complete studies" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("warnings_flags", [[], ["-W", "error"]])
+def test_audit_of_few_studies_notes_it_once_without_a_warning(warnings_flags, tmp_path):
+    # build_plot warns below 10 p-values; the CLI says so in one note line,
+    # and a run whose warnings are errors still writes every artifact
+    sheet = tmp_path / "five.csv"
+    rows = [f"s{i},A,2000,,,{cls},0.{i + 1},{20 + i}"
+            for i in range(5) for cls in ("ICC", "ECC", "IEC")]
+    sheet.write_text("study_id,author,year,title,journal,class,r,n\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, *warnings_flags, "-m", "metaplot.cli", "audit", "--input", str(sheet),
+         "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, METAPLOT_NO_COLOR="1"),
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr == ("note: only 5 complete studies; "
+                           "p-value plot diagnostics are weak below 10\n")
+    assert len(list(out.iterdir())) == 6
+
+
 @pytest.mark.parametrize("studies", [1, 2])
 def test_audit_too_few_complete_studies_exit_2_without_outputs(studies, tmp_path, capsys):
     # build_plot needs 3 p-values per class; fewer used to end in its traceback
@@ -194,7 +214,6 @@ sheet_rows = st.tuples(
 ).flatmap(lambda t: st.permutations([row for study in t[0] for row in study] + t[1]))
 
 
-@pytest.mark.filterwarnings("ignore:only")
 @settings(max_examples=60, deadline=None)
 @given(rows=sheet_rows)
 def test_generated_sheets_exit_0_or_2(rows):
@@ -714,6 +733,30 @@ def test_tails_preset_excludes_spec_flags(tmp_path, capsys, flag):
     assert captured.err.startswith("error: --preset excludes")
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_tails_far_means_draw_at_most_twelve_ticks(tmp_path):
+    # one tick per SD unit would be 10**7 ticks
+    start = time.perf_counter()
+    assert main(["tails", "--other-mu", "1e7", "--out", str(tmp_path / "t")]) == EXIT_OK
+    assert time.perf_counter() - start < 5.0
+    svg = (tmp_path / "t" / "tails.svg").read_text()
+    # two axes, two legend keys and the ticks
+    assert svg.count("<line") - 4 == 11
+
+
+@pytest.mark.parametrize("spec", [["--ref-mu", "1e308", "--other-mu=-1e308"],
+                                  ["--other-sigma", "1e308"]])
+def test_tails_span_that_overflows_exit_2_without_outputs(spec, tmp_path, capsys):
+    out = tmp_path / "t"
+    assert main(["tails", *spec, "--out", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tails.svg cannot span (")
+    assert not out.exists()
+    # the table alone has no span to plot
+    assert main(["tails", *spec, "--format", "json", "--out", str(out)]) == EXIT_OK
+    assert [p.name for p in out.iterdir()] == ["tails.json"]
 
 
 def test_tails_bad_threshold_list_exit_2(tmp_path):

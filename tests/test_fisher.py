@@ -92,16 +92,17 @@ def test_r_to_pvalue_spot_value():
     # Frozen from a 40-digit arbitrary-precision evaluation of
     # 2*Phi(-arctanh(0.5)*sqrt(27)).
     s = one_study([(0.5, 30)])
-    assert s.fisher_z == pytest.approx(0.549306, abs=1e-6)
-    assert s.se == pytest.approx(0.192450, abs=1e-6)
+    assert math.atanh(s.mean_r) == pytest.approx(0.549306, abs=1e-6)
+    assert 1.0 / math.sqrt(s.n - 3) == pytest.approx(0.192450, abs=1e-6)
+    assert s.z_score == math.atanh(s.mean_r) / (1.0 / math.sqrt(s.n - 3))
     assert s.z_score == pytest.approx(2.85428, abs=1e-4)
     assert s.p_value == pytest.approx(0.0043134706, abs=1e-9)
 
 
 def test_r_to_pvalue_minimum_sample_size():
     s = one_study([(0.99, 4)])
-    assert s.se == 1.0
-    assert s.fisher_z == pytest.approx(2.64665, abs=1e-5)
+    assert 1.0 / math.sqrt(s.n - 3) == 1.0
+    assert s.z_score == math.atanh(s.mean_r) == pytest.approx(2.64665, abs=1e-5)
     assert s.p_value == pytest.approx(0.0081292863, abs=1e-9)
 
 
@@ -153,21 +154,21 @@ def test_summarize_group_mean_z_mode_keeps_invariant():
     summary = one_study([(0.2, 20), (0.6, 20)], mode=AggregationMode.MEAN_Z)
     mean_z = (math.atanh(0.2) + math.atanh(0.6)) / 2.0
     assert summary.mean_r == pytest.approx(math.tanh(mean_z), abs=1e-15)
-    assert summary.fisher_z == pytest.approx(mean_z, abs=1e-12)
     assert summary.n == 40
+    assert math.atanh(summary.mean_r) == pytest.approx(mean_z, abs=1e-12)
+    assert summary.z_score == pytest.approx(mean_z * math.sqrt(summary.n - 3), abs=1e-12)
 
 
 def test_summarize_group_fields_tie_together():
     s = one_study([(0.35, 48)])
-    assert s.fisher_z == pytest.approx(math.atanh(s.mean_r), abs=1e-14)
-    assert s.se == pytest.approx(1.0 / math.sqrt(s.n - 3), abs=1e-15)
-    assert s.z_score == pytest.approx(s.fisher_z / s.se, abs=1e-12)
+    assert s.z_score == math.atanh(s.mean_r) / (1.0 / math.sqrt(s.n - 3))
 
 
 def reference_summary(study_id, by_class, cls, mode, shared_n, two_sided):
     """The per-study pipeline written out from its definition, math module only.
 
     by_class maps each class to the study's (r, n) records of that class.
+    Fisher z and se are computed on the way to z_score, which Summaries keeps.
     """
     rs = [r for r, _ in by_class[cls]]
     if mode is AggregationMode.MEAN_Z:
@@ -183,7 +184,7 @@ def reference_summary(study_id, by_class, cls, mode, shared_n, two_sided):
     z_score = fisher_z / se
     sf = 0.5 * math.erfc((abs(z_score) if two_sided else z_score) / math.sqrt(2.0))
     p = min(1.0, 2.0 * sf) if two_sided else sf
-    return (study_id, mean_r.hex(), n, fisher_z.hex(), se.hex(), z_score.hex(), p.hex())
+    return (study_id, mean_r.hex(), n, z_score.hex(), p.hex())
 
 
 record_values = st.tuples(
@@ -222,10 +223,8 @@ def test_summarize_studies_equals_reference(sheet, mode, shared_n, two_sided):
         got = summarize_studies(groups, cls, mode=mode, shared_n=shared_n, two_sided=two_sided)
         want = [reference_summary(sid, by_class, cls, mode, shared_n, two_sided)
                 for sid, by_class in studies]
-        columns = zip(got.study_id, got.mean_r, got.n, got.fisher_z, got.se,
-                      got.z_score, got.p_value)
-        assert [(sid, m.hex(), n, z.hex(), se.hex(), zs.hex(), p.hex())
-                for sid, m, n, z, se, zs, p in columns] == want
+        columns = zip(got.study_id, got.mean_r, got.n, got.z_score, got.p_value)
+        assert [(sid, m.hex(), n, zs.hex(), p.hex()) for sid, m, n, zs, p in columns] == want
 
 
 @pytest.mark.parametrize("mode", list(AggregationMode))
@@ -238,7 +237,7 @@ def test_one_negative_zero_record_writes_positive_zero_mean_r(mode):
     assert result.records.r[0].hex() == (-0.0).hex()
     groups = group_complete_studies(result.records).groups
     s = summarize_studies(groups, CorrelationClass.ICC, mode=mode)
-    assert s.mean_r[0].hex() == s.fisher_z[0].hex() == (0.0).hex()
+    assert s.mean_r[0].hex() == s.z_score[0].hex() == (0.0).hex()
     assert s.p_value == [1.0]
 
 
@@ -298,13 +297,13 @@ def test_summarize_z_quantiles_ordered_and_histogram_sums():
 
 def test_summarize_z_empty_raises():
     with pytest.raises(ValueError):
-        summarize_z(Summaries(*[()] * 7), CorrelationClass.ICC)
+        summarize_z(Summaries(*[()] * 5), CorrelationClass.ICC)
 
 
 def z_panel(zs):
     k = len(zs)
-    summaries = Summaries([f"s{i}" for i in range(k)], [0.0] * k, [4] * k, [0.0] * k,
-                          [1.0] * k, list(zs), [1.0] * k)
+    summaries = Summaries([f"s{i}" for i in range(k)], [0.0] * k, [4] * k, list(zs),
+                          [1.0] * k)
     return summarize_z(summaries, CorrelationClass.ICC)
 
 

@@ -149,22 +149,27 @@ def test_json_matches_stdlib_encoder(fixture, two_sided, request):
     assert_json_values(report)
 
 
+def fixture_report(csv_path, mode, two_sided):
+    """A report holding only the summaries of a sheet, per class."""
+    groups = group_complete_studies(parse_records(csv_path.read_bytes()).records).groups
+    summaries = {cls.value: summarize_studies(groups, cls, mode=mode, two_sided=two_sided)
+                 for cls in CorrelationClass}
+    return AuditReport(
+        metadata=AuditMetadata(input_sha256="e" * 64, tool_version="0.1.0"),
+        summaries=summaries, z_panels={}, plots={},
+    )
+
+
 @pytest.mark.parametrize("fixture", ["null_csv", "effect_csv"])
 @pytest.mark.parametrize("mode", list(AggregationMode))
 @pytest.mark.parametrize("two_sided", [False, True])
 def test_json_rows_recompute_the_dropped_fields(fixture, mode, two_sided, request):
-    # schema 2 keeps study_id, mean_r, n and p_value; fisher_z, se, z_score and
-    # p_value itself follow from mean_r and n, bit for bit
-    groups = group_complete_studies(
-        parse_records(request.getfixturevalue(fixture).read_bytes()).records).groups
-    summaries = {cls.value: summarize_studies(groups, cls, mode=mode, two_sided=two_sided)
-                 for cls in CorrelationClass}
-    report = AuditReport(
-        metadata=AuditMetadata(input_sha256="e" * 64, tool_version="0.1.0"),
-        summaries=summaries, z_panels={}, plots={},
-    )
+    # schema 2 keeps study_id, mean_r, n and p_value; Fisher z, se, z_score and
+    # p_value itself follow from mean_r and n, and Summaries' z_score and
+    # p_value equal them bit for bit
+    report = fixture_report(request.getfixturevalue(fixture), mode, two_sided)
     rows = json.loads(render_json(report))["summaries"]
-    for tag, ss in summaries.items():
+    for tag, ss in report.summaries.items():
         got = []
         for row in rows[tag]:
             fisher_z = math.atanh(row["mean_r"])
@@ -175,10 +180,24 @@ def test_json_rows_recompute_the_dropped_fields(fixture, mode, two_sided, reques
             else:
                 p = 0.5 * math.erfc(z / math.sqrt(2.0))
             assert p.hex() == row["p_value"].hex()
-            got.append((row["study_id"], row["mean_r"], row["n"], fisher_z, se, z, p))
-        want = list(zip(ss.study_id, ss.mean_r, ss.n, ss.fisher_z, ss.se, ss.z_score,
-                        ss.p_value))
+            got.append((row["study_id"], row["mean_r"], row["n"], z, p))
+        want = list(zip(ss.study_id, ss.mean_r, ss.n, ss.z_score, ss.p_value))
         assert exact(got) == exact(want)
+
+
+@pytest.mark.parametrize("fixture", ["null_csv", "effect_csv"])
+@pytest.mark.parametrize("mode", list(AggregationMode))
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_markdown_study_rows_print_the_summaries(fixture, mode, two_sided, request):
+    report = fixture_report(request.getfixturevalue(fixture), mode, two_sided)
+    md = render_markdown(report).decode()
+    for tag, ss in report.summaries.items():
+        table = md.split(f"### {tag} study summaries\n\n")[1].split("\n\n")[0]
+        head, rule, *body = table.split("\n")
+        assert head == "| study | mean r | n | z-score | p |"
+        assert rule == "|---|---|---|---|---|"
+        assert body == [f"| {sid} | {m:.4f} | {n} | {z:.4f} | {p:.4f} |" for sid, m, n, z, p
+                        in zip(ss.study_id, ss.mean_r, ss.n, ss.z_score, ss.p_value)]
 
 
 def test_json_empty_report_matches_stdlib_encoder():
@@ -210,8 +229,6 @@ summaries_columns = st.integers(0, 4).flatmap(
         study_id=columns(k, texts),
         mean_r=columns(k, finite),
         n=columns(k, st.integers()),
-        fisher_z=columns(k, finite),
-        se=columns(k, finite),
         z_score=columns(k, finite),
         p_value=columns(k, unit),
     )
@@ -257,8 +274,8 @@ def test_json_matches_stdlib_encoder_for_any_report(input_name, summaries, plots
 def test_json_mean_r_keeps_its_own_zero_sign():
     # mean r of 0.0 and of -0.0 in one column: equal floats that print
     # differently, so sharing their strings by value would write one wrongly
-    summaries = Summaries(["s1", "s2", "s3"], [0.0, -0.0, 0.1], [10, 10, 10], [0.0, -0.0, 0.1],
-                          [0.3, 0.3, 0.3], [0.0, -0.0, 0.3], [1.0, 1.0, 0.75])
+    summaries = Summaries(["s1", "s2", "s3"], [0.0, -0.0, 0.1], [10, 10, 10], [0.0, -0.0, 0.3],
+                          [1.0, 1.0, 0.75])
     report = AuditReport(
         metadata=AuditMetadata(input_sha256="e" * 64, tool_version="0.1.0"),
         summaries={"ICC": summaries},
@@ -373,7 +390,7 @@ def test_markdown_study_cell_escapes_pipes_and_line_breaks():
         assert len(body) == len(ids)
         for line, sid in zip(body, sorted(ids)):
             cells = re.split(r"(?<!\\)\|", line)[1:-1]
-            assert len(cells) == 7, line
+            assert len(cells) == 5, line
             expected = sid.replace("|", "\\|").replace("\r", " ").replace("\n", " ")
             assert cells[0] == f" {expected} "
     assert "| s3 |" in md
@@ -464,6 +481,29 @@ def test_svg_gaussians_validation():
         render_svg_gaussians([], -4, 4)
     with pytest.raises(ValueError):
         render_svg_gaussians([GaussianSpec("a", 0, 1)], 2.0, 2.0)
+    with pytest.raises(ValueError, match="too wide to plot"):
+        render_svg_gaussians([GaussianSpec("a", 0, 1)], -1e308, 1e308)
+
+
+def gaussian_tick_labels(svg):
+    """The x tick labels of a render_svg_gaussians figure, left to right: the
+    text 16 px below the x axis."""
+    return re.findall(r'<text x="[^"]*" y="276.00" [^>]*>([^<]*)</text>', svg.decode())
+
+
+@pytest.mark.parametrize("lo, hi, labels", [
+    (-6.0, 5.0, [f"{k}" for k in range(-6, 6)]),  # gaussians_4.svg: 12 unit ticks
+    (-6.0, 6.0, [f"{k}" for k in range(-6, 7, 2)]),  # 13 units: steps of 2
+    (-4.664, 4.0, [f"{k}" for k in range(-4, 5)]),
+    (-44.0, 4.0, [f"{k}" for k in range(-40, 1, 5)]),  # 49 unit ticks: 8.6 px apart
+    (-4.0, 1e7 + 4, ["0", *(f"{k}e+06" for k in range(1, 10)), "1e+07"]),
+    (-4.0, 1e20, ["0", *(f"{k}e+19" for k in range(1, 10)), "1e+20"]),
+    (-8e307, 8e307, [f"{k}e+307" for k in (-8, -6, -4, -2)] + ["0"] +
+     [f"{k}e+307" for k in (2, 4, 6, 8)]),
+    (0.2, 0.8, []),  # no whole SD unit inside
+])
+def test_svg_gaussians_ticks_at_most_twelve(lo, hi, labels):
+    assert gaussian_tick_labels(render_svg_gaussians([GaussianSpec("a", 0, 1)], lo, hi)) == labels
 
 
 def test_svg_escapes_labels():
