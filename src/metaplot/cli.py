@@ -57,6 +57,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import statistics
 import sys
@@ -260,6 +261,19 @@ def _forked(task: Callable[[], None]) -> Iterator[None]:
         raise RuntimeError("the forked child " + (
             f"was killed by {signal.Signals(-code).name}" if code < 0
             else f"exited with status {code}"))
+
+
+def _attach_negative_exponents(argv: list[str]) -> list[str]:
+    """argv with each negative number in exponent notation joined to the long
+    option before it, "--alpha", "-5e-2" as "--alpha=-5e-2": argparse takes
+    "-40" for a value, but "-5e-2" for an option of its own."""
+    out: list[str] = []
+    for arg in argv:
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.fullmatch(r"-[\d.]+[eE][-+]?\d+", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -551,7 +565,7 @@ def run_simulate(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_exponents(sys.argv[1:] if argv is None else argv))
     collecting = gc.isenabled()
     gc.disable()  # see the module docstring
     try:

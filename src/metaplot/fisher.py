@@ -6,7 +6,9 @@ converted back to a p-value under the standard normal distribution.
 
 `summarize_studies` works on columns: it reads a `Groups` and returns a
 `Summaries`, whose fields are lists with one entry per study, computed with
-`math` functions mapped over those lists. It keeps each study's mean r, n,
+`math` functions mapped over those lists. When every study has one record
+of the class, mean r is read straight from the record column as 0.0 + r,
+which equals sum([r]) / 1 bit for bit. It keeps each study's mean r, n,
 z-score and p-value; Fisher z and its standard error follow exactly from
 mean r and n, and are not kept.
 """
@@ -14,9 +16,10 @@ mean r and n, and are not kept.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from operator import truediv
+from operator import sub, truediv
 from typing import Sequence
 
 from .ingest import CorrelationClass, Groups
@@ -101,12 +104,19 @@ def summarize_studies(
     1 (a mean of values each below 1 can still round to 1.0), and every
     p-value must lie in [0, 1].
     """
-    rs = groups.values(cls, "r")
-    if mode is AggregationMode.MEAN_Z:
-        mean_r = [math.tanh(sum(map(arctanh, v)) / len(v)) for v in rs]
+    positions = groups.positions[cls]
+    if mode is AggregationMode.MEAN_R and len(positions) == len(groups.offsets[cls]) - 1:
+        # one record of cls a study: sum([r]) / 1 is 0.0 + r (-0.0 gives +0.0)
+        r_col, n_col = groups.records.r, groups.records.n
+        mean_r = [0.0 + r_col[j] for j in positions]
+        n = groups.study_n if shared_n else [n_col[j] for j in positions]
     else:
-        mean_r = [sum(v) / len(v) for v in rs]
-    n = groups.study_n if shared_n else list(map(sum, groups.values(cls, "n")))
+        rs = groups.values(cls, "r")
+        if mode is AggregationMode.MEAN_Z:
+            mean_r = [math.tanh(sum(map(arctanh, v)) / len(v)) for v in rs]
+        else:
+            mean_r = [sum(v) / len(v) for v in rs]
+        n = groups.study_n if shared_n else list(map(sum, groups.values(cls, "n")))
     for k, m in zip(n, mean_r):
         if k < 4:
             raise ValueError("sample size must exceed 3")
@@ -153,10 +163,11 @@ def _histogram(values: list[float]) -> tuple[tuple[float, float, int], ...]:
         if n_bins <= HISTOGRAM_MAX_BINS:
             break
         k += 1
-    counts = [0] * n_bins
-    for v in values:
-        idx = min(int((v - lo_edge) / w), n_bins - 1)
-        counts[idx] += 1
+    # values are sorted and a value's bin never decreases as it grows, so
+    # each bin's first position is a bisection
+    starts = [bisect_left(values, b, key=lambda v: min(int((v - lo_edge) / w), n_bins - 1))
+              for b in range(1, n_bins)]
+    counts = map(sub, starts + [len(values)], [0] + starts)
     return tuple(
         (lo_edge + i * w, lo_edge + (i + 1) * w, c) for i, c in enumerate(counts)
     )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import pairwise
@@ -280,32 +281,32 @@ def group_complete_studies(records: Records) -> GroupingReport:
     accounted for: either retained or listed in `dropped` with the missing
     classes named.
     """
-    by_study: dict[str, list[int]] = {}
+    by_study: dict[str, list[int]] = defaultdict(list)
     for i, study_id in enumerate(records.study_id):
-        members = by_study.get(study_id)
-        if members is None:
-            by_study[study_id] = [i]
-        else:
-            members.append(i)
+        by_study[study_id].append(i)
 
     class_pos = list(map(_CLASS_POS.__getitem__, records.cls))
     n_of = records.n.__getitem__
     kept: list[str] = []
     study_n: list[int] = []
     dropped: list[tuple[str, str]] = []
-    positions: tuple[list[int], ...] = tuple([] for _ in _CLASSES)
-    offsets: tuple[list[int], ...] = tuple([0] for _ in _CLASSES)
+    # unrolled over the three classes: no generator or zip per study
+    positions = p0, p1, p2 = [], [], []
+    offsets = o0, o1, o2 = [0], [0], [0]
     for study_id in sorted(by_study):
         members = by_study[study_id]
-        index: tuple[list[int], ...] = tuple([] for _ in _CLASSES)
+        index = i0, i1, i2 = [], [], []
         for i in members:
             index[class_pos[i]].append(i)
-        if all(index):
+        if i0 and i1 and i2:
             kept.append(study_id)
             study_n.append(max(map(n_of, members)))
-            for flat, bounds, idx in zip(positions, offsets, index):
-                flat += idx
-                bounds.append(len(flat))
+            p0 += i0
+            p1 += i1
+            p2 += i2
+            o0.append(len(p0))
+            o1.append(len(p1))
+            o2.append(len(p2))
         else:
             missing = [c.value for c, idx in zip(_CLASSES, index) if not idx]
             dropped.append((study_id, f"missing class(es): {', '.join(missing)}"))

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from enum import Enum
+from operator import sub
 from typing import Iterable, Sequence
 
 from .ingest import CorrelationClass
@@ -97,19 +99,24 @@ def ks_uniform(p_values: Sequence[float]) -> tuple[float, Probability]:
     """
     if not p_values:
         raise ValueError("ks_uniform requires at least one value")
-    ps = sorted(float(p) for p in p_values)
+    return _ks_sorted(_sorted_unit(p_values))
+
+
+def _sorted_unit(p_values: Iterable[float]) -> list[float]:
+    """The p-values as floats, sorted, once each is checked to lie in [0, 1]."""
+    ps = list(map(float, p_values))
     for p in ps:
-        if not 0.0 <= p <= 1.0:
+        if not 0.0 <= p <= 1.0:  # also rejects NaN
             raise ValueError(f"p-value outside [0, 1]: {p!r}")
-    return _ks_sorted(ps)
+    ps.sort()
+    return ps
 
 
 def _ks_sorted(ps: Sequence[float]) -> tuple[float, Probability]:
     # ps: non-empty, every value in [0, 1], sorted ascending
     n = len(ps)
-    d_plus = max((i + 1) / n - p for i, p in enumerate(ps))
-    d_minus = max(p - i / n for i, p in enumerate(ps))
-    d = max(d_plus, d_minus)
+    ranks = [i / n for i in range(n + 1)]
+    d = max(max(map(sub, ranks[1:], ps)), max(map(sub, ps, ranks)))
     return d, kolmogorov_sf(math.sqrt(n) * d)
 
 
@@ -170,10 +177,7 @@ def build_plot(
     their original input order (stable sort), which never reorders
     distinct values.
     """
-    ps = [float(p) for p in p_values]
-    for p in ps:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p-value outside [0, 1]: {p!r}")
+    ps = _sorted_unit(p_values)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     n = len(ps)
@@ -185,9 +189,8 @@ def build_plot(
             UserWarning,
             stacklevel=2,
         )
-    ps.sort()
     ks_stat, ks_p = _ks_sorted(ps)
-    frac = Probability(sum(1 for p in ps if p < alpha) / n)
+    frac = Probability(bisect_left(ps, alpha) / n)
     min_p = Probability(ps[0])
     diagnostics = PlotDiagnostics(
         ks_statistic=ks_stat,

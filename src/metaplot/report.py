@@ -405,10 +405,19 @@ def render_svg_pplot(plot: PValuePlot) -> bytes:
 _CURVE_SAMPLES = 241
 
 
+def _distinct_g(values: Sequence[float]) -> str:
+    """The format ".{p}g" with the fewest significant digits p, from 6 (as
+    "g"), that labels unequal values apart."""
+    unequal = set(map(float, values))
+    return next(f for f in map(".{}g".format, range(6, 18))
+                if len({format(v, f) for v in unequal}) == len(unequal))
+
+
 def render_svg_gaussians(specs: Sequence[GaussianSpec], lo: float, hi: float) -> bytes:
     """Overlaid normal density curves with a legend. The x ticks fall on the
     multiples of the smallest step of 1, 2, 5, 10, 20, 50, ... that leaves
-    at most 12 of them between lo and hi."""
+    at most 12 of them between lo and hi. The tick labels, and the legend's
+    means, take as many significant digits as tell them apart (_distinct_g)."""
     if not 1 <= len(specs) <= 4:
         raise ValueError("render_svg_gaussians takes 1 to 4 specs")
     if not lo < hi:
@@ -431,8 +440,10 @@ def render_svg_gaussians(specs: Sequence[GaussianSpec], lo: float, hi: float) ->
     out = _axes(left, top, pw, ph)
     steps = (m * 10**e for e in count() for m in (1, 2, 5))
     step = next(s for s in steps if math.floor(hi / s) - math.ceil(lo / s) < 12)
-    for k in range(math.ceil(lo / step), math.floor(hi / step) + 1):
-        out += _xtick(sx(k * step), top + ph, f"{k * step:g}")
+    ticks = [k * step for k in range(math.ceil(lo / step), math.floor(hi / step) + 1)]
+    tick_format, mu_format = _distinct_g(ticks), _distinct_g([s.mu for s in specs])
+    for x in ticks:
+        out += _xtick(sx(x), top + ph, format(x, tick_format))
     out.append(_text(left + pw / 2, height - 8, "score (reference SD units)"))
     for idx, (spec, curve) in enumerate(zip(specs, curves)):
         color = _PALETTE[idx]
@@ -443,7 +454,7 @@ def render_svg_gaussians(specs: Sequence[GaussianSpec], lo: float, hi: float) ->
         ly = top + 14 + 16 * idx
         out.append(_line(left + pw - 150, ly - 4, left + pw - 130, ly - 4,
                          f'stroke="{color}" stroke-width="1.5"'))
-        label = f"{spec.label} (mu={spec.mu:g}, sigma={spec.sigma:g})"
+        label = f"{spec.label} (mu={spec.mu:{mu_format}}, sigma={spec.sigma:g})"
         out.append(_text(left + pw - 124, ly, label, size=10, anchor="start"))
     return _svg(width, height, out)
 

@@ -759,6 +759,40 @@ def test_tails_span_that_overflows_exit_2_without_outputs(spec, tmp_path, capsys
     assert [p.name for p in out.iterdir()] == ["tails.json"]
 
 
+@pytest.mark.parametrize("spec, ref_mu, other_mu", [
+    (["--other-mu", "-1e308"], 0.0, -1e308),
+    (["--other-mu=-1e308"], 0.0, -1e308),
+    (["--other-m", "-1E+308"], 0.0, -1e308),  # an abbreviated option
+    (["--ref-mu", "-5e-1", "--other-mu", "-.5e1"], -0.5, -5.0),
+    (["--ref-mu", "-40", "--other-mu", "-0.5"], -40.0, -0.5),
+])
+def test_tails_takes_negative_means_in_exponent_notation(spec, ref_mu, other_mu, tmp_path):
+    out = tmp_path / "t"
+    assert main(["tails", *spec, "--format", "json", "--out", str(out)]) == EXIT_OK
+    table = json.loads((out / "tails.json").read_bytes())["table"]
+    assert (table["ref"]["mu"], table["other"]["mu"]) == (ref_mu, other_mu)
+
+
+@pytest.mark.parametrize("spec", [["--alpha", "-5e-1"], ["--alpha=-5e-1"]])
+def test_audit_negative_alpha_in_exponent_notation_reaches_its_check(
+    spec, null_csv, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    assert main(["audit", "--input", str(null_csv), "--out", str(out), *spec]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: --alpha must lie in (0, 1), got -0.5\n"
+    assert not out.exists()
+
+
+def test_tails_labels_close_large_means_apart(tmp_path):
+    out = tmp_path / "t"
+    spec = ["--ref-mu", "123456789", "--other-mu", "123456790"]
+    assert main(["tails", *spec, "--out", str(out)]) == EXIT_OK
+    svg = (out / "tails.svg").read_text()
+    assert "reference (mu=123456789, sigma=1)" in svg
+    assert "comparison (mu=123456790, sigma=1)" in svg
+    assert "1.23457e+08" not in svg
+
+
 def test_tails_bad_threshold_list_exit_2(tmp_path):
     assert (
         main(["tails", "--preset", "g", "--thresholds", "2,1", "--out", str(tmp_path)])

@@ -307,6 +307,39 @@ def z_panel(zs):
     return summarize_z(summaries, CorrelationClass.ICC)
 
 
+def histogram_by_value(zs):
+    """summarize_z's histogram counted one value at a time, edges as hex."""
+    lo, hi = min(zs), max(zs)
+    k = max(1, math.floor((hi - lo) / (HISTOGRAM_MAX_BINS * HISTOGRAM_BIN_WIDTH)))
+    while True:
+        w = k * HISTOGRAM_BIN_WIDTH
+        lo_edge = math.floor(lo / w) * w
+        n_bins = max(1, math.ceil((hi - lo_edge) / w - 1e-12))
+        if n_bins <= HISTOGRAM_MAX_BINS:
+            break
+        k += 1
+    counts = [0] * n_bins
+    for v in zs:
+        counts[min(int((v - lo_edge) / w), n_bins - 1)] += 1
+    return [((lo_edge + i * w).hex(), (lo_edge + (i + 1) * w).hex(), c)
+            for i, c in enumerate(counts)]
+
+
+# Values on the edges of 0.5-wide bins and of widened ones (multiples of 1.0
+# to 3.5 spanning over 500), below zero too, plus values between edges.
+z_values = (st.integers(-80, 80).map(lambda k: k * HISTOGRAM_BIN_WIDTH)
+            | st.tuples(st.integers(-600, 600), st.integers(2, 7)).map(
+                lambda kw: kw[0] * kw[1] * HISTOGRAM_BIN_WIDTH)
+            | st.floats(-40.0, 40.0) | st.floats(-2000.0, 2000.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(zs=st.lists(z_values, min_size=1, max_size=80))
+def test_histogram_equals_counting_each_value(zs):
+    histogram = z_panel(zs).histogram
+    assert [(lo.hex(), hi.hex(), c) for lo, hi, c in histogram] == histogram_by_value(zs)
+
+
 @pytest.mark.parametrize(
     "zs, width",
     [

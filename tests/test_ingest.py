@@ -1,5 +1,6 @@
 import io
 import os
+from itertools import accumulate
 import re
 import tempfile
 import tracemalloc
@@ -359,6 +360,37 @@ def test_every_study_accounted_for_exactly_once():
     dropped = {sid for sid, _ in report.dropped}
     assert retained | dropped == {"s1", "s2", "s3", "s4"}
     assert not retained & dropped
+
+
+# Records of a few study ids in any order: duplicate rows, studies missing a
+# class and studies interleaved with one another are all common.
+record_rows = st.lists(st.tuples(st.sampled_from(["s3", "s1", "s10", "s2", "t"]),
+                                 st.sampled_from(list(CorrelationClass)),
+                                 st.floats(-0.99, 0.99), st.integers(4, 60)),
+                       max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=record_rows)
+def test_grouping_equals_a_dict_of_lists_reference(rows):
+    by_study = {}
+    for i, (sid, cls, _, _) in enumerate(rows):
+        by_study.setdefault(sid, {c: [] for c in CorrelationClass})[cls].append(i)
+    kept = sorted(sid for sid, by_class in by_study.items() if all(by_class.values()))
+    report = group(rows)
+    groups = report.groups
+    assert groups.study_id == kept
+    assert groups.study_n == [max(n for s, _, _, n in rows if s == sid) for sid in kept]
+    for cls in CorrelationClass:
+        members = [by_study[sid][cls] for sid in kept]
+        assert groups.positions[cls] == [i for idx in members for i in idx]
+        assert groups.offsets[cls] == [0, *accumulate(map(len, members))]
+        assert [[r.hex() for r in v] for v in groups.values(cls, "r")] == [
+            [rows[i][2].hex() for i in idx] for idx in members]
+    assert report.dropped == [
+        (sid, "missing class(es): "
+         + ", ".join(c.value for c in CorrelationClass if not by_study[sid][c]))
+        for sid in sorted(by_study) if sid not in kept]
 
 
 def test_paper_structure_fixture_counts(null_csv):

@@ -14,6 +14,7 @@ from metaplot.pplot import (
     classify,
     ks_uniform,
 )
+from metaplot.numerics import kolmogorov_sf
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -80,6 +81,45 @@ def test_build_plot_permutation_invariant_with_ties(data):
                               min_size=1, max_size=4))
     ps = data.draw(st.lists(st.sampled_from(pool), min_size=3, max_size=60))
     assert build_plot(data.draw(st.permutations(ps))) == build_plot(ps)
+
+
+def reference_diagnostics(p_values, alpha):
+    """build_plot's numbers written out one value at a time, as hex."""
+    ps = sorted(p_values)
+    n = len(ps)
+    d_plus = max((i + 1) / n - p for i, p in enumerate(ps))
+    d_minus = max(p - i / n for i, p in enumerate(ps))
+    d = max(d_plus, d_minus)
+    sxy = sxx = 0.0
+    for i, p in enumerate(ps, start=1):
+        x = i / (n + 1)
+        sxy += x * p
+        sxx += x * x
+    below = sum(1 for p in ps if p < alpha) / n
+    return [v.hex() for v in (d, kolmogorov_sf(math.sqrt(n) * d), sxy / sxx, below, ps[0])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_build_plot_diagnostics_equal_a_reference(data):
+    # 0.0, 1.0 and alpha itself are drawn often, and so are ties
+    alpha = data.draw(st.floats(0.001, 0.999) | st.sampled_from([0.05, 0.5]))
+    pool = data.draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, alpha, 1.0]),
+                              min_size=1, max_size=6))
+    ps = data.draw(st.lists(st.sampled_from(pool) | st.floats(0.0, 1.0),
+                            min_size=3, max_size=80))
+    d = build_plot(ps, alpha=alpha).diagnostics
+    got = [d.ks_statistic, d.ks_p, d.slope_fit, d.frac_below_alpha, d.min_p]
+    assert [float(v).hex() for v in got] == reference_diagnostics(ps, alpha)
+    stat, p = ks_uniform(ps)
+    assert [stat.hex(), float(p).hex()] == reference_diagnostics(ps, alpha)[:2]
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, math.inf, -math.inf])
+def test_out_of_range_p_values_name_the_first_offender(bad):
+    for check in (build_plot, ks_uniform):
+        with pytest.raises(ValueError, match=rf"^p-value outside \[0, 1\]: {bad!r}$"):
+            check([0.2, bad, 0.5, 2.0, 0.9])
 
 
 def test_build_plot_tie_handling_stable():

@@ -506,6 +506,32 @@ def test_svg_gaussians_ticks_at_most_twelve(lo, hi, labels):
     assert gaussian_tick_labels(render_svg_gaussians([GaussianSpec("a", 0, 1)], lo, hi)) == labels
 
 
+@pytest.mark.parametrize("spec, lo, hi, labels", [
+    (GaussianSpec("a", 1234562, 1), 1234559.5, 1234564.0,
+     [f"{k}" for k in range(1234560, 1234565)]),
+    (GaussianSpec("a", 123456790, 1), 123456784.5, 123456795.0,
+     [f"{k}" for k in range(123456785, 123456796)]),
+    (GaussianSpec("a", -1e12, 1), -1e12 - 5, -1e12 + 5,
+     [f"{k}" for k in range(-10**12 - 5, -10**12 + 6)]),
+])
+def test_svg_gaussians_tick_labels_take_the_digits_that_keep_them_apart(spec, lo, hi, labels):
+    # with "%g", each row would print one label over and over
+    assert gaussian_tick_labels(render_svg_gaussians([spec], lo, hi)) == labels
+
+
+def test_svg_gaussians_legend_tells_close_means_apart():
+    def legend(*mus):
+        specs = [GaussianSpec(f"g{i}", mu, 1) for i, mu in enumerate(mus)]
+        svg = render_svg_gaussians(specs, min(mus) - 4, max(mus) + 4).decode()
+        return re.findall(r"\(mu=([^,]*), sigma=1\)", svg)
+
+    assert legend(123456789, 123456790) == ["123456789", "123456790"]
+    assert legend(0.1234567, 0.1234568, 0.5) == ["0.1234567", "0.1234568", "0.5"]
+    assert legend(1.234567, -2.5) == ["1.23457", "-2.5"]  # never fewer digits than "g"
+    assert legend(1e8, 1e8) == ["1e+08", "1e+08"]  # equal means read alike
+    assert legend(0.0, -0.0) == ["0", "-0"]
+
+
 def test_svg_escapes_labels():
     spec = GaussianSpec("a<b&c", 0, 1)
     svg = render_svg_gaussians([spec], -4, 4).decode()
