@@ -46,7 +46,6 @@ from .pplot import (
     PValuePlot,
     build_plot,
     classify,
-    ks_uniform,
 )
 from .report import (
     AuditMetadata,
@@ -82,7 +81,6 @@ __all__ = [
     "classify",
     "curve_points",
     "group_complete_studies",
-    "ks_uniform",
     "parse_records",
     "ratio_table",
     "render_json",

@@ -20,20 +20,20 @@ On a sheet of at least _FORK_MIN_STUDIES retained studies, audit forks once
 the report is built: the child renders report.json and writes it into the
 staging directory, while this process renders and writes report.md and the
 SVGs, then waits for the child before staging becomes --out. The two sides
-are about even: on the 98k studies of a benchmark sheet, rendered one after
-another in one process, report.json took 0.68-0.92 s, and report.md
-0.52-0.63 s and the three p-value plots 0.23-0.36 s (best of three, three
-runs, unnormalised, on a 2-vCPU machine). It forks only when report.json
-and report.md or an SVG are asked for, the process runs one thread, and it
-may run on more than one CPU; otherwise every artifact renders here, in the
-order json, md, svg. The gate is a size, because the fork has a cost: on a
-2-vCPU machine a fork, exit and wait took 3.6 ms at 31 MB RSS and 22 ms at
-378 MB, while report.json renders in about 8 us per study (the figure
-above), so at 10,000 studies the overlap saves several times the fork at
-any of those sizes. The child's memory is its own: getrusage(RUSAGE_SELF)
-does not count it, and a tracer in this process sees neither the child's
-render nor its span, only this process's report.md and SVG renders and its
-wait.
+are far from even: on the 98k studies of a benchmark sheet, rendered one
+after another in one process, report.json took 0.46-0.76 s, and report.md
+(whose study tables stop at 1,000 studies) 0.02 ms and the three p-value
+plots 16-18 ms (best of three, three runs, unnormalised, on a 2-vCPU
+machine). What the fork keeps is memory: this process never holds
+report.json's buffer, and peaked at 131 MB on that sheet against 157 MB
+rendering everything itself. It forks only when report.json and report.md
+or an SVG are asked for, the process runs one thread, and it may run on
+more than one CPU; otherwise every artifact renders here, in the order
+json, md, svg. The gate is a size, because the fork has a cost: on a 2-vCPU
+machine a fork, exit and wait took 3.6 ms at 31 MB RSS and 22 ms at 378 MB.
+The child's memory is its own: getrusage(RUSAGE_SELF) does not count it,
+and a tracer in this process sees neither the child's render nor its span,
+only this process's report.md and SVG renders and its wait.
 
 main() turns CPython's cyclic garbage collector off while the subcommand
 runs and restores the caller's setting on return, also when an exception
@@ -193,7 +193,9 @@ def _fork_pays(formats: set[str], retained: int) -> bool:
     and the SVGs render here: both sides have work, the sheet is large
     enough to repay the fork, and a second CPU and a one-thread process make
     it safe and useful. Rendered one after the other on a 98k-study sheet,
-    report.json takes 0.68-0.92 s and report.md and the SVGs 0.74-0.99 s."""
+    report.json takes 0.46-0.76 s and report.md and the SVGs about 18 ms, so
+    the fork saves little time; it keeps report.json's buffer out of this
+    process's memory."""
     return ("json" in formats and not formats.isdisjoint({"md", "svg"})
             and retained >= _FORK_MIN_STUDIES
             and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")

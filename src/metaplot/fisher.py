@@ -19,7 +19,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from operator import sub, truediv
+from functools import reduce
+from operator import add, sub, truediv
 from typing import Sequence
 
 from .ingest import CorrelationClass, Groups
@@ -112,10 +113,11 @@ def summarize_studies(
         n = groups.study_n if shared_n else [n_col[j] for j in positions]
     else:
         rs = groups.values(cls, "r")
+        # a left fold, as sum() compensates float sums from Python 3.12 on
         if mode is AggregationMode.MEAN_Z:
-            mean_r = [math.tanh(sum(map(arctanh, v)) / len(v)) for v in rs]
+            mean_r = [math.tanh(reduce(add, map(arctanh, v), 0.0) / len(v)) for v in rs]
         else:
-            mean_r = [sum(v) / len(v) for v in rs]
+            mean_r = [reduce(add, v, 0.0) / len(v) for v in rs]
         n = groups.study_n if shared_n else list(map(sum, groups.values(cls, "n")))
     for k, m in zip(n, mean_r):
         if k < 4:

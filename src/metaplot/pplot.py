@@ -28,7 +28,6 @@ __all__ = [
     "DEFAULT_CLASSIFY_THRESHOLDS",
     "PlotDiagnostics",
     "PValuePlot",
-    "ks_uniform",
     "classify",
     "build_plot",
 ]
@@ -91,17 +90,6 @@ class PValuePlot:
         return len(self.ps)
 
 
-def ks_uniform(p_values: Sequence[float]) -> tuple[float, Probability]:
-    """One-sample Kolmogorov-Smirnov test against Uniform(0, 1).
-
-    Returns the exact sup-distance between the empirical CDF and the
-    uniform CDF, and the p-value from the asymptotic Kolmogorov series.
-    """
-    if not p_values:
-        raise ValueError("ks_uniform requires at least one value")
-    return _ks_sorted(_sorted_unit(p_values))
-
-
 def _sorted_unit(p_values: Iterable[float]) -> list[float]:
     """The p-values as floats, sorted, once each is checked to lie in [0, 1]."""
     ps = list(map(float, p_values))
@@ -113,7 +101,10 @@ def _sorted_unit(p_values: Iterable[float]) -> list[float]:
 
 
 def _ks_sorted(ps: Sequence[float]) -> tuple[float, Probability]:
-    # ps: non-empty, every value in [0, 1], sorted ascending
+    """One-sample Kolmogorov-Smirnov test against Uniform(0, 1) of ps, which
+    are non-empty, each in [0, 1] and sorted ascending: the exact
+    sup-distance between the empirical CDF and the uniform CDF, and the
+    p-value from the asymptotic Kolmogorov series."""
     n = len(ps)
     ranks = [i / n for i in range(n + 1)]
     d = max(max(map(sub, ranks[1:], ps)), max(map(sub, ps, ranks)))

@@ -35,11 +35,15 @@ against their ranks 1 to n. Later fields only add keys to schema 2.
 
 `render_markdown` also writes into one `io.BytesIO`: its head, then each
 class's study table (study, mean r, n, z-score and p), formatted and
-encoded a table at a time.
+encoded a table at a time. A class of more than `MD_TABLE_MAX_STUDIES`
+(1,000) studies gets one line in place of its table, which points to
+report.json: no Markdown viewer renders the 98k rows of a large sheet, and
+report.json keeps them all.
 
 The three SVG figures share their elements: `_svg` (the document), `_line`,
 `_text`, `_axes` and `_xtick`. A p-value plot draws one circle per occupied
-whole-pixel cell (see `render_svg_pplot`).
+whole-pixel cell, and finds each cell's first point by bisection (see
+`render_svg_pplot`).
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ import html
 import io
 import json
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
@@ -245,18 +250,28 @@ def _md_cells(texts: Sequence[str]) -> list[str]:
     return [t.replace("|", "\\|").replace("\r", " ").replace("\n", " ") for t in texts]
 
 
+# The most studies a class's table in report.md lists; above it, one line
+# points to report.json, which lists every study.
+MD_TABLE_MAX_STUDIES = 1000
+
 _MD_TABLE_HEAD = (
     "### %s study summaries\n\n"
     "| study | mean r | n | z-score | p |\n"
     "|---|---|---|---|---|\n"
 )
 _MD_ROW = "| %s | %.4f | %s | %.4f | %.4f |\n"
+_MD_TABLE_LEFT_OUT = (
+    "### {} study summaries\n\n"
+    "{} studies: more than {:,}, so the table is left out; "
+    "report.json (--format json) lists every study.\n\n"
+)
 
 
 def render_markdown(report: AuditReport) -> bytes:
     """Markdown report: verdicts, per-class tables, and figure links, UTF-8.
     The head is encoded once, then each class's study table is formatted,
-    encoded and written into one buffer, a table at a time."""
+    encoded and written into one buffer, a table at a time. A class of more
+    than MD_TABLE_MAX_STUDIES studies gets one line in place of its table."""
     lines = [
         "# Meta-analysis reproducibility audit",
         "",
@@ -288,8 +303,11 @@ def render_markdown(report: AuditReport) -> bytes:
     buf = io.BytesIO()
     buf.write(("\n".join(lines) + "\n").encode("utf-8"))
     for tag, s in report.summaries.items():
-        rows = zip(_md_cells(s.study_id), s.mean_r, s.n, s.z_score, s.p_value)
-        table = _MD_TABLE_HEAD % tag + "".join(map(_MD_ROW.__mod__, rows)) + "\n"
+        if len(s) > MD_TABLE_MAX_STUDIES:
+            table = _MD_TABLE_LEFT_OUT.format(tag, len(s), MD_TABLE_MAX_STUDIES)
+        else:
+            rows = zip(_md_cells(s.study_id), s.mean_r, s.n, s.z_score, s.p_value)
+            table = _MD_TABLE_HEAD % tag + "".join(map(_MD_ROW.__mod__, rows)) + "\n"
         buf.write(table.encode("utf-8"))
     return buf.getvalue()
 
@@ -389,15 +407,26 @@ def render_svg_pplot(plot: PValuePlot) -> bytes:
         f'<text x="{_f(left + pw)}" y="{_f(y_alpha - 4)}" font-family="sans-serif" '
         f'font-size="10" text-anchor="end" fill="#c23b22">alpha={plot.alpha:g}</text>'
     )
-    # x rises with rank and y falls as p rises, so a cell's points are
-    # consecutive: each is drawn unless the point before it shares its cell
-    last = None
-    for rank, p in enumerate(plot.ps, start=1):
-        x, y = sx(rank), sy(p)
-        cell = (int(x), int(y))
-        if cell != last:
-            last = cell
-            out.append(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="3" fill="#1f6eb4"/>')
+    # x rises with rank and y falls as p rises, both monotone under rounding,
+    # so the cell key (int(x), -int(y)) never decreases with rank: a cell's
+    # points are consecutive, and the first point of the next cell is the
+    # next point (on a small plot, always) or found by bisection. A cell lies
+    # in one pixel column, which holds at most (n + 1) / pw + 1 ranks, so the
+    # bisection looks no further than that, and one rank more for rounding.
+    ps = plot.ps
+    span = int((n + 1) / pw) + 2
+
+    def cell(k: int) -> tuple[int, int]:  # of rank k + 1: sx and sy, inlined
+        return int(left + pw * (k + 1) / (n + 1)), -int(top + ph * (1.0 - ps[k]))
+
+    k = 0
+    while k < n:
+        x, y = sx(k + 1), sy(ps[k])
+        # x >= left and y >= top, so .2f never gives the "-0.00" that _f mends
+        out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#1f6eb4"/>')
+        k += 1
+        if k < n and int(sx(k + 1)) == int(x) and int(sy(ps[k])) == int(y):
+            k = bisect_right(range(n), (int(x), -int(y)), k + 1, min(n, k + span), key=cell)
     return _svg(width, height, out)
 
 
@@ -426,6 +455,8 @@ def render_svg_gaussians(specs: Sequence[GaussianSpec], lo: float, hi: float) ->
         raise ValueError(f"range ({lo!r}, {hi!r}) is too wide to plot")
     curves = [curve_points(s, lo, hi, _CURVE_SAMPLES) for s in specs]
     y_max = max(d for curve in curves for _, d in curve) * 1.08
+    if not y_max > 0.0:
+        raise ValueError(f"no curve has a density above zero on ({lo!r}, {hi!r})")
     width, height = 480, 300
     left, right, top, bottom = 50.0, 16.0, 24.0, 40.0
     pw = width - left - right

@@ -237,6 +237,24 @@ def test_audit_format_selection(null_csv, tmp_path):
     assert set(read_dir(out)) == {"report.json"}
 
 
+def test_audit_md_alone_of_a_large_sheet_points_to_report_json(tmp_path, capsys):
+    # above 1,000 studies a class's table is left out for one line, which
+    # names the --format that writes every study
+    sheet = tmp_path / "sheet.csv"
+    rows = [f"s{i:04d},A,2000,,,{cls},0.{i % 7},{20 + i % 50}"
+            for i in range(1001) for cls in ("ICC", "ECC", "IEC")]
+    sheet.write_text("study_id,author,year,title,journal,class,r,n\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert main(["audit", "--input", str(sheet), "--out", str(out), "--format", "md"]) == EXIT_OK
+    assert set(read_dir(out)) == {"report.md"}
+    md = (out / "report.md").read_text()
+    for tag in ("ICC", "ECC", "IEC"):
+        assert (f"### {tag} study summaries\n\n1001 studies: more than 1,000, so the table "
+                "is left out; report.json (--format json) lists every study.\n") in md
+    assert "| s0" not in md
+    assert len(capsys.readouterr().out.splitlines()) == 3  # the verdicts
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -171,10 +171,12 @@ def reference_summary(study_id, by_class, cls, mode, shared_n, two_sided):
     Fisher z and se are computed on the way to z_score, which Summaries keeps.
     """
     rs = [r for r, _ in by_class[cls]]
+    total = 0.0  # left to right, uncompensated (sum() compensates from 3.12 on)
+    for r in rs:
+        total += math.atanh(r) if mode is AggregationMode.MEAN_Z else r
+    mean_r = total / len(rs)
     if mode is AggregationMode.MEAN_Z:
-        mean_r = math.tanh(sum(math.atanh(r) for r in rs) / len(rs))
-    else:
-        mean_r = sum(rs) / len(rs)
+        mean_r = math.tanh(mean_r)
     if shared_n:
         n = max(n for records in by_class.values() for _, n in records)
     else:
@@ -239,6 +241,15 @@ def test_one_negative_zero_record_writes_positive_zero_mean_r(mode):
     s = summarize_studies(groups, CorrelationClass.ICC, mode=mode)
     assert s.mean_r[0].hex() == s.z_score[0].hex() == (0.0).hex()
     assert s.p_value == [1.0]
+
+
+@pytest.mark.parametrize("mode", list(AggregationMode))
+def test_records_sum_left_to_right_on_every_python(mode):
+    # 0.5 + 1e-17 rounds to 0.5, so the left-to-right sum is 0.0; the
+    # compensated sum of Python 3.12's sum() would keep 1e-17, and the mean
+    # would read 3.3e-18 in either mode.
+    s = one_study([(0.5, 10), (1e-17, 10), (-0.5, 10)], mode=mode)
+    assert s.mean_r.hex() == (0.0).hex()
 
 
 def test_summarize_studies_error_messages():

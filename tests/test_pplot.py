@@ -10,9 +10,9 @@ from metaplot.pplot import (
     ClassifyThresholds,
     DEFAULT_CLASSIFY_THRESHOLDS,
     PlotClass,
+    _ks_sorted,
     build_plot,
     classify,
-    ks_uniform,
 )
 from metaplot.numerics import kolmogorov_sf
 
@@ -20,20 +20,21 @@ pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 
 def test_ks_single_point():
-    stat, _ = ks_uniform([0.5])
+    stat, _ = _ks_sorted([0.5])
     assert stat == pytest.approx(0.5, abs=1e-15)
 
 
 def test_ks_hand_evaluated_triplet():
     # sup distance at the jump points of the empirical CDF of {.25,.5,.75}
-    stat, _ = ks_uniform([0.25, 0.5, 0.75])
+    stat = build_plot([0.25, 0.5, 0.75]).diagnostics.ks_statistic
     assert stat == pytest.approx(0.25, abs=1e-15)
 
 
 def test_ks_uniform_grid_small_statistic():
     n = 99
     grid = [(i + 1) / (n + 1) for i in range(n)]
-    stat, p = ks_uniform(grid)
+    d = build_plot(grid).diagnostics
+    stat, p = d.ks_statistic, d.ks_p
     assert stat <= 0.01 + 1.0 / n
     assert p > 0.99
 
@@ -42,7 +43,8 @@ def test_ks_matches_scipy_on_random_sets():
     rng = random.Random(5150)
     for _ in range(25):
         ps = [rng.random() for _ in range(rng.randint(5, 60))]
-        stat, p = ks_uniform(ps)
+        d = build_plot(ps).diagnostics
+        stat, p = d.ks_statistic, d.ks_p
         ref = kstest(ps, "uniform")
         assert stat == pytest.approx(ref.statistic, abs=1e-12)
         # scipy uses the exact small-sample distribution; the asymptotic
@@ -52,10 +54,10 @@ def test_ks_matches_scipy_on_random_sets():
 
 
 def test_ks_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        ks_uniform([0.2, 1.4])
-    with pytest.raises(ValueError):
-        ks_uniform([])
+    with pytest.raises(ValueError, match=r"^p-value outside \[0, 1\]: 1.4$"):
+        build_plot([0.2, 1.4, 0.5])
+    with pytest.raises(ValueError, match="at least 3 values, got 0"):
+        build_plot([])
 
 
 def test_build_plot_sorts_and_ranks():
@@ -111,15 +113,14 @@ def test_build_plot_diagnostics_equal_a_reference(data):
     d = build_plot(ps, alpha=alpha).diagnostics
     got = [d.ks_statistic, d.ks_p, d.slope_fit, d.frac_below_alpha, d.min_p]
     assert [float(v).hex() for v in got] == reference_diagnostics(ps, alpha)
-    stat, p = ks_uniform(ps)
+    stat, p = _ks_sorted(sorted(ps))
     assert [stat.hex(), float(p).hex()] == reference_diagnostics(ps, alpha)[:2]
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, math.inf, -math.inf])
 def test_out_of_range_p_values_name_the_first_offender(bad):
-    for check in (build_plot, ks_uniform):
-        with pytest.raises(ValueError, match=rf"^p-value outside \[0, 1\]: {bad!r}$"):
-            check([0.2, bad, 0.5, 2.0, 0.9])
+    with pytest.raises(ValueError, match=rf"^p-value outside \[0, 1\]: {bad!r}$"):
+        build_plot([0.2, bad, 0.5, 2.0, 0.9])
 
 
 def test_build_plot_tie_handling_stable():

@@ -396,6 +396,44 @@ def test_markdown_study_cell_escapes_pipes_and_line_breaks():
     assert "| s3 |" in md
 
 
+def complete_sheet(studies, seed):
+    """A sheet of exactly `studies` complete studies, one record per class."""
+    rng = random.Random(seed)
+    lines = ["study_id,author,year,title,journal,class,r,n"]
+    for i in range(studies):
+        n = rng.randint(20, 400)
+        lines += [f"s{i:05d},A,2000,,,{cls.value},{rng.uniform(-0.3, 0.3):.6f},{n}"
+                  for cls in CorrelationClass]
+    return "\n".join(lines) + "\n"
+
+
+def split_markdown(md):
+    """report.md's head, and its sections from each "### " heading on."""
+    head, *sections = md.split("### ")
+    return head, ["### " + section for section in sections]
+
+
+@pytest.mark.parametrize("studies", [1000, 1001])
+def test_markdown_lists_at_most_the_cap_of_studies(studies, monkeypatch):
+    report = build_report_from_text(complete_sheet(studies, seed=21))
+    md = render_markdown(report).decode()
+    monkeypatch.setattr(metaplot.report, "MD_TABLE_MAX_STUDIES", 10**9)
+    uncapped = render_markdown(report).decode()
+    head, sections = split_markdown(md)
+    assert head == split_markdown(uncapped)[0]
+    assert f"| {studies} |" in head  # the verdicts still count every study
+    if studies == 1000:
+        assert md == uncapped
+        assert md.count("\n| s0") == 3 * 1000
+    else:
+        assert sections == [
+            f"### {tag} study summaries\n\n1001 studies: more than 1,000, so the table "
+            "is left out; report.json (--format json) lists every study.\n\n"
+            for tag in report.summaries
+        ]
+        assert "\n| s0" not in md
+
+
 def test_svg_pplot_structure(null_csv):
     report = build_report(null_csv)
     plot = report.plots["ICC"]
@@ -443,6 +481,24 @@ def test_svg_pplot_draws_the_first_point_of_each_pixel_cell(n, seed, decimals):
         assert render_svg_pplot(plot) == "\n".join(unthinned).encode()
 
 
+@pytest.mark.parametrize("ties", [False, True])
+def test_svg_pplot_thins_a_large_plot_to_the_first_point_of_each_cell(ties):
+    # 60,000 points, 147 to a pixel column; with ties, a third of them share
+    # one p-value, so that whole columns are one cell each
+    rng = random.Random(50_001)
+    ps = [rng.random() for _ in range(60_000)]
+    if ties:
+        ps[::3] = [0.5] * 20_000
+    plot = build_plot(ps, alpha=0.05, cls=CorrelationClass.ICC)
+    drawn = [line for line in render_svg_pplot(plot).decode().split("\n")
+             if line.startswith("<circle")]
+    circles = unthinned_circles(plot)
+    firsts = [c for k, (cell, c) in enumerate(circles) if k == 0 or circles[k - 1][0] != cell]
+    assert drawn == firsts
+    assert len(drawn) == len({cell for cell, _ in circles})
+    assert len(drawn) < 2000
+
+
 def test_svg_deterministic(null_csv):
     report = build_report(null_csv)
     plot = report.plots["ECC"]
@@ -483,6 +539,10 @@ def test_svg_gaussians_validation():
         render_svg_gaussians([GaussianSpec("a", 0, 1)], 2.0, 2.0)
     with pytest.raises(ValueError, match="too wide to plot"):
         render_svg_gaussians([GaussianSpec("a", 0, 1)], -1e308, 1e308)
+    # every density on the range underflows to zero
+    with pytest.raises(ValueError, match=r"^no curve has a density above zero on "
+                                         r"\(1234559\.5, 1234564\.0\)$"):
+        render_svg_gaussians([GaussianSpec("a", 0, 1)], 1234559.5, 1234564.0)
 
 
 def gaussian_tick_labels(svg):
