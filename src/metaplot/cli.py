@@ -7,34 +7,6 @@ Subcommands:
 
 Exit codes: 0 success, 1 I/O failure, 2 validation failure.
 
-Each subcommand checks its inputs, then writes each artifact as soon as it
-renders, through _artifact_writer: into a staging directory made beside
---out, which becomes --out once every artifact has rendered, or, if --out
-is a directory already, made inside it, whose files then move up into it.
-No artifact's bytes outlive their write, and the console lines follow. A
-bad input or a failed render leaves no --out, no staging directory, and
-none of the parents that --out lacked. An existing --out that holds a
-directory by an artifact's name is left as it was (exit 1).
-
-On a sheet of at least _FORK_MIN_STUDIES retained studies, audit forks once
-the report is built: the child renders report.json and writes it into the
-staging directory, while this process renders and writes report.md and the
-SVGs, then waits for the child before staging becomes --out. The two sides
-are far from even: on the 98k studies of a benchmark sheet, rendered one
-after another in one process, report.json took 0.46-0.76 s, and report.md
-(whose study tables stop at 1,000 studies) 0.02 ms and the three p-value
-plots 16-18 ms (best of three, three runs, unnormalised, on a 2-vCPU
-machine). What the fork keeps is memory: this process never holds
-report.json's buffer, and peaked at 131 MB on that sheet against 157 MB
-rendering everything itself. It forks only when report.json and report.md
-or an SVG are asked for, the process runs one thread, and it may run on
-more than one CPU; otherwise every artifact renders here, in the order
-json, md, svg. The gate is a size, because the fork has a cost: on a 2-vCPU
-machine a fork, exit and wait took 3.6 ms at 31 MB RSS and 22 ms at 378 MB.
-The child's memory is its own: getrusage(RUSAGE_SELF) does not count it,
-and a tracer in this process sees neither the child's render nor its span,
-only this process's report.md and SVG renders and its wait.
-
 main() turns CPython's cyclic garbage collector off while the subcommand
 runs and restores the caller's setting on return, also when an exception
 escapes. Reference counting still frees every object; the cyclic collector
@@ -114,7 +86,8 @@ _RESET = "\x1b[0m"
 
 
 # The fewest retained studies at which audit renders report.json in a forked
-# child; see the module docstring.
+# child. The gate is a size because the fork has a cost: on a 2-vCPU machine
+# a fork, exit and wait took 3.6 ms at 31 MB RSS and 22 ms at 378 MB.
 _FORK_MIN_STUDIES = 10_000
 
 
@@ -195,7 +168,8 @@ def _fork_pays(formats: set[str], retained: int) -> bool:
     it safe and useful. Rendered one after the other on a 98k-study sheet,
     report.json takes 0.46-0.76 s and report.md and the SVGs about 18 ms, so
     the fork saves little time; it keeps report.json's buffer out of this
-    process's memory."""
+    process's memory. getrusage(RUSAGE_SELF) does not count the child's
+    memory, and a tracer in this process does not see the child's render."""
     return ("json" in formats and not formats.isdisjoint({"md", "svg"})
             and retained >= _FORK_MIN_STUDIES
             and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
@@ -518,9 +492,8 @@ def run_simulate(args: argparse.Namespace) -> int:
     from .cohort import CohortConfig, gap_over_seeds
 
     path = _demo_config_path() if args.demo else Path(args.config)
-    text = path.read_text(encoding="utf-8")  # OSError -> exit 1
-    try:
-        config = CohortConfig.from_json(text)
+    try:  # an OSError exits 1; bad UTF-8 is a ValueError naming its byte
+        config = CohortConfig.from_json(path.read_bytes())
     except json.JSONDecodeError as exc:
         raise CliValidationError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .numerics import Probability, std_normal_sf
+from .numerics import std_normal_sf
 
 __all__ = [
     "GaussianSpec",
@@ -43,6 +43,8 @@ class GaussianSpec:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
         if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
             raise ValueError("mu and sigma must be finite")
+        if not math.isfinite(1.0 / self.sigma):  # the density is below 1/sigma
+            raise ValueError(f"{self.label} sigma {self.sigma!r} is too small: 1/sigma overflows")
 
 
 # Built-in spec pairs (reference first). "g" is the general-ability pair,
@@ -56,8 +58,8 @@ PRESETS: dict[str, tuple[GaussianSpec, GaussianSpec]] = {
 @dataclass(frozen=True)
 class TailRow:
     threshold: float
-    auc_ref: Probability
-    auc_other: Probability
+    auc_ref: float
+    auc_other: float
     ratio: float  # math.inf when auc_other underflows to zero
     overflow: bool = False
 
@@ -69,11 +71,13 @@ class TailTable:
     rows: tuple[TailRow, ...]
 
 
-def tail_area(spec: GaussianSpec, threshold: float) -> Probability:
+def tail_area(spec: GaussianSpec, threshold: float) -> float:
     """Probability mass of the spec's distribution above the threshold."""
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold!r}")
-    return std_normal_sf((threshold - spec.mu) / spec.sigma)
+    z = (threshold - spec.mu) / spec.sigma
+    if not math.isfinite(z):  # an infinite or NaN threshold, or an overflow
+        raise ValueError(f"threshold {threshold!r} is not a finite number of sigmas from "
+                         f"the {spec.label} mean (mu {spec.mu!r}, sigma {spec.sigma!r})")
+    return std_normal_sf(z)
 
 
 def ratio_table(

@@ -15,7 +15,6 @@ from operator import add
 from statistics import NormalDist
 
 __all__ = [
-    "Probability",
     "arctanh",
     "std_normal_sf",
     "std_normal_quantile",
@@ -25,18 +24,6 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _STD_NORMAL = NormalDist()
-
-
-class Probability(float):
-    """A float constrained to [0, 1]; construction outside the range raises."""
-
-    __slots__ = ()
-
-    def __new__(cls, value: float) -> "Probability":
-        v = float(value)
-        if not 0.0 <= v <= 1.0:  # also rejects NaN
-            raise ValueError(f"probability must lie in [0, 1], got {value!r}")
-        return super().__new__(cls, v)
 
 
 def _require_finite(name: str, x: float) -> float:
@@ -58,10 +45,10 @@ def arctanh(r: float) -> float:
     return math.atanh(r)
 
 
-def std_normal_sf(x: float) -> Probability:
+def std_normal_sf(x: float) -> float:
     """Survival function P(X > x) for X ~ Normal(0, 1)."""
     x = _require_finite("x", x)
-    return Probability(0.5 * math.erfc(x / _SQRT2))
+    return 0.5 * math.erfc(x / _SQRT2)
 
 
 def std_normal_quantile(p: float) -> float:
@@ -76,7 +63,7 @@ def std_normal_quantile(p: float) -> float:
     return _STD_NORMAL.inv_cdf(p)
 
 
-def kolmogorov_sf(t: float) -> Probability:
+def kolmogorov_sf(t: float) -> float:
     """Survival function of the Kolmogorov distribution.
 
     Two classical series for the limiting distribution of sqrt(n)*D_n:
@@ -85,16 +72,16 @@ def kolmogorov_sf(t: float) -> Probability:
     """
     t = _require_finite("t", t)
     if t <= 0.0:
-        return Probability(1.0)
+        return 1.0
     if t < 0.755:
         a = -math.pi * math.pi / (8.0 * t * t)
         # a left fold, as sum() compensates float sums from Python 3.12 on
         s = reduce(add, (math.exp(a * k * k) for k in (1, 3, 5, 7, 9, 11)), 0.0)
-        return Probability(max(0.0, 1.0 - _SQRT_2PI / t * s))
+        return max(0.0, 1.0 - _SQRT_2PI / t * s)
     s = 0.0
     for k in range(1, 101):
         term = math.exp(-2.0 * k * k * t * t)
         s += -term if k % 2 == 0 else term
         if term < 1e-18:
             break
-    return Probability(min(1.0, max(0.0, 2.0 * s)))
+    return min(1.0, max(0.0, 2.0 * s))

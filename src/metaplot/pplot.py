@@ -20,7 +20,7 @@ from operator import sub
 from typing import Iterable, Sequence
 
 from .ingest import CorrelationClass
-from .numerics import Probability, kolmogorov_sf
+from .numerics import kolmogorov_sf
 
 __all__ = [
     "PlotClass",
@@ -71,10 +71,10 @@ DEFAULT_CLASSIFY_THRESHOLDS = ClassifyThresholds()
 @dataclass(frozen=True)
 class PlotDiagnostics:
     ks_statistic: float
-    ks_p: Probability
+    ks_p: float
     slope_fit: float
-    frac_below_alpha: Probability
-    min_p: Probability
+    frac_below_alpha: float
+    min_p: float
     classification: PlotClass
 
 
@@ -100,7 +100,7 @@ def _sorted_unit(p_values: Iterable[float]) -> list[float]:
     return ps
 
 
-def _ks_sorted(ps: Sequence[float]) -> tuple[float, Probability]:
+def _ks_sorted(ps: Sequence[float]) -> tuple[float, float]:
     """One-sample Kolmogorov-Smirnov test against Uniform(0, 1) of ps, which
     are non-empty, each in [0, 1] and sorted ascending: the exact
     sup-distance between the empirical CDF and the uniform CDF, and the
@@ -181,8 +181,8 @@ def build_plot(
             stacklevel=2,
         )
     ks_stat, ks_p = _ks_sorted(ps)
-    frac = Probability(bisect_left(ps, alpha) / n)
-    min_p = Probability(ps[0])
+    frac = bisect_left(ps, alpha) / n
+    min_p = ps[0]
     diagnostics = PlotDiagnostics(
         ks_statistic=ks_stat,
         ks_p=ks_p,

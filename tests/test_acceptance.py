@@ -11,7 +11,9 @@ import importlib
 import json
 import math
 import pkgutil
+import shutil
 import time
+from pathlib import Path
 from statistics import NormalDist
 
 import pytest
@@ -297,3 +299,13 @@ def test_every_export_resolves():
         exec(f"from {module.__name__} import *", namespace)
         assert set(names) <= set(namespace)
     report_line(f"public API: every __all__ name of {len(modules)} modules resolves")
+
+
+def test_readme_library_example_runs(null_csv, tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    shutil.copy(null_csv, tmp_path / "studies.csv")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "NullConsistent\n"
+    report_line("README's library example runs")

@@ -777,6 +777,24 @@ def test_tails_span_that_overflows_exit_2_without_outputs(spec, tmp_path, capsys
     assert [p.name for p in out.iterdir()] == ["tails.json"]
 
 
+@pytest.mark.parametrize("spec, fault", [
+    (["--ref-sigma", "1e-308"],
+     "threshold 2.0 is not a finite number of sigmas from the reference mean"),
+    (["--ref-sigma", "1e-310"], "reference sigma 1e-310 is too small"),
+    (["--other-sigma", "5e-324"], "comparison sigma 5e-324 is too small"),
+    (["--ref-mu", "-1.7e308", "--thresholds", "0,1.7e308", "--format", "json"],
+     "threshold 1.7e+308 is not a finite number of sigmas from the reference mean"),
+], ids=["ref-sigma-1e-308", "ref-sigma-1e-310", "other-sigma-5e-324", "threshold-1.7e308"])
+def test_tails_overflowing_z_exit_2_naming_the_sigma_or_threshold(spec, fault, tmp_path, capsys):
+    # (threshold - mu) / sigma, or the density's 1 / sigma, overflows a float
+    out = tmp_path / "t"
+    assert main(["tails", *spec, "--out", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {fault}")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec, ref_mu, other_mu", [
     (["--other-mu", "-1e308"], 0.0, -1e308),
     (["--other-mu=-1e308"], 0.0, -1e308),
@@ -865,6 +883,18 @@ def test_simulate_malformed_json_exit_2_with_position(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "line 1" in err and "column" in err
+
+
+def test_simulate_config_that_is_not_utf8_exit_2_naming_the_byte(tmp_path, capsys):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes(b'{"label": "\xff"}')
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {cfg}: ")
+    assert "byte 0xff in position 11" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -987,6 +1017,12 @@ def test_import_cli_leaves_numpy_unloaded():
     # only simulate needs numpy, and only an audit that forks needs pickle;
     # audit and tails start without either
     code = "import sys, metaplot.cli; sys.exit('numpy' in sys.modules or 'pickle' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_import_metaplot_loads_no_submodule_but_version():
+    code = ("import sys, metaplot; sys.exit(sorted(m for m in sys.modules"
+            " if m.startswith('metaplot.')) != ['metaplot._version'])")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 

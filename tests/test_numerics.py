@@ -20,7 +20,6 @@ from scipy.special import kolmogorov as scipy_kolmogorov
 from scipy.stats import norm as scipy_norm
 
 from metaplot.numerics import (
-    Probability,
     arctanh,
     kolmogorov_sf,
     std_normal_quantile,
@@ -34,18 +33,6 @@ _STD_NORMAL_CDF = NormalDist().cdf
 ORACLE_TABLE = json.loads(
     (Path(__file__).parent / "oracles" / "erf_table.json").read_text()
 )
-
-
-def test_probability_accepts_unit_interval():
-    assert Probability(0.0) == 0.0
-    assert Probability(1.0) == 1.0
-    assert float(Probability(0.25)) == 0.25
-
-
-@pytest.mark.parametrize("bad", [-0.001, 1.0001, 2.0, float("nan"), float("inf")])
-def test_probability_rejects_out_of_range(bad):
-    with pytest.raises(ValueError):
-        Probability(bad)
 
 
 def test_erf_matches_50_point_oracle():

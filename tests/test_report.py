@@ -15,7 +15,6 @@ import metaplot.report
 from metaplot.fisher import AggregationMode, Summaries, summarize_studies, summarize_z
 from metaplot.gaussian import GaussianSpec, PRESETS, ratio_table
 from metaplot.ingest import CorrelationClass, group_complete_studies, parse_records
-from metaplot.numerics import Probability
 from metaplot.pplot import PlotClass, PlotDiagnostics, PValuePlot, build_plot
 from metaplot.report import (
     AuditMetadata,
@@ -243,10 +242,10 @@ pvalue_plots = st.builds(
     diagnostics=st.builds(
         PlotDiagnostics,
         ks_statistic=finite,
-        ks_p=unit.map(Probability),
+        ks_p=unit,
         slope_fit=finite,
-        frac_below_alpha=unit.map(Probability),
-        min_p=unit.map(Probability),
+        frac_below_alpha=unit,
+        min_p=unit,
         classification=st.sampled_from(PlotClass),
     ),
 )
