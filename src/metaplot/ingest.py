@@ -1,4 +1,4 @@
-"""CSV ingestion and validation of study-level correlation records.
+r"""CSV ingestion and validation of study-level correlation records.
 
 Input schema (UTF-8, comma-separated, header required):
 
@@ -9,26 +9,39 @@ may be empty; `r` must lie strictly inside (-1, 1); `n` must exceed 3 so
 the Fisher standard error 1/sqrt(n-3) exists, and may not exceed
 MAX_SAMPLE_SIZE.
 
-A sheet is parsed as it is read: `csv.reader` runs over the decoded stream
-of a binary file (or of bytes), and each row's fields go straight into
-parallel columns (`Records`) of the fields the audit reads, `study_id`,
-`class`, `r` and `n`; `author`, `year`, `title` and `journal` are checked
-(`year` must parse as an integer), not kept. Neither the whole text nor a
-list of rows is ever held (any other reader is read whole first). The
-complete studies are held as one flat list of record positions per class,
-with each study's offsets into it (`Groups`); no per-row or per-study
-object is kept. `_parse_row` is the one place a record is checked.
+A sheet is parsed as it is read. A binary file (or bytes) is read in
+blocks of 64 KiB, decoded as UTF-8 after an optional BOM by one incremental
+decoder, and cut at the last line end of each. A block with no `"`, no NUL,
+no `\r` but in `\r\n` and no line longer than `csv.field_size_limit()`
+holds exactly the rows `csv.reader` would give, one per line and split at
+its commas, so `str.split` splits it. From the first block that fails that
+test, `csv.reader` parses the rest of the sheet, as a quoted field may span
+blocks. Each row's fields go straight into parallel columns (`Records`) of
+the fields the audit reads, `study_id`, `class`, `r` and `n`; `author`,
+`year`, `title` and `journal` are checked (`year` must parse as an
+integer), not kept. Each row is checked inline, on its fields as they are;
+a row that check does not accept goes to `_parse_row`, which strips every
+field first and names what is wrong.
+Neither the whole text nor a list of rows is ever held (text and any other
+reader are read whole first). Failures follow input order: the first line
+that fails, with a bad header, a field over the limit or bytes that are
+not UTF-8, is the one reported, whichever block it lies in. The complete
+studies are held as one flat list of record positions per class, with
+each study's offsets into it (`Groups`); no per-row or per-study object is
+kept.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import pairwise
-from typing import Any, BinaryIO, Sequence, TextIO, Union
+from itertools import chain, pairwise, repeat
+from operator import length_hint
+from typing import Any, BinaryIO, Callable, Iterator, Sequence, TextIO, Union
 
 __all__ = [
     "CorrelationClass",
@@ -48,6 +61,9 @@ REQUIRED_COLUMNS = ("study_id", "author", "year", "title", "journal", "class", "
 # Far above any real sample, and small enough that a class's summed n stays a
 # finite float (for sqrt(n - 3)) however many records a sheet holds.
 MAX_SAMPLE_SIZE = 2**63 - 1
+# Bytes read at a time: a block of whole lines is split without csv.reader
+# when nothing in it needs csv's quoting rules.
+_BLOCK_SIZE = 1 << 16
 
 
 class CorrelationClass(str, Enum):
@@ -171,32 +187,17 @@ def _problems(year_s: str, cls_s: str, r_s: str, n_s: str) -> list[str]:
     return problems
 
 
-def _convert(year_s: str, cls_s: str, r_s: str, n_s: str) -> tuple:
-    """class, r and n from their stripped text, once the year parses too, or
-    a ValueError naming every field that does not parse."""
-    year_s, cls_s, r_s, n_s = map(str.strip, (year_s, cls_s, r_s, n_s))
-    try:
-        int(year_s)
-        return _CLASS_BY_TAG[cls_s], float(r_s), int(n_s)
-    except (KeyError, ValueError):
-        raise ValueError("; ".join(_problems(year_s, cls_s, r_s, n_s))) from None
-
-
 def _parse_row(row: list[str]) -> tuple:
-    """One data row as (study_id, cls, r, n), or a ValueError naming every
-    unparseable field or the first failed check."""
+    """One data row as (study_id, cls, r, n), its fields stripped, or a
+    ValueError naming every unparseable field or the first failed check."""
     if len(row) != len(REQUIRED_COLUMNS):
         raise ValueError(f"expected {len(REQUIRED_COLUMNS)} fields, got {len(row)}")
-    study_id, _, year_s, _, _, cls_s, r_s, n_s = row
+    study_id, _, year_s, _, _, cls_s, r_s, n_s = map(str.strip, row)
     try:
-        # int() and float() skip surrounding whitespace themselves, except
-        # the separators \x1c-\x1f, which str.strip() removes: _convert
-        # strips the fields and tries again.
         int(year_s)
-        cls, r, n = _CLASS_BY_TAG[cls_s.strip()], float(r_s), int(n_s)
+        cls, r, n = _CLASS_BY_TAG[cls_s], float(r_s), int(n_s)
     except (KeyError, ValueError):
-        cls, r, n = _convert(year_s, cls_s, r_s, n_s)
-    study_id = study_id.strip()
+        raise ValueError("; ".join(_problems(year_s, cls_s, r_s, n_s))) from None
     if not study_id:
         raise ValueError("study_id must be non-empty")
     if not abs(r) < 1.0:
@@ -208,22 +209,84 @@ def _parse_row(row: list[str]) -> tuple:
     return study_id, cls, r, n
 
 
-def _undecodable_line(binary: BinaryIO, lines_read: int, exc: UnicodeDecodeError) -> int:
-    r"""The line of the bytes a decoder of `binary` failed on, after the
-    reader had read `lines_read` lines. exc.object is the chunk being
-    decoded, which ends where binary was left and begins on the line after
-    the last one read, unless the text before it ends in a lone '\r': the
-    decoder holds that back to see whether '\n' follows, so its line was
-    not read. A binary that cannot seek back to look (a pipe) leaves that
-    line uncounted."""
-    head = exc.object[:exc.start]
-    line = lines_read + 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-    if binary.seekable() and exc.object[:1] != b"\n":
-        start = binary.tell() - len(exc.object)
-        if start > 0:
-            binary.seek(start - 1)
-            line += binary.read(1) == b"\r"
-    return line
+def _blocks(binary: BinaryIO) -> Iterator[str]:
+    r"""The text of binary, decoded as UTF-8 after an optional BOM, in
+    blocks of whole lines: each block but the last ends at a line end
+    ('\n', '\r\n' or a lone '\r'); a '\r' that ends what was read waits
+    for the next read to show whether '\n' follows. Where the bytes stop
+    being UTF-8, the lines before that point come as a last block, and then
+    the UnicodeDecodeError is raised."""
+    decode = codecs.getincrementaldecoder("utf-8-sig")().decode
+    pieces: list[str] = []  # the text since the last line end
+    while True:
+        data = binary.read(_BLOCK_SIZE)
+        try:
+            text = decode(data, final=not data)
+        except UnicodeDecodeError as exc:
+            text = "".join(pieces) + exc.object[:exc.start].decode("utf-8")
+            if cut := max(text.rfind("\n"), text.rfind("\r")) + 1:
+                yield text[:cut]
+            raise
+        if not data:
+            if text := "".join(pieces) + text:
+                yield text
+            return
+        end = len(text) - text.endswith("\r")
+        if cut := max(text.rfind("\n", 0, end), text.rfind("\r", 0, end)) + 1:
+            pieces.append(text[:cut])
+            yield "".join(pieces)
+            pieces = [text[cut:]]
+        else:
+            pieces.append(text)
+
+
+def _splits_like_csv(text: str, limit: int) -> list[str] | None:
+    r"""The lines of text, if csv.reader would give each as one row split at
+    its commas: text has no quote, no NUL (Python 3.10's csv rejects it),
+    no '\r' but in '\r\n', and no line over the field size limit."""
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:  # the end of the last line, or empty text
+        lines.pop()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    return lines
+
+
+def _take_rows(rows: Iterator[list[str]], line_of: Callable[[], int],
+               columns: tuple[list, ...], errors: list[RowError]) -> None:
+    """Each row's record onto columns, or its RowError, at line_of(), onto
+    errors; a blank row (no fields, or only whitespace) is skipped."""
+    add_study_id, add_cls, add_r, add_n = (column.append for column in columns)
+    class_by_tag, max_n = _CLASS_BY_TAG, MAX_SAMPLE_SIZE
+    for row in rows:
+        try:
+            # _parse_row's checks, on fields as they are: int() and float()
+            # skip surrounding whitespace themselves, except the separators
+            # \x1c-\x1f that str.strip() removes, so a row they do not accept
+            # goes to _parse_row, which strips every field first
+            study_id, _, year_s, _, _, cls_s, r_s, n_s = row
+            int(year_s)
+            cls, r, n = class_by_tag[cls_s], float(r_s), int(n_s)
+            study_id = study_id.strip()
+            if not (study_id and -1.0 < r < 1.0 and 3 < n <= max_n):
+                raise ValueError
+        except (KeyError, ValueError):
+            try:
+                study_id, cls, r, n = _parse_row(row)
+            except ValueError as exc:
+                if "".join(row).strip():
+                    errors.append(RowError(line=line_of(), message=str(exc)))
+                continue
+        add_study_id(study_id)
+        add_cls(cls)
+        add_r(r)
+        add_n(n)
 
 
 def parse_records(source: Source) -> ParseResult:
@@ -232,45 +295,51 @@ def parse_records(source: Source) -> ParseResult:
     Every data row yields exactly one record or one positioned error, and
     all errors are collected so a whole extraction sheet can be fixed in
     one pass. Input that cannot be read as a sheet at all raises
-    ParseFailure. A binary file (an io.RawIOBase or io.BufferedIOBase) is
-    read as it is parsed, and left open; any other object with .read() is
-    read whole first. A leading byte order mark is skipped, in text as in
-    bytes.
+    ParseFailure, for its first line that fails. A binary file (an
+    io.RawIOBase or io.BufferedIOBase) is read as it is parsed, and left
+    open; any other object with .read() is read whole first. A leading byte
+    order mark is skipped, in text as in bytes.
     """
-    if not isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        if hasattr(source, "read"):
-            source = source.read()  # type: ignore[union-attr]
-        source = (io.StringIO(source.removeprefix("\ufeff"), newline="")  # as utf-8-sig does
-                  if isinstance(source, str) else io.BytesIO(source))
-    text = source if isinstance(source, io.StringIO) else io.TextIOWrapper(
-        source, encoding="utf-8-sig", newline="")
-    reader = csv.reader(text)
+    binary = isinstance(source, (io.RawIOBase, io.BufferedIOBase))
+    if not binary and hasattr(source, "read"):
+        source = source.read()  # type: ignore[union-attr]
+    if isinstance(source, str):
+        text = source.removeprefix("\ufeff")  # as utf-8-sig does
+        blocks = iter((text,) if text else ())
+    else:
+        blocks = _blocks(source if binary else io.BytesIO(source))
+    limit = csv.field_size_limit()
     columns: tuple[list, ...] = ([], [], [], [])
-    add_study_id, add_cls, add_r, add_n = (column.append for column in columns)
     errors: list[RowError] = []
+    line = 0  # lines parsed before the block being parsed
+    reader = None
     try:
-        _check_header(next(reader, None))
-        for row in reader:
-            try:
-                study_id, cls, r, n = _parse_row(row)
-            except ValueError as exc:
-                # a blank line, or only whitespace fields, never parses and is skipped
-                if "".join(row).strip():
-                    errors.append(RowError(line=reader.line_num, message=str(exc)))
-            else:
-                add_study_id(study_id)
-                add_cls(cls)
-                add_r(r)
-                add_n(n)
+        for text in blocks:
+            if (lines := _splits_like_csv(text, limit)) is None:
+                # csv.reader parses the rest, as a quoted field may span blocks
+                reader = csv.reader(chain.from_iterable(
+                    map(io.StringIO, chain((text,), blocks), repeat(""))))
+                if not line:
+                    _check_header(next(reader, None))
+                _take_rows(reader, lambda: line + reader.line_num, columns, errors)
+                break
+            unread = iter(lines)
+            if not line:
+                _check_header(next(unread).split(","))
+            # map splits one line at a time, so that only one row list is
+            # alive for the cyclic collector to scan, and the line it split
+            # last is line + len(lines) - length_hint(unread)
+            _take_rows(map(str.split, unread, repeat(",")),
+                       lambda: line + len(lines) - length_hint(unread), columns, errors)
+            line += len(lines)
+        if not line and reader is None:
+            _check_header(None)
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise ParseFailure(f"row {reader.line_num}: {exc}") from exc
+        raise ParseFailure(f"row {line + reader.line_num}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        line = _undecodable_line(source, reader.line_num, exc)
+        line += reader.line_num if reader else 0
         bad = exc.object[exc.start:exc.end].hex(" ")
-        raise ParseFailure(f"row {line}: input is not valid UTF-8 ({exc.reason}: {bad})") from exc
-    finally:
-        if text is not source:
-            text.detach()  # so that collecting the wrapper does not close source
+        raise ParseFailure(f"row {line + 1}: input is not valid UTF-8 ({exc.reason}: {bad})") from exc
     return ParseResult(records=Records(*map(tuple, columns)), errors=errors)
 
 

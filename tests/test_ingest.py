@@ -1,8 +1,11 @@
+import codecs
+import csv
 import io
 import os
 from itertools import accumulate
 import re
 import tempfile
+import threading
 import tracemalloc
 
 import pytest
@@ -11,12 +14,15 @@ from hypothesis import strategies as st
 
 from conftest import wide_sheet
 
+from metaplot import ingest
 from metaplot.ingest import (
     MAX_SAMPLE_SIZE,
     CorrelationClass,
     ParseFailure,
     ParseResult,
     Records,
+    RowError,
+    _check_header,
     _parse_row,
     group_complete_studies,
     parse_records,
@@ -183,6 +189,24 @@ def parsed_from_file(data):
     return parsed
 
 
+def parsed_from_pipe(data):
+    """parsed_or_failure of data read from a pipe, which cannot seek back."""
+    read_end, write_end = os.pipe()
+
+    def write():
+        with os.fdopen(write_end, "wb") as sink:
+            sink.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    with os.fdopen(read_end, "rb") as pipe:
+        parsed = parsed_or_failure(pipe)
+        pipe.read()  # so that the writer ends, however early parsing stopped
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    return parsed
+
+
 @settings(max_examples=300, deadline=None)
 @given(body=sheet_bodies)
 def test_any_bytes_after_the_header_give_records_and_positioned_errors(body):
@@ -251,6 +275,100 @@ def test_invalid_utf8_after_a_lone_cr_ending_a_chunk_names_its_row(after):
     message = f"row {line}: input is not valid UTF-8 (invalid start byte: ff)"
     assert parsed_or_failure(data) == message
     assert parsed_from_file(data) == message
+    assert parsed_from_pipe(data) == message
+
+
+@pytest.mark.parametrize("pad", [0, 10_000, 70_000], ids=["at-once", "beyond-8-KiB", "beyond-64-KiB"])
+def test_a_bad_header_is_reported_before_invalid_utf8_after_it(pad):
+    # Failures follow input order: the header is line 1, so its failure
+    # comes first, whether the bad byte after it lies in the first 8 KiB,
+    # after them or after the first 64 KiB block.
+    data = b"s0,A,2000,,,ICC,0.5,12\n" + b"s1,A,2000,,,ICC,0.5,12\n" * (pad // 23) + b"\x80"
+    assert len(data) > pad
+    message = parsed_or_failure(data)
+    assert message.startswith("missing column(s): study_id, author, year, title, journal"), message
+    assert parsed_from_file(data) == parsed_from_pipe(data) == message
+
+
+def reference_parsed(text):
+    """What parse_records made of a text stream when csv.reader read it
+    line by line and _parse_row checked each row: its result, or its
+    ParseFailure's message."""
+    reader = csv.reader(text)
+    records, errors = [], []
+    try:
+        _check_header(next(reader, None))
+        for row in reader:
+            try:
+                records.append(_parse_row(row))
+            except ValueError as exc:
+                if "".join(row).strip():
+                    errors.append(RowError(reader.line_num, str(exc)))
+    except csv.Error as exc:
+        return f"row {reader.line_num}: {exc}"
+    except ParseFailure as exc:
+        return str(exc)
+    return ParseResult(Records(*map(tuple, zip(*records))) if records
+                       else Records((), (), (), ()), errors)
+
+
+def reference_parsed_bytes(data):
+    """reference_parsed of data decoded as UTF-8 after an optional BOM. Bytes
+    that are not UTF-8 fail on their line, unless a line before it fails:
+    the complete lines before the bad bytes are parsed first."""
+    body = data.removeprefix(codecs.BOM_UTF8)
+    try:
+        body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = body[:exc.start]
+        if cut := max(head.rfind(b"\n"), head.rfind(b"\r")) + 1:
+            before = reference_parsed(io.StringIO(head[:cut].decode(), newline=""))
+            if isinstance(before, str):
+                return before
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        bad = exc.object[exc.start:exc.end].hex(" ")
+        return f"row {line}: input is not valid UTF-8 ({exc.reason}: {bad})"
+    return reference_parsed(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+
+
+@settings(max_examples=300, deadline=None)
+@given(good=st.integers(0, 40), body=sheet_bodies, bom=st.booleans(),
+       block_size=st.sampled_from([1, 2, 3, 7, 64, 1 << 16]),
+       field_limit=st.sampled_from([8, 30, 131_072]))
+def test_parse_records_equals_csv_reader_over_the_decoded_stream(
+        good, body, bom, block_size, field_limit):
+    # The valid rows come first, so that blocks of every size end anywhere
+    # in them and in the pieces after them, quoted or not; field limits of 8
+    # and 30 characters send some blocks of valid lines to csv.reader.
+    valid = (f"s{i},A,2000,,,{('ICC', 'ECC', 'IEC')[i % 3]},0.{i % 9},{12 + i}" for i in range(good))
+    data = b"\xef\xbb\xbf" * bom + rows(*valid).encode() + body
+    limit = csv.field_size_limit(field_limit)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_BLOCK_SIZE", block_size)
+            expected = reference_parsed_bytes(data)
+            assert parsed_or_failure(data) == expected
+            assert parsed_from_file(data) == expected
+            assert parsed_from_pipe(data) == expected
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            return
+        assert parsed_or_failure(text) == expected
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_a_quoted_crlf_sheet_parses_as_the_plain_one(null_csv):
+    plain = null_csv.read_bytes()
+    twin = io.StringIO(newline="")
+    csv.writer(twin, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(
+        csv.reader(io.StringIO(plain.decode(), newline="")))
+    quoted = twin.getvalue()
+    assert quoted.startswith('"study_id","author",') and quoted.count("\r\n") == 82
+    expected = parse_records(plain)
+    assert not expected.errors and len(expected.records) == 81
+    assert parse_records(quoted.encode()) == parse_records(quoted) == expected
 
 
 def test_text_streams_and_other_readers_are_read_whole():
