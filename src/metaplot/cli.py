@@ -35,11 +35,11 @@ import statistics
 import sys
 import threading
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from ._version import __version__
 from .fisher import AggregationMode, summarize_studies, summarize_z
@@ -63,6 +63,8 @@ from .pplot import (
 from .report import (
     AuditMetadata,
     AuditReport,
+    _json_head_tail,
+    _write_json_summaries,
     json_bytes,
     pplot_filename,
     render_json,
@@ -85,7 +87,7 @@ _COLORS = {
 _RESET = "\x1b[0m"
 
 
-# The fewest retained studies at which audit renders report.json in a forked
+# The fewest retained studies at which audit writes report.json in a forked
 # child. The gate is a size because the fork has a cost: on a 2-vCPU machine
 # a fork, exit and wait took 3.6 ms at 31 MB RSS and 22 ms at 378 MB.
 _FORK_MIN_STUDIES = 10_000
@@ -162,67 +164,81 @@ def _artifact_writer(out: str) -> Iterator[Path]:
 
 
 def _fork_pays(formats: set[str], retained: int) -> bool:
-    """Whether audit renders report.json in a forked child while report.md
-    and the SVGs render here: both sides have work, the sheet is large
-    enough to repay the fork, and a second CPU and a one-thread process make
-    it safe and useful. Rendered one after the other on a 98k-study sheet,
-    report.json takes 0.46-0.76 s and report.md and the SVGs about 18 ms, so
-    the fork saves little time; it keeps report.json's buffer out of this
-    process's memory. getrusage(RUSAGE_SELF) does not count the child's
-    memory, and a tracer in this process does not see the child's render."""
-    return ("json" in formats and not formats.isdisjoint({"md", "svg"})
-            and retained >= _FORK_MIN_STUDIES
+    """Whether audit writes report.json in a forked child: the sheet is
+    large enough to repay the fork, and a second CPU and a one-thread
+    process make it safe and useful. The child renders the per-study
+    summaries, report.json's bulk (0.40 s on a 98k-study sheet), while this
+    process computes the z-panels and p-value plots (0.37 s) and renders
+    the rest. getrusage(RUSAGE_SELF) does not count the child's memory, and
+    a tracer in this process does not see the child's render."""
+    return ("json" in formats and retained >= _FORK_MIN_STUDIES
             and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and threading.active_count() == 1 and len(os.sched_getaffinity(0)) > 1)
 
 
 @contextmanager
-def _forked(task: Callable[[], None]) -> Iterator[None]:
-    """Run task() in a forked child while the block runs in this process.
+def _forked(task: Callable[[Callable[[], Any]], None]) -> Iterator[Callable[[Any], None]]:
+    """Run task(receive) in a forked child while the block runs in this
+    process. The block gets send, and calls send(value) once; in the child,
+    receive() waits for that value and returns it.
 
     The child always ends in os._exit: it flushes none of the stdio it
     inherited and runs none of the caller's finally blocks. An exception it
     raises comes back pickled through a pipe (as a RuntimeError holding its
     traceback if it does not pickle and load back) and is raised here once
     the block is done; a child killed by a signal becomes a RuntimeError
-    naming it. If the block raises, the child is killed. Either way it is
-    reaped before this returns or raises. If no process can be forked,
-    task() runs here first."""
+    naming it. A child that ends before it receives does not fail send.
+    If the block raises, the child is killed. Either way it is reaped
+    before this returns or raises. If no process can be forked, task()
+    runs here after the block, and receive() returns what the block sent."""
     import pickle  # only an audit that forks pays for these imports
     import signal
 
-    read_fd, write_fd = os.pipe()
+    frame_fd, send_fd = os.pipe()  # this process's value, to the child
+    read_fd, write_fd = os.pipe()  # the child's exception, to this process
     try:
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        task()
-        yield
+        for fd in (frame_fd, send_fd, read_fd, write_fd):
+            os.close(fd)
+        sent: list = []
+        yield sent.append
+        task(sent.pop)
         return
     if pid == 0:  # the child
         status = 1
         try:
+            os.close(send_fd)
             os.close(read_fd)
             payload = b""
-            try:
-                task()
-            except BaseException as exc:
+            # closed before the payload is written, so that a send blocked
+            # on a full pipe fails at once rather than wait for this child
+            with open(frame_fd, "rb") as frame:
                 try:
-                    payload = pickle.dumps(exc)
-                    pickle.loads(payload)  # some exceptions dump but do not load
-                except BaseException:
-                    import traceback
-                    payload = pickle.dumps(RuntimeError("".join(traceback.format_exception(exc))))
+                    task(lambda: pickle.loads(frame.read()))
+                except BaseException as exc:
+                    try:
+                        payload = pickle.dumps(exc)
+                        pickle.loads(payload)  # some exceptions dump but do not load
+                    except BaseException:
+                        import traceback
+                        payload = pickle.dumps(RuntimeError("".join(traceback.format_exception(exc))))
             with open(write_fd, "wb") as pipe:
                 pipe.write(payload)
             status = 0
         finally:
             os._exit(status)
+    os.close(frame_fd)
     os.close(write_fd)
-    with open(read_fd, "rb") as pipe:
+    with open(read_fd, "rb") as pipe, open(send_fd, "wb") as frame:
+        def send(value: Any) -> None:
+            # a child that ended first has its end raised below
+            with suppress(BrokenPipeError), frame:
+                frame.write(pickle.dumps(value))
+
         try:
-            yield
+            yield send
+            frame.close()
             # read to the end before waiting: a payload larger than the
             # pipe's buffer would otherwise block the child's exit
             payload = pipe.read()
@@ -368,22 +384,13 @@ def run_audit(args: argparse.Namespace) -> int:
               f"are weak below {SOFT_MIN_POINTS}", file=sys.stderr)
 
     two_sided = not args.one_sided
-    summaries = {}
-    z_panels = {}
-    plots = {}
-    for cls in CorrelationClass:
-        ss = summarize_studies(
-            grouping.groups, cls, mode=mode, shared_n=args.shared_n, two_sided=two_sided
-        )
-        summaries[cls.value] = ss
-        z_panels[cls.value] = summarize_z(ss, cls)
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", r"only \d+ p-values", UserWarning)
-            plots[cls.value] = build_plot(
-                ss.p_value, alpha=args.alpha, cls=cls, thresholds=thresholds
-            )
+    summaries = {
+        cls.value: summarize_studies(grouping.groups, cls, mode=mode, shared_n=args.shared_n,
+                                     two_sided=two_sided)
+        for cls in CorrelationClass
+    }
     dropped, total_n = len(grouping.dropped), sum(grouping.groups.study_n)
-    del result, grouping  # rendering reads none of the records
+    del result, grouping  # nothing after this reads the records
 
     config_echo = {
         "subcommand": "audit",
@@ -400,19 +407,36 @@ def run_audit(args: argparse.Namespace) -> int:
         "studies_dropped": dropped,
         "total_n": total_n,
     }
-    report = AuditReport(
-        metadata=AuditMetadata(
-            input_sha256=digest.hexdigest(),
-            tool_version=__version__,
-            config=config_echo,
-        ),
-        summaries=summaries,
-        z_panels=z_panels,
-        plots=plots,
-    )
+    metadata = AuditMetadata(
+        input_sha256=digest.hexdigest(), tool_version=__version__, config=config_echo)
 
     with _artifact_writer(args.out) as staging:
-        def write_md_svg() -> None:
+        json_path = staging / "report.json"
+
+        def write_json(receive: Callable[[], tuple[bytes, bytes]]) -> None:
+            # the summaries need nothing but summarize_studies, so a child
+            # renders them while this process computes all else
+            body = io.BytesIO()
+            _write_json_summaries(body, summaries)
+            head, tail = receive()
+            with open(json_path, "wb") as out:
+                out.write(head)
+                out.write(body.getvalue())
+                out.write(tail)
+
+        forks = _fork_pays(args.format, retained)
+        with _forked(write_json) if forks else nullcontext() as send:
+            z_panels = {}
+            plots = {}
+            for cls in CorrelationClass:
+                ss = summaries[cls.value]
+                z_panels[cls.value] = summarize_z(ss, cls)
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", r"only \d+ p-values", UserWarning)
+                    plots[cls.value] = build_plot(
+                        ss.p_value, alpha=args.alpha, cls=cls, thresholds=thresholds
+                    )
+            report = AuditReport(metadata, summaries, z_panels, plots)
             if "md" in args.format:
                 (staging / "report.md").write_bytes(render_markdown(report))
             if "svg" in args.format:
@@ -420,15 +444,10 @@ def run_audit(args: argparse.Namespace) -> int:
                     (staging / pplot_filename(tag)).write_bytes(render_svg_pplot(plot))
                 (staging / "zpanel.svg").write_bytes(
                     render_svg_zpanel([z_panels[c.value] for c in CorrelationClass]))
-
-        json_path = staging / "report.json"
-        if not _fork_pays(args.format, retained):
-            if "json" in args.format:
+            if forks:
+                send(_json_head_tail(report))
+            elif "json" in args.format:
                 json_path.write_bytes(render_json(report))
-            write_md_svg()
-        else:  # the child renders report.json, this process all else
-            with _forked(lambda: json_path.write_bytes(render_json(report))):
-                write_md_svg()
 
     for cls in CorrelationClass:
         print(_verdict_line(cls.value, plots[cls.value].diagnostics.classification))

@@ -22,6 +22,12 @@ fixed text between the fields, encoded and written. So the document is held
 once, beside one block's strings. The tests re-encode `render_json`'s
 output with the stdlib and require the same bytes.
 
+`render_json` joins two pieces, which a forked audit renders in two
+processes (see `cli.run_audit`) into the same bytes: `_write_json_summaries`
+writes the `summaries` value, and `_json_head_tail` renders the document
+around it, `metadata`, `plots` and `schema_version` before it and
+`z_panels` after it.
+
 report.json is schema 2 (`"schema_version": 2`). Its keys are `metadata`
 (with the run's `config`), `plots` (each class's alpha, class and
 diagnostics), `summaries` (per study: `study_id`, `mean_r`, `n` and
@@ -209,28 +215,38 @@ def _write_summaries(buf: BinaryIO, s: Summaries) -> None:
     buf.write(b"\n    ]")
 
 
-def render_json(report: AuditReport) -> bytes:
-    """Deterministic JSON encoding: sorted keys, full float precision. See the
-    module docstring for the format and how it is written."""
+def _write_json_summaries(buf: BinaryIO, summaries: dict[str, Summaries]) -> None:
+    """report.json's "summaries" value: each class's array, by sorted tag."""
+    sep = "{\n"
+    for tag, s in sorted(summaries.items()):
+        buf.write(f"{sep}    {_str(tag)}: ".encode())
+        _write_summaries(buf, s)
+        sep = ",\n"
+    buf.write(b"\n  }" if summaries else b"{}")
+
+
+def _json_head_tail(report: AuditReport) -> tuple[bytes, bytes]:
+    """report.json before and after its "summaries" value."""
     plots = {
         tag: {"alpha": plot.alpha, "class": plot.cls.value if plot.cls is not None else None,
               "diagnostics": _diagnostics_to_dict(plot.diagnostics)}
         for tag, plot in report.plots.items()
     }
     z_panels = {tag: _zsummary_to_dict(z) for tag, z in report.z_panels.items()}
+    head = (f'{{\n  "metadata": {json_block(asdict(report.metadata), "  ")},\n'
+            f'  "plots": {json_block(plots, "  ")},\n'
+            '  "schema_version": 2,\n  "summaries": ')
+    return head.encode(), f',\n  "z_panels": {json_block(z_panels, "  ")}\n}}\n'.encode()
+
+
+def render_json(report: AuditReport) -> bytes:
+    """Deterministic JSON encoding: sorted keys, full float precision. See the
+    module docstring for the format and how it is written."""
+    head, tail = _json_head_tail(report)
     buf = io.BytesIO()
-    buf.write(
-        f'{{\n  "metadata": {json_block(asdict(report.metadata), "  ")},\n'
-        f'  "plots": {json_block(plots, "  ")},\n'
-        '  "schema_version": 2,\n  "summaries": '.encode()
-    )
-    sep = "{\n"
-    for tag, s in sorted(report.summaries.items()):
-        buf.write(f"{sep}    {_str(tag)}: ".encode())
-        _write_summaries(buf, s)
-        sep = ",\n"
-    buf.write(b"\n  }" if report.summaries else b"{}")
-    buf.write(f',\n  "z_panels": {json_block(z_panels, "  ")}\n}}\n'.encode())
+    buf.write(head)
+    _write_json_summaries(buf, report.summaries)
+    buf.write(tail)
     return buf.getvalue()
 
 

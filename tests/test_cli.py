@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metaplot.cli
+import metaplot.report
 from metaplot.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from metaplot.fisher import HISTOGRAM_MAX_BINS
 from metaplot.ingest import REQUIRED_COLUMNS
@@ -166,16 +167,22 @@ def test_audit_oversized_n_exit_2_without_outputs(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_audit_huge_n_caps_histogram_bins(null_csv, tmp_path):
-    # n = 10**18 at r = 0.999999 gives z ~ 7e9: 1.5e10 bins of 0.5, and with
-    # the null fixture's z-scores, the smallest multiple of 0.5 that fits in
-    # HISTOGRAM_MAX_BINS bins.
+@pytest.fixture
+def huge_n_csv(null_csv, tmp_path):
+    """The null fixture and one study of n = 10**18 at r = 0.999999."""
     sheet = tmp_path / "huge_n.csv"
     extra = "".join(f"huge,A,2000,,,{cls},0.999999,{10**18}\n" for cls in ("ICC", "ECC", "IEC"))
     sheet.write_text(null_csv.read_text() + extra)
+    return sheet
+
+
+def test_audit_huge_n_caps_histogram_bins(huge_n_csv, tmp_path):
+    # n = 10**18 at r = 0.999999 gives z ~ 7e9: 1.5e10 bins of 0.5, and with
+    # the null fixture's z-scores, the smallest multiple of 0.5 that fits in
+    # HISTOGRAM_MAX_BINS bins.
     out = tmp_path / "out"
     start = time.perf_counter()
-    assert main(["audit", "--input", str(sheet), "--out", str(out)]) == EXIT_OK
+    assert main(["audit", "--input", str(huge_n_csv), "--out", str(out)]) == EXIT_OK
     assert time.perf_counter() - start < 5.0  # well under a second when the cap works
     for panel in json.loads((out / "report.json").read_bytes())["z_panels"].values():
         histogram = panel["histogram"]
@@ -406,10 +413,9 @@ def test_audit_reads_a_sheet_from_a_pipe(null_csv, tmp_path):
 
 @pytest.fixture
 def forking(monkeypatch):
-    """Fork on every audit that renders report.json and report.md or an SVG,
-    as on a sheet above the gate on two CPUs. Yields the pids os.fork
-    returned to this process; afterwards no child may be left, running or
-    unreaped."""
+    """Fork on every audit that writes report.json, as on a sheet above the
+    gate on two CPUs. Yields the pids os.fork returned to this process;
+    afterwards no child may be left, running or unreaped."""
     forks = []
     fork = os.fork
 
@@ -444,17 +450,19 @@ class Unloadable(Exception):  # pickles, but loading calls Unloadable(message)
 
 
 @pytest.mark.parametrize("renderer, exc", [
-    ("render_json", RuntimeError("render failed")),  # the child's only render
-    ("render_json", ValueError("x" * 200_000)),  # beyond a pipe's buffer
-    ("render_json", Unpicklable("no pickle")),
-    ("render_json", Unloadable("no", "load")),
-    ("render_markdown", RuntimeError("render failed")),  # here, with the child running
+    ("_write_json_summaries", RuntimeError("render failed")),  # the child's only render
+    ("_write_json_summaries", ValueError("x" * 200_000)),  # beyond a pipe's buffer
+    ("_write_json_summaries", Unpicklable("no pickle")),
+    ("_write_json_summaries", Unloadable("no", "load")),
+    ("summarize_z", RuntimeError("failed")),  # here, with the child running
+    ("build_plot", RuntimeError("failed")),
+    ("render_markdown", RuntimeError("render failed")),
     ("render_svg_zpanel", RuntimeError("render failed")),  # here, the last render
-], ids=["child", "large", "unpicklable", "unloadable", "markdown", "svg"])
+], ids=["child", "large", "unpicklable", "unloadable", "z-panel", "plot", "markdown", "svg"])
 def test_forked_render_failure_leaves_nothing(
     renderer, exc, forking, null_csv, tmp_path, capsys, monkeypatch
 ):
-    def boom(*args):
+    def boom(*args, **kwargs):
         raise exc
 
     monkeypatch.setattr(metaplot.cli, renderer, boom)
@@ -490,15 +498,16 @@ def test_forked_audit_renders_report_md_and_the_svgs_here(
 
         monkeypatch.setattr(metaplot.cli, name, spied)
 
-    for name in ("render_json", "render_markdown", "render_svg_pplot", "render_svg_zpanel"):
+    for name in ("_write_json_summaries", "_json_head_tail", "render_json", "render_markdown",
+                 "render_svg_pplot", "render_svg_zpanel"):
         spy(name)
     out = tmp_path / "out"
     assert main(["audit", "--input", str(null_csv), "--out", str(out)]) == EXIT_OK
     assert len(forking) == 1
     here = os.getpid()
     assert calls == [("render_markdown", here), *[("render_svg_pplot", here)] * 3,
-                     ("render_svg_zpanel", here)]
-    # the child rendered report.json
+                     ("render_svg_zpanel", here), ("_json_head_tail", here)]
+    # the child rendered the summaries and wrote report.json
     whole = json.loads((out / "report.json").read_bytes())
     assert set(whole["summaries"]) == {"ICC", "ECC", "IEC"} and "z_panels" in whole
 
@@ -520,13 +529,18 @@ def test_forked_audit_into_an_existing_out_keeps_its_files(
     assert sorted(os.listdir(tmp_path)) == ["out", "serial"]
 
 
-def killed_in_the_child():
-    """A render_json that SIGKILLs the process rendering report.json, which is
-    never this one."""
+def killed_in_the_child(render=None):
+    """A renderer that SIGKILLs the process rendering report.json's
+    summaries, which is never this one: at once, or on its second call to
+    render if one is given."""
     here = os.getpid()
+    calls = []
 
-    def die(report):
+    def die(*args):
         assert os.getpid() != here  # only ever in the child
+        calls.append(args)
+        if render is not None and len(calls) < 2:
+            return render(*args)
         os.kill(os.getpid(), signal.SIGKILL)
 
     return die
@@ -535,7 +549,7 @@ def killed_in_the_child():
 def test_forked_child_killed_by_a_signal_leaves_nothing(
     forking, null_csv, tmp_path, capsys, monkeypatch
 ):
-    monkeypatch.setattr(metaplot.cli, "render_json", killed_in_the_child())
+    monkeypatch.setattr(metaplot.cli, "_write_json_summaries", killed_in_the_child())
     with pytest.raises(RuntimeError, match="killed by SIGKILL"):
         main(["audit", "--input", str(null_csv), "--out", str(tmp_path / "a" / "out")])
     assert capsys.readouterr().out == ""
@@ -546,7 +560,9 @@ def test_forked_child_killed_by_a_signal_leaves_nothing(
 def test_forked_child_killed_while_rendering_the_part_leaves_nothing(
     forking, null_csv, tmp_path, capsys, monkeypatch
 ):
-    monkeypatch.setattr(metaplot.cli, "render_json", killed_in_the_child())
+    # killed with one class's array in its buffer, the next one begun
+    monkeypatch.setattr(metaplot.report, "_write_summaries",
+                        killed_in_the_child(metaplot.report._write_summaries))
     out = tmp_path / "kept"
     out.mkdir()
     (out / "notes.txt").write_bytes(b"keep")
@@ -560,13 +576,13 @@ def test_forked_child_killed_while_rendering_the_part_leaves_nothing(
 def test_forked_child_is_killed_when_this_side_is_interrupted(
     forking, null_csv, tmp_path, monkeypatch
 ):
-    def render_json(report):  # the child
+    def render_summaries(buf, summaries):  # the child
         time.sleep(60)
 
     def render_markdown(report):  # here
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(metaplot.cli, "render_json", render_json)
+    monkeypatch.setattr(metaplot.cli, "_write_json_summaries", render_summaries)
     monkeypatch.setattr(metaplot.cli, "render_markdown", render_markdown)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
@@ -592,10 +608,60 @@ def test_audit_renders_here_when_no_process_can_be_forked(null_csv, tmp_path, mo
     assert tried and read_dir(fallback) == read_dir(serial)
 
 
+# On the huge_n_csv sheet each z-panel has hundreds of bins, so report.json's
+# head and tail, which this process sends to the child, fill more than a
+# pipe's 64 KiB buffer.
+
+
+def test_forked_audit_sends_more_than_a_pipe_holds(forking, huge_n_csv, tmp_path, monkeypatch):
+    forked, serial = tmp_path / "forked", tmp_path / "serial"
+    assert main(["audit", "--input", str(huge_n_csv), "--out", str(forked)]) == EXIT_OK
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main(["audit", "--input", str(huge_n_csv), "--out", str(serial)]) == EXIT_OK
+    assert len(forking) == 1 and read_dir(forked) == read_dir(serial)
+    document = (forked / "report.json").read_bytes()
+    assert len(document) - document.index(b'\n  "z_panels": ') > 1 << 16
+
+
+@pytest.mark.parametrize("delay, exc", [
+    (0.0, RuntimeError("render failed")),  # gone before this process sends
+    (0.5, ValueError("x" * 200_000)),  # while this process waits to send
+], ids=["at-once", "while-sending"])
+def test_forked_child_failure_beats_a_broken_pipe(
+    delay, exc, forking, huge_n_csv, tmp_path, capsys, monkeypatch
+):
+    def boom(buf, summaries):  # the child, which never reads what is sent
+        time.sleep(delay)
+        raise exc
+
+    def hung(signum, frame):
+        raise AssertionError("hung")
+
+    monkeypatch.setattr(metaplot.cli, "_write_json_summaries", boom)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(type(exc)) as raised:
+            main(["audit", "--input", str(huge_n_csv), "--out", str(tmp_path / "out")])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert str(raised.value) == str(exc)
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == [huge_n_csv]
+    assert len(forking) == 1
+
+
 @pytest.mark.parametrize("case", ["below-gate", "second-thread", "one-cpu", "json", "md,svg"])
 def test_audit_forks_only_above_the_gate(case, null_csv, tmp_path, monkeypatch):
+    forks = []
+    fork = os.fork
+
     def refuse():
-        raise AssertionError("forked")
+        if case != "json":
+            raise AssertionError("forked")
+        forks.append(True)
+        return fork()
 
     if case != "below-gate":
         monkeypatch.setattr(metaplot.cli, "_FORK_MIN_STUDIES", 0)
@@ -616,6 +682,12 @@ def test_audit_forks_only_above_the_gate(case, null_csv, tmp_path, monkeypatch):
         if thread.is_alive():
             thread.join()
     assert len(list(out.iterdir())) == {"json": 1, "md,svg": 5}.get(formats, 6)
+    if case == "json":  # report.json alone forks too, and writes what one CPU does
+        assert len(forks) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        argv = ["audit", "--input", str(null_csv), "--out", str(tmp_path / "one"), "--format", "json"]
+        assert main(argv) == EXIT_OK
+        assert len(forks) == 1 and read_dir(tmp_path / "one") == read_dir(out)
 
 
 @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
