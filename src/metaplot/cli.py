@@ -64,6 +64,7 @@ from .report import (
     AuditMetadata,
     AuditReport,
     _json_head_tail,
+    _write_json,
     _write_json_summaries,
     json_bytes,
     pplot_filename,
@@ -177,7 +178,7 @@ def _fork_pays(formats: set[str], retained: int) -> bool:
 
 
 @contextmanager
-def _forked(task: Callable[[Callable[[], Any]], None]) -> Iterator[Callable[[Any], None]]:
+def _forked(task: Callable[[Callable[[], Any]], None]) -> Iterator[Callable[[Any], None] | None]:
     """Run task(receive) in a forked child while the block runs in this
     process. The block gets send, and calls send(value) once; in the child,
     receive() waits for that value and returns it.
@@ -189,8 +190,8 @@ def _forked(task: Callable[[Callable[[], Any]], None]) -> Iterator[Callable[[Any
     the block is done; a child killed by a signal becomes a RuntimeError
     naming it. A child that ends before it receives does not fail send.
     If the block raises, the child is killed. Either way it is reaped
-    before this returns or raises. If no process can be forked, task()
-    runs here after the block, and receive() returns what the block sent."""
+    before this returns or raises. If no process can be forked, the block
+    gets None, and the caller does the task's work itself."""
     import pickle  # only an audit that forks pays for these imports
     import signal
 
@@ -201,9 +202,7 @@ def _forked(task: Callable[[Callable[[], Any]], None]) -> Iterator[Callable[[Any
     except OSError:
         for fd in (frame_fd, send_fd, read_fd, write_fd):
             os.close(fd)
-        sent: list = []
-        yield sent.append
-        task(sent.pop)
+        yield None
         return
     if pid == 0:  # the child
         status = 1
@@ -418,14 +417,11 @@ def run_audit(args: argparse.Namespace) -> int:
             # renders them while this process computes all else
             body = io.BytesIO()
             _write_json_summaries(body, summaries)
-            head, tail = receive()
+            head_tail = receive()
             with open(json_path, "wb") as out:
-                out.write(head)
-                out.write(body.getvalue())
-                out.write(tail)
+                _write_json(out, head_tail, lambda buf: buf.write(body.getbuffer()))
 
-        forks = _fork_pays(args.format, retained)
-        with _forked(write_json) if forks else nullcontext() as send:
+        with _forked(write_json) if _fork_pays(args.format, retained) else nullcontext() as send:
             z_panels = {}
             plots = {}
             for cls in CorrelationClass:
@@ -444,7 +440,7 @@ def run_audit(args: argparse.Namespace) -> int:
                     (staging / pplot_filename(tag)).write_bytes(render_svg_pplot(plot))
                 (staging / "zpanel.svg").write_bytes(
                     render_svg_zpanel([z_panels[c.value] for c in CorrelationClass]))
-            if forks:
+            if send:
                 send(_json_head_tail(report))
             elif "json" in args.format:
                 json_path.write_bytes(render_json(report))

@@ -26,7 +26,7 @@ output with the stdlib and require the same bytes.
 processes (see `cli.run_audit`) into the same bytes: `_write_json_summaries`
 writes the `summaries` value, and `_json_head_tail` renders the document
 around it, `metadata`, `plots` and `schema_version` before it and
-`z_panels` after it.
+`z_panels` after it. `_write_json` puts them in that order for both.
 
 report.json is schema 2 (`"schema_version": 2`). Its keys are `metadata`
 (with the run's `config`), `plots` (each class's alpha, class and
@@ -62,7 +62,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any, BinaryIO, Sequence
+from typing import Any, BinaryIO, Callable, Sequence
 
 from .fisher import Summaries, ZSummary
 from .gaussian import GaussianSpec, TailTable, curve_points
@@ -239,14 +239,22 @@ def _json_head_tail(report: AuditReport) -> tuple[bytes, bytes]:
     return head.encode(), f',\n  "z_panels": {json_block(z_panels, "  ")}\n}}\n'.encode()
 
 
+def _write_json(out: BinaryIO, head_tail: tuple[bytes, bytes],
+                write_summaries: Callable[[BinaryIO], object]) -> None:
+    """report.json into out: its head, the "summaries" value that
+    write_summaries(out) writes, and its tail."""
+    head, tail = head_tail
+    out.write(head)
+    write_summaries(out)
+    out.write(tail)
+
+
 def render_json(report: AuditReport) -> bytes:
     """Deterministic JSON encoding: sorted keys, full float precision. See the
     module docstring for the format and how it is written."""
-    head, tail = _json_head_tail(report)
     buf = io.BytesIO()
-    buf.write(head)
-    _write_json_summaries(buf, report.summaries)
-    buf.write(tail)
+    _write_json(buf, _json_head_tail(report),
+                lambda out: _write_json_summaries(out, report.summaries))
     return buf.getvalue()
 
 

@@ -604,8 +604,13 @@ def test_audit_renders_here_when_no_process_can_be_forked(null_csv, tmp_path, mo
     monkeypatch.setattr(metaplot.cli, "_FORK_MIN_STUDIES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", no_process)
+    render_json = metaplot.cli.render_json
+    rendered = []
+    monkeypatch.setattr(metaplot.cli, "render_json",
+                        lambda report: rendered.append(True) or render_json(report))
     assert main(["audit", "--input", str(null_csv), "--out", str(fallback)]) == EXIT_OK
-    assert tried and read_dir(fallback) == read_dir(serial)
+    # the refused fork took the one-process path, as a run below the gate does
+    assert tried and rendered and read_dir(fallback) == read_dir(serial)
 
 
 # On the huge_n_csv sheet each z-panel has hundreds of bins, so report.json's
@@ -623,20 +628,34 @@ def test_forked_audit_sends_more_than_a_pipe_holds(forking, huge_n_csv, tmp_path
     assert len(document) - document.index(b'\n  "z_panels": ') > 1 << 16
 
 
-@pytest.mark.parametrize("delay, exc", [
-    (0.0, RuntimeError("render failed")),  # gone before this process sends
-    (0.5, ValueError("x" * 200_000)),  # while this process waits to send
+@pytest.mark.parametrize("while_sending, exc", [
+    (False, RuntimeError("render failed")),  # gone before this process sends
+    (True, ValueError("x" * 200_000)),  # while this process is blocked sending
 ], ids=["at-once", "while-sending"])
 def test_forked_child_failure_beats_a_broken_pipe(
-    delay, exc, forking, huge_n_csv, tmp_path, capsys, monkeypatch
+    while_sending, exc, forking, huge_n_csv, tmp_path, tmp_path_factory, capsys, monkeypatch
 ):
+    sending = tmp_path_factory.mktemp("marker") / "sending"
+    head_tail = metaplot.cli._json_head_tail
+
+    def about_to_send(report):  # here, just before send
+        frame = head_tail(report)
+        if while_sending:
+            sending.touch()
+        else:  # the child has exited; WNOWAIT leaves it for _forked to reap
+            os.waitid(os.P_PID, forking[0], os.WEXITED | os.WNOWAIT)
+        return frame
+
     def boom(buf, summaries):  # the child, which never reads what is sent
-        time.sleep(delay)
+        while while_sending and not sending.exists():
+            time.sleep(0.01)
+        time.sleep(0.2 if while_sending else 0)  # for this process to fill the pipe
         raise exc
 
     def hung(signum, frame):
         raise AssertionError("hung")
 
+    monkeypatch.setattr(metaplot.cli, "_json_head_tail", about_to_send)
     monkeypatch.setattr(metaplot.cli, "_write_json_summaries", boom)
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(30)
@@ -649,7 +668,7 @@ def test_forked_child_failure_beats_a_broken_pipe(
     assert str(raised.value) == str(exc)
     assert capsys.readouterr().out == ""
     assert list(tmp_path.iterdir()) == [huge_n_csv]
-    assert len(forking) == 1
+    assert len(forking) == 1 and sending.exists() == while_sending
 
 
 @pytest.mark.parametrize("case", ["below-gate", "second-thread", "one-cpu", "json", "md,svg"])
