@@ -28,7 +28,10 @@ that fails, with a bad header, a field over the limit or bytes that are
 not UTF-8, is the one reported, whichever block it lies in. The complete
 studies are held as one flat list of record positions per class, with
 each study's offsets into it (`Groups`); no per-row or per-study object is
-kept.
+kept. A parse can start past a given number of lines, on the part of a
+sheet after them: its rows are numbered on from there, and it has no
+header check and no BOM skip, so a U+FEFF that opens it stays in its first
+field.
 """
 
 from __future__ import annotations
@@ -209,14 +212,14 @@ def _parse_row(row: list[str]) -> tuple:
     return study_id, cls, r, n
 
 
-def _blocks(binary: BinaryIO) -> Iterator[str]:
-    r"""The text of binary, decoded as UTF-8 after an optional BOM, in
+def _blocks(binary: BinaryIO, encoding: str) -> Iterator[str]:
+    r"""The text of binary, decoded as encoding ('utf-8' or 'utf-8-sig'), in
     blocks of whole lines: each block but the last ends at a line end
     ('\n', '\r\n' or a lone '\r'); a '\r' that ends what was read waits
     for the next read to show whether '\n' follows. Where the bytes stop
     being UTF-8, the lines before that point come as a last block, and then
     the UnicodeDecodeError is raised."""
-    decode = codecs.getincrementaldecoder("utf-8-sig")().decode
+    decode = codecs.getincrementaldecoder(encoding)().decode
     pieces: list[str] = []  # the text since the last line end
     while True:
         data = binary.read(_BLOCK_SIZE)
@@ -289,7 +292,7 @@ def _take_rows(rows: Iterator[list[str]], line_of: Callable[[], int],
         add_n(n)
 
 
-def parse_records(source: Source) -> ParseResult:
+def parse_records(source: Source, line: int = 0) -> ParseResult:
     """Parse CSV input into validated study records.
 
     Every data row yields exactly one record or one positioned error, and
@@ -298,20 +301,23 @@ def parse_records(source: Source) -> ParseResult:
     ParseFailure, for its first line that fails. A binary file (an
     io.RawIOBase or io.BufferedIOBase) is read as it is parsed, and left
     open; any other object with .read() is read whole first. A leading byte
-    order mark is skipped, in text as in bytes.
+    order mark is skipped, in text as in bytes, unless line is past 0:
+    source is then the part of a sheet after its first line lines, with no
+    header, and its rows are numbered from line + 1.
     """
     binary = isinstance(source, (io.RawIOBase, io.BufferedIOBase))
     if not binary and hasattr(source, "read"):
         source = source.read()  # type: ignore[union-attr]
     if isinstance(source, str):
-        text = source.removeprefix("\ufeff")  # as utf-8-sig does
+        text = source if line else source.removeprefix("\ufeff")  # as utf-8-sig does
         blocks = iter((text,) if text else ())
     else:
-        blocks = _blocks(source if binary else io.BytesIO(source))
+        blocks = _blocks(source if binary else io.BytesIO(source),
+                         "utf-8" if line else "utf-8-sig")
     limit = csv.field_size_limit()
     columns: tuple[list, ...] = ([], [], [], [])
     errors: list[RowError] = []
-    line = 0  # lines parsed before the block being parsed
+    # from here on, line counts the lines parsed before the block being parsed
     reader = None
     try:
         for text in blocks:

@@ -80,7 +80,7 @@ class PlotDiagnostics:
 
 @dataclass(frozen=True)
 class PValuePlot:
-    cls: CorrelationClass | None
+    cls: CorrelationClass
     alpha: float
     ps: tuple[float, ...]  # sorted ascending; the point of rank i is (i, ps[i - 1])
     diagnostics: PlotDiagnostics
@@ -158,8 +158,8 @@ def _slope_through_origin(ps: Sequence[float]) -> float:
 
 def build_plot(
     p_values: Iterable[float],
+    cls: CorrelationClass,
     alpha: float = 0.05,
-    cls: CorrelationClass | None = None,
     thresholds: ClassifyThresholds = DEFAULT_CLASSIFY_THRESHOLDS,
 ) -> PValuePlot:
     """Rank-order p-values and attach uniformity diagnostics.

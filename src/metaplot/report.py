@@ -228,7 +228,7 @@ def _write_json_summaries(buf: BinaryIO, summaries: dict[str, Summaries]) -> Non
 def _json_head_tail(report: AuditReport) -> tuple[bytes, bytes]:
     """report.json before and after its "summaries" value."""
     plots = {
-        tag: {"alpha": plot.alpha, "class": plot.cls.value if plot.cls is not None else None,
+        tag: {"alpha": plot.alpha, "class": plot.cls.value,
               "diagnostics": _diagnostics_to_dict(plot.diagnostics)}
         for tag, plot in report.plots.items()
     }
@@ -406,8 +406,7 @@ def render_svg_pplot(plot: PValuePlot) -> bytes:
     def sy(p: float) -> float:
         return top + ph * (1.0 - p)
 
-    tag = plot.cls.value if plot.cls is not None else "p-value"
-    title = f"{tag} p-value plot: {plot.diagnostics.classification.value}"
+    title = f"{plot.cls.value} p-value plot: {plot.diagnostics.classification.value}"
     out = [_text(left + pw / 2, 18, title, size=13), *_axes(left, top, pw, ph)]
     for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = sy(tick)

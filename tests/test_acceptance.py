@@ -129,7 +129,7 @@ def test_pipeline_properties_replace_figures_2_to_4():
     null_hits = 0
     ks_total = 0.0
     for seed in range(500):
-        plot = build_plot(_null_pvalues(seed), alpha=0.05)
+        plot = build_plot(_null_pvalues(seed), CorrelationClass.ICC, alpha=0.05)
         ks_total += plot.diagnostics.ks_p
         if plot.diagnostics.classification is PlotClass.NULL_CONSISTENT:
             null_hits += 1
@@ -138,7 +138,7 @@ def test_pipeline_properties_replace_figures_2_to_4():
 
     effect_hits = 0
     for seed in range(500, 1000):
-        plot = build_plot(_effect_pvalues(seed), alpha=0.05)
+        plot = build_plot(_effect_pvalues(seed), CorrelationClass.ICC, alpha=0.05)
         all_below = all(p < 0.05 for p in plot.ps)
         if plot.diagnostics.classification is PlotClass.EFFECT_CONSISTENT and all_below:
             effect_hits += 1
@@ -265,10 +265,10 @@ def test_roundtrip_and_invariant_suites(null_csv):
 
     # plot permutation invariance
     ps = [rng.random() for _ in range(27)]
-    base = build_plot(ps)
+    base = build_plot(ps, CorrelationClass.ICC)
     for _ in range(10):
         rng.shuffle(ps)
-        assert build_plot(ps) == base
+        assert build_plot(ps, CorrelationClass.ICC) == base
 
     # OLS orthogonality
     gen = Pcg32(31337)

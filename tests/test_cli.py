@@ -11,10 +11,11 @@ import tempfile
 import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from io import StringIO
+from io import BytesIO, StringIO
 from pathlib import Path
 
 import pytest
+from conftest import wide_sheet
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -411,11 +412,9 @@ def test_audit_reads_a_sheet_from_a_pipe(null_csv, tmp_path):
         assert piped.replace(b"stdin", b"null_27.csv") == (tmp_path / "file" / name).read_bytes()
 
 
-@pytest.fixture
-def forking(monkeypatch):
-    """Fork on every audit that writes report.json, as on a sheet above the
-    gate on two CPUs. Yields the pids os.fork returned to this process;
-    afterwards no child may be left, running or unreaped."""
+def counted_forks(monkeypatch, gate):
+    """Lower gate to 0 on two CPUs, and yield the pids os.fork returned to
+    this process; afterwards no child may be left, running or unreaped."""
     forks = []
     fork = os.fork
 
@@ -425,12 +424,26 @@ def forking(monkeypatch):
             forks.append(pid)
         return pid
 
-    monkeypatch.setattr(metaplot.cli, "_FORK_MIN_STUDIES", 0)
+    monkeypatch.setattr(metaplot.cli, gate, 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", counted)
     yield forks
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Fork on every audit that writes report.json, as on a sheet above the
+    gate on two CPUs."""
+    yield from counted_forks(monkeypatch, "_FORK_MIN_STUDIES")
+
+
+@pytest.fixture
+def splitting(monkeypatch):
+    """Parse every audit's sheet in two processes where it can be cut, as a
+    file above the gate on two CPUs."""
+    yield from counted_forks(monkeypatch, "_FORK_MIN_BYTES")
 
 
 def test_forked_audit_matches_manifest(forking, tmp_path):
@@ -707,6 +720,212 @@ def test_audit_forks_only_above_the_gate(case, null_csv, tmp_path, monkeypatch):
         argv = ["audit", "--input", str(null_csv), "--out", str(tmp_path / "one"), "--format", "json"]
         assert main(argv) == EXIT_OK
         assert len(forks) == 1 and read_dir(tmp_path / "one") == read_dir(out)
+
+
+# A large sheet is parsed in two processes: this process parses the lines
+# before the cut, the first line end at or after the file's midpoint, and a
+# forked child the rest. Here the gate is lowered, so small sheets split.
+
+
+def cut_of(data):
+    """Where audit cuts data, as (cut, lines before it, end), or None."""
+    return metaplot.cli._hash_sheet(BytesIO(data), hashlib.sha256(), len(data) // 2)
+
+
+def audit_outcome(sheet, out):
+    """An audit's exit code, stderr and artifacts."""
+    stderr = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(stderr):
+        code = main(["audit", "--input", str(sheet), "--out", str(out)])
+    return code, stderr.getvalue(), read_dir(out) if out.exists() else None
+
+
+def with_field(row, index, value):
+    fields = row.rstrip(b"\r\n").split(b",")
+    fields[index] = value
+    return b",".join(fields) + row[len(row.rstrip(b"\r\n")):]
+
+
+def split_sheet(case):
+    """The bytes of a sheet of 80 studies for case, and the texts the
+    stderr of its audit holds."""
+    rows = wide_sheet(80, seed=25).encode().splitlines(keepends=True)
+    first, last = 10, len(rows) - 5  # row k is line k + 1
+    says = []
+    if case in ("bad-rows", "crlf-bad-row", "lone-cr-bad-row"):
+        if case == "bad-rows":
+            rows[first] = with_field(rows[first], 6, b"1.5")
+            says.append(f"row {first + 1}: correlation out of open interval")
+        if case == "crlf-bad-row":
+            rows = [row.replace(b"\n", b"\r\n") for row in rows]
+        if case == "lone-cr-bad-row":  # csv.reader takes a lone '\r' for a line end
+            rows[last - 20] = rows[last - 20].replace(b"\n", b"\r")
+            rows[last - 10] = rows[last - 10].replace(b"\n", b"\r")
+        rows[last] = with_field(rows[last], 7, b"many")
+        says.append(f"row {last + 1}: unparseable sample size 'many'")
+    elif case.startswith("bad-utf8"):
+        rows[last] = with_field(rows[last], 3, b"\xff")
+        says = [f"row {last + 1}: input is not valid UTF-8"]
+        if case == "bad-utf8-both":  # the first failure is the one reported
+            rows[first] = with_field(rows[first], 3, b"\xfe")
+            says = [f"row {first + 1}: input is not valid UTF-8"]
+    elif case == "crlf":
+        rows = [row.replace(b"\n", b"\r\n") for row in rows]
+    elif case == "quote":  # after the cut, where csv.reader parses it
+        rows[last] = with_field(rows[last], 3, b'"Study, quoted"')
+    elif case == "last-byte":  # the first line end past the middle ends the file
+        rows[-1] = with_field(rows[-1], 3, b"x" * 20_000)
+    data = b"".join(rows)
+    if case == "bom":  # a U+FEFF opens the child's half, and its first study_id
+        bom = "﻿".encode()
+        at = data.index(b"\n", (len(data) + len(bom)) // 2) + 1
+        data = data[:at] + bom + data[at:]
+        assert data[cut_of(data)[0]:].startswith(bom)
+        says = ["note: dropped study ﻿s"]
+    cut = cut_of(data)
+    assert cut is not None and (cut[0] == len(data)) == (case == "last-byte")
+    return data, says
+
+
+@pytest.mark.parametrize("case", [
+    "bad-rows", "bad-utf8", "bad-utf8-both", "bom", "crlf", "crlf-bad-row", "lone-cr-bad-row",
+    "quote", "last-byte",
+])
+def test_split_parse_matches_one_cpu(case, splitting, tmp_path, monkeypatch):
+    data, says = split_sheet(case)
+    sheet = tmp_path / "sheet.csv"
+    sheet.write_bytes(data)
+    split = audit_outcome(sheet, tmp_path / "split")
+    assert len(splitting) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert audit_outcome(sheet, tmp_path / "one") == split
+    assert len(splitting) == 1 and all(text in split[1] for text in says)
+    assert split[0] == (EXIT_VALIDATION if case.startswith("bad") or "-bad-" in case else EXIT_OK)
+
+
+def test_split_audit_matches_manifest(splitting, tmp_path, monkeypatch):
+    # report.json renders in a forked child too; the seeded sheet quotes its
+    # study ids, so only the eight audits of the two fixtures split
+    monkeypatch.setattr(metaplot.cli, "_FORK_MIN_STUDIES", 0)
+    want = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    assert build_manifest(tmp_path) == want
+    assert len(splitting) == 12 + 8
+
+
+@pytest.mark.parametrize("case", ["quote", "lone-cr"])
+def test_no_split_after_a_quote_or_a_lone_cr(case, splitting, tmp_path):
+    rows = wide_sheet(80, seed=25).encode().splitlines(keepends=True)
+    rows[10] = (with_field(rows[10], 3, b'"Study, 10"') if case == "quote"
+                else rows[10].replace(b"\n", b"\r"))
+    sheet = tmp_path / "sheet.csv"
+    sheet.write_bytes(b"".join(rows))
+    assert audit_outcome(sheet, tmp_path / "out")[0] == EXIT_OK
+    assert splitting == []
+
+
+def test_cut_sees_a_crlf_across_two_hash_blocks():
+    # the sheet is hashed 1 MiB at a time; a '\r' ends the first block
+    rows = b"s1,A,2000,,,ICC,0.1,10\r\n" * 100_000
+    for between, cut in ((b"\r\n", True), (b"\rx\n", False)):
+        data = b"h" * ((1 << 20) - 1) + between + rows
+        want = data.index(b"\n", len(data) // 2) + 1
+        assert cut_of(data) == ((want, data[:want].count(b"\n"), len(data)) if cut else None)
+
+
+def test_no_split_of_a_pipe(splitting, null_csv, tmp_path):
+    (tmp_path / "file").mkdir()
+    (tmp_path / "pipe").mkdir()
+    (tmp_path / "file" / "sheet.csv").write_bytes(null_csv.read_bytes())
+    os.mkfifo(tmp_path / "pipe" / "sheet.csv")
+    writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', str(null_csv),
+                               str(tmp_path / "pipe" / "sheet.csv")])
+    try:
+        piped = audit_outcome(tmp_path / "pipe" / "sheet.csv", tmp_path / "piped")
+    finally:
+        assert writer.wait(timeout=30) == 0
+    assert splitting == []
+    assert audit_outcome(tmp_path / "file" / "sheet.csv", tmp_path / "split") == piped
+    assert len(splitting) == 1 and piped[0] == EXIT_OK
+
+
+def each_half(monkeypatch, here, there):
+    """Have parse_records call here() before it parses this process's half,
+    and there() before it parses the child's, which starts past line 0."""
+    parse = metaplot.cli.parse_records
+
+    def parse_half(source, line=0):
+        (there if line else here)()
+        return parse(source, line)
+
+    monkeypatch.setattr(metaplot.cli, "parse_records", parse_half)
+
+
+def split_csv(tmp_path):
+    sheet = tmp_path / "sheet.csv"
+    sheet.write_text(wide_sheet(80, seed=25), encoding="utf-8")
+    return sheet
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("parse failed"), Unpicklable("no pickle")],
+                         ids=["raises", "unpicklable"])
+def test_split_child_failure_leaves_nothing(exc, splitting, tmp_path, capsys, monkeypatch):
+    def boom():
+        raise exc
+
+    each_half(monkeypatch, here=lambda: None, there=boom)
+    sheet = split_csv(tmp_path)
+    with pytest.raises(Exception) as raised:
+        main(["audit", "--input", str(sheet), "--out", str(tmp_path / "a" / "out")])
+    if isinstance(exc, Unpicklable):  # its traceback, as text
+        assert type(raised.value) is RuntimeError and "in boom" in str(raised.value)
+    else:
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == [sheet]
+    assert len(splitting) == 1
+
+
+def test_split_child_killed_by_a_signal_leaves_nothing(splitting, tmp_path, capsys, monkeypatch):
+    each_half(monkeypatch, here=lambda: None,
+              there=lambda: os.kill(os.getpid(), signal.SIGKILL))
+    sheet = split_csv(tmp_path)
+    with pytest.raises(RuntimeError, match="killed by SIGKILL"):
+        main(["audit", "--input", str(sheet), "--out", str(tmp_path / "out")])
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == [sheet]
+    assert len(splitting) == 1
+
+
+def test_split_child_is_killed_when_this_side_is_interrupted(splitting, tmp_path, monkeypatch):
+    def interrupt():
+        raise KeyboardInterrupt
+
+    each_half(monkeypatch, here=interrupt, there=lambda: time.sleep(60))
+    sheet = split_csv(tmp_path)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["audit", "--input", str(sheet), "--out", str(tmp_path / "out")])
+    assert time.monotonic() - start < 30  # not waited out
+    assert list(tmp_path.iterdir()) == [sheet]
+    assert len(splitting) == 1
+
+
+def test_audit_parses_here_when_no_process_can_be_forked(tmp_path, monkeypatch):
+    tried, lines = [], []
+
+    def no_process():
+        tried.append(True)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    sheet = split_csv(tmp_path)
+    serial = audit_outcome(sheet, tmp_path / "serial")
+    monkeypatch.setattr(metaplot.cli, "_FORK_MIN_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", no_process)
+    each_half(monkeypatch, here=lambda: lines.append(0), there=lambda: lines.append(1))
+    # the refused fork parsed the whole sheet here, in one call
+    assert audit_outcome(sheet, tmp_path / "fallback") == serial
+    assert tried == [True] and lines == [0]
 
 
 @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])

@@ -400,6 +400,19 @@ def test_a_leading_bom_is_skipped_in_text_as_in_bytes():
         assert not result.errors and result.records == expected.records, source
 
 
+def test_a_parse_from_a_line_numbers_rows_from_it_and_keeps_a_bom():
+    # the rest of a sheet: no header, and a U+FEFF that opens it is data
+    part = "\ufeffs1,A,2000,,,ICC,0.5,12\ns2,A,2000,,,IEC,2.0,40\n"
+    for source in (part.encode(), io.BytesIO(part.encode()), part, io.StringIO(part)):
+        result = parse_records(source, 41)
+        assert result.records.study_id == ("\ufeffs1",), source
+        assert [str(e) for e in result.errors] == [
+            "row 43: correlation out of open interval (-1,1)"], source
+    with pytest.raises(ParseFailure, match="row 43: input is not valid UTF-8"):
+        parse_records(b"s1,A,2000,,,ICC,0.5,12\ns2,\xff\n", 41)
+    assert parse_records(b"", 41) == parse_records("", 41) == ParseResult(Records((), (), (), ()), [])
+
+
 def test_parsing_holds_about_the_columns_it_returns(tmp_path):
     # The sheet is parsed as it is read. Decoding it whole, wrapping the text
     # in a StringIO and keeping a list of row tuples peaked at 3.5 times the

@@ -14,9 +14,11 @@ from metaplot.pplot import (
     build_plot,
     classify,
 )
+from metaplot.ingest import CorrelationClass
 from metaplot.numerics import kolmogorov_sf
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
+ICC = CorrelationClass.ICC
 
 
 def test_ks_single_point():
@@ -26,14 +28,14 @@ def test_ks_single_point():
 
 def test_ks_hand_evaluated_triplet():
     # sup distance at the jump points of the empirical CDF of {.25,.5,.75}
-    stat = build_plot([0.25, 0.5, 0.75]).diagnostics.ks_statistic
+    stat = build_plot([0.25, 0.5, 0.75], ICC).diagnostics.ks_statistic
     assert stat == pytest.approx(0.25, abs=1e-15)
 
 
 def test_ks_uniform_grid_small_statistic():
     n = 99
     grid = [(i + 1) / (n + 1) for i in range(n)]
-    d = build_plot(grid).diagnostics
+    d = build_plot(grid, ICC).diagnostics
     stat, p = d.ks_statistic, d.ks_p
     assert stat <= 0.01 + 1.0 / n
     assert p > 0.99
@@ -43,7 +45,7 @@ def test_ks_matches_scipy_on_random_sets():
     rng = random.Random(5150)
     for _ in range(25):
         ps = [rng.random() for _ in range(rng.randint(5, 60))]
-        d = build_plot(ps).diagnostics
+        d = build_plot(ps, ICC).diagnostics
         stat, p = d.ks_statistic, d.ks_p
         ref = kstest(ps, "uniform")
         assert stat == pytest.approx(ref.statistic, abs=1e-12)
@@ -55,13 +57,13 @@ def test_ks_matches_scipy_on_random_sets():
 
 def test_ks_rejects_out_of_range():
     with pytest.raises(ValueError, match=r"^p-value outside \[0, 1\]: 1.4$"):
-        build_plot([0.2, 1.4, 0.5])
+        build_plot([0.2, 1.4, 0.5], ICC)
     with pytest.raises(ValueError, match="at least 3 values, got 0"):
-        build_plot([])
+        build_plot([], ICC)
 
 
 def test_build_plot_sorts_and_ranks():
-    plot = build_plot([0.8, 0.2, 0.6, 0.4])
+    plot = build_plot([0.8, 0.2, 0.6, 0.4], ICC)
     assert plot.ps == (0.2, 0.4, 0.6, 0.8)
     assert plot.n == 4
 
@@ -69,10 +71,10 @@ def test_build_plot_sorts_and_ranks():
 def test_build_plot_permutation_invariant():
     rng = random.Random(31)
     ps = [rng.random() for _ in range(27)]
-    base = build_plot(ps)
+    base = build_plot(ps, ICC)
     for _ in range(5):
         rng.shuffle(ps)
-        assert build_plot(ps) == base
+        assert build_plot(ps, ICC) == base
 
 
 @settings(max_examples=300, deadline=None)
@@ -82,7 +84,7 @@ def test_build_plot_permutation_invariant_with_ties(data):
     pool = data.draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.05, 1.0]),
                               min_size=1, max_size=4))
     ps = data.draw(st.lists(st.sampled_from(pool), min_size=3, max_size=60))
-    assert build_plot(data.draw(st.permutations(ps))) == build_plot(ps)
+    assert build_plot(data.draw(st.permutations(ps)), ICC) == build_plot(ps, ICC)
 
 
 def reference_diagnostics(p_values, alpha):
@@ -110,7 +112,7 @@ def test_build_plot_diagnostics_equal_a_reference(data):
                               min_size=1, max_size=6))
     ps = data.draw(st.lists(st.sampled_from(pool) | st.floats(0.0, 1.0),
                             min_size=3, max_size=80))
-    d = build_plot(ps, alpha=alpha).diagnostics
+    d = build_plot(ps, ICC, alpha=alpha).diagnostics
     got = [d.ks_statistic, d.ks_p, d.slope_fit, d.frac_below_alpha, d.min_p]
     assert [float(v).hex() for v in got] == reference_diagnostics(ps, alpha)
     stat, p = _ks_sorted(sorted(ps))
@@ -120,33 +122,33 @@ def test_build_plot_diagnostics_equal_a_reference(data):
 @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, math.inf, -math.inf])
 def test_out_of_range_p_values_name_the_first_offender(bad):
     with pytest.raises(ValueError, match=rf"^p-value outside \[0, 1\]: {bad!r}$"):
-        build_plot([0.2, bad, 0.5, 2.0, 0.9])
+        build_plot([0.2, bad, 0.5, 2.0, 0.9], ICC)
 
 
 def test_build_plot_tie_handling_stable():
-    plot = build_plot([0.4, 0.2, 0.4, 0.9])
+    plot = build_plot([0.4, 0.2, 0.4, 0.9], ICC)
     assert plot.ps == (0.2, 0.4, 0.4, 0.9)
 
 
 def test_build_plot_minimum_points():
     with pytest.raises(ValueError):
-        build_plot([0.1, 0.9])
+        build_plot([0.1, 0.9], ICC)
 
 
 def test_build_plot_warns_below_ten():
     with pytest.warns(UserWarning, match="diagnostics are weak"):
-        build_plot([0.1, 0.5, 0.9])
+        build_plot([0.1, 0.5, 0.9], ICC)
 
 
 def test_build_plot_rejects_bad_alpha():
     with pytest.raises(ValueError):
-        build_plot([0.1, 0.5, 0.9], alpha=0.0)
+        build_plot([0.1, 0.5, 0.9], ICC, alpha=0.0)
 
 
 def test_grid_pvalues_slope_one_and_small_ks():
     n = 27
     grid = [(i + 1) / (n + 1) for i in range(n)]
-    plot = build_plot(grid)
+    plot = build_plot(grid, ICC)
     assert plot.diagnostics.slope_fit == pytest.approx(1.0, abs=1e-9)
     assert plot.diagnostics.ks_statistic <= 1.0 / (n + 1) + 1e-12
     assert plot.diagnostics.classification is PlotClass.NULL_CONSISTENT
@@ -154,14 +156,14 @@ def test_grid_pvalues_slope_one_and_small_ks():
 
 def test_frac_below_alpha_exact_count():
     ps = [0.01, 0.04, 0.05, 0.2, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99]
-    plot = build_plot(ps, alpha=0.05)
+    plot = build_plot(ps, ICC, alpha=0.05)
     # strictly below alpha: 0.01 and 0.04 only
     assert plot.diagnostics.frac_below_alpha == pytest.approx(0.2, abs=1e-15)
 
 
 def test_all_small_pvalues_classified_effect():
     ps = [0.001 * (i + 1) for i in range(27)]
-    plot = build_plot(ps, alpha=0.05)
+    plot = build_plot(ps, ICC, alpha=0.05)
     assert plot.diagnostics.classification is PlotClass.EFFECT_CONSISTENT
     assert plot.diagnostics.slope_fit < 0.1
 
@@ -185,7 +187,7 @@ def test_classify_extreme_min_p_blocks_null_verdict():
     tiny = alpha * (0.1 / n) * 0.5
     assert classify(1 / n, 0.5, tiny, alpha, n) is not PlotClass.NULL_CONSISTENT
     ps = [tiny] + [(i + 1) / (n + 1) for i in range(1, n)]
-    plot = build_plot(ps, alpha=alpha)
+    plot = build_plot(ps, ICC, alpha=alpha)
     assert plot.diagnostics.classification is not PlotClass.NULL_CONSISTENT
 
 
@@ -213,8 +215,8 @@ def test_null_rates_stated_for_the_default_thresholds():
 def test_classify_thresholds_configurable():
     strict = ClassifyThresholds(null_max_frac_below=0.0, null_min_ks_p=0.5)
     ps = [0.03] + [0.1 * (i + 1) for i in range(9)]
-    default_c = build_plot(ps, alpha=0.05).diagnostics.classification
-    strict_c = build_plot(ps, alpha=0.05, thresholds=strict).diagnostics.classification
+    default_c = build_plot(ps, ICC, alpha=0.05).diagnostics.classification
+    strict_c = build_plot(ps, ICC, alpha=0.05, thresholds=strict).diagnostics.classification
     assert default_c is PlotClass.NULL_CONSISTENT
     assert strict_c is PlotClass.AMBIGUOUS
 
@@ -225,14 +227,14 @@ def test_null_simulation_mostly_null_consistent():
     hits = 0
     for _ in range(200):
         ps = [rng.random() for _ in range(27)]
-        if build_plot(ps).diagnostics.classification is PlotClass.NULL_CONSISTENT:
+        if build_plot(ps, ICC).diagnostics.classification is PlotClass.NULL_CONSISTENT:
             hits += 1
     assert hits >= 170
 
 
 def test_appending_duplicate_never_reorders_distinct_values():
     ps = [0.1, 0.3, 0.5, 0.7]
-    base = list(build_plot(ps).ps)
-    extended = list(build_plot(ps + [0.3]).ps)
+    base = list(build_plot(ps, ICC).ps)
+    extended = list(build_plot(ps + [0.3], ICC).ps)
     assert extended == sorted(ps + [0.3])
     assert [p for p in extended if p != 0.3] == [p for p in base if p != 0.3]

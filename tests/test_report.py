@@ -236,7 +236,7 @@ summaries_columns = st.integers(0, 4).flatmap(
 
 pvalue_plots = st.builds(
     PValuePlot,
-    cls=st.none() | st.sampled_from(CorrelationClass),
+    cls=st.sampled_from(CorrelationClass),
     alpha=finite,
     ps=st.lists(unit).map(tuple),
     diagnostics=st.builds(
