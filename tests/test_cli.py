@@ -777,11 +777,11 @@ def split_sheet(case):
         rows[-1] = with_field(rows[-1], 3, b"x" * 20_000)
     data = b"".join(rows)
     if case == "bom":  # a U+FEFF opens the child's half, and its first study_id
-        bom = "﻿".encode()
+        bom = "\ufeff".encode()
         at = data.index(b"\n", (len(data) + len(bom)) // 2) + 1
         data = data[:at] + bom + data[at:]
         assert data[cut_of(data)[0]:].startswith(bom)
-        says = ["note: dropped study ﻿s"]
+        says = ["note: dropped study \ufeffs"]
     cut = cut_of(data)
     assert cut is not None and (cut[0] == len(data)) == (case == "last-byte")
     return data, says
