@@ -8,15 +8,9 @@ Subcommands:
 Exit codes: 0 success, 1 I/O failure, 2 validation failure.
 
 main() turns CPython's cyclic garbage collector off while the subcommand
-runs and restores the caller's setting on return, also when an exception
-escapes. Reference counting still frees every object; the cyclic collector
-only finds objects in reference cycles, and the pipeline's records, groups,
-summaries and report pieces form none. Left on, it walks all of them again
-and again as they pile up: one `audit` of 100k studies ran 2,966
-collections, eleven of them full, and the full ones freed 0 objects. On a
-2-vCPU machine the pause alone took that run from 11.0-15.3 s to 9.7-12.1 s
-(three runs each). Library functions called directly leave the collector
-as they find it.
+runs, as the pipeline's objects form no reference cycles, and restores the
+caller's setting on return, also when an exception escapes; library
+functions called directly leave it as they find it (README says why).
 """
 
 from __future__ import annotations
@@ -24,26 +18,22 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
-import hashlib
 import io
 import json
 import math
 import os
 import re
 import shutil
-import stat
 import statistics
 import sys
-import threading
 import warnings
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 from functools import partial
-from operator import add
 from pathlib import Path
-from types import SimpleNamespace
-from typing import Any, BinaryIO, Callable, Iterator
+from typing import Callable, Iterator
 
+from ._fork import forked, two_cpus
 from ._version import __version__
 from .fisher import AggregationMode, summarize_studies, summarize_z
 from .gaussian import (
@@ -54,8 +44,7 @@ from .gaussian import (
     format_ratio,
     ratio_table,
 )
-from .ingest import (CorrelationClass, ParseFailure, ParseResult, Records, group_complete_studies,
-                     parse_records)
+from .ingest import CorrelationClass, ParseFailure, group_complete_studies, read_sheet
 from .pplot import (
     DEFAULT_CLASSIFY_THRESHOLDS,
     MIN_POINTS,
@@ -93,15 +82,8 @@ _RESET = "\x1b[0m"
 
 
 # The fewest retained studies at which audit writes report.json in a forked
-# child. The gate is a size because the fork has a cost: on a 2-vCPU machine
-# a fork, exit and wait took 3.6 ms at 31 MB RSS and 22 ms at 378 MB.
+# child: a fork costs time that grows with the process's memory (see README).
 _FORK_MIN_STUDIES = 10_000
-# The fewest bytes at which audit parses a sheet in two processes, half in
-# each. The fork and the records the child sends back cost about what the
-# halving saves near 1 MB: on a 2-vCPU machine an audit run in a fresh
-# process took 7% longer split at 0.47 MB, and 4% and 12% less at 1.0 and
-# 2.0 MB (medians of 24 alternating runs each).
-_FORK_MIN_BYTES = 1 << 20
 
 
 class CliValidationError(ValueError):
@@ -172,146 +154,6 @@ def _artifact_writer(out: str) -> Iterator[Path]:
     except BaseException:
         shutil.rmtree(made or staging, ignore_errors=True)
         raise
-
-
-def _two_cpus() -> bool:
-    """Whether a forked child would run beside this process: this process
-    runs one thread, so that a fork is safe, and may use a second CPU."""
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and threading.active_count() == 1 and len(os.sched_getaffinity(0)) > 1)
-
-
-def _fork_pays(formats: set[str], retained: int) -> bool:
-    """Whether audit writes report.json in a forked child: the sheet is
-    large enough to repay the fork, and there are two CPUs. The child
-    renders the per-study summaries, report.json's bulk (0.40 s on a
-    98k-study sheet), while this process computes the z-panels and p-value
-    plots (0.37 s) and renders the rest. getrusage(RUSAGE_SELF) does not
-    count the child's memory, and a tracer in this process does not see
-    the child's render."""
-    return "json" in formats and retained >= _FORK_MIN_STUDIES and _two_cpus()
-
-
-class _Range(io.RawIOBase):
-    """Bytes [pos, end) of the file open at fd, read with os.pread: it
-    leaves the file offset alone, which a forked child shares."""
-
-    def __init__(self, fd: int, pos: int, end: int) -> None:
-        self.fd, self.pos, self.end = fd, pos, end
-
-    def read(self, size: int) -> bytes:
-        data = os.pread(self.fd, min(size, self.end - self.pos), self.pos)
-        self.pos += len(data)
-        return data
-
-
-def _hash_sheet(sheet: BinaryIO, digest: Any,
-                mid: int | None) -> tuple[int, int, int] | None:
-    r"""Feed sheet's bytes to digest, and, if mid is given, return where a
-    forked child can take over the parse: (cut, lines, end), with cut just
-    past the first '\n' at or after offset mid, lines the number of '\n's
-    before it, and end the sheet's size. None if there is no such '\n', or
-    if a '"' or a '\r' outside '\r\n' comes before it, so that a line before
-    the cut need not be one row."""
-    pos = lines = 0
-    cut = None
-    held = b""  # a '\r' that ended the block before, which a '\n' may follow
-    for block in iter(partial(sheet.read, 1 << 20), b""):
-        digest.update(block)
-        if mid is not None:
-            at = block.find(b"\n", max(mid - pos, 0)) if pos + len(block) > mid else -1
-            end = at + 1 or len(block)
-            lines += block.count(b"\n", 0, end)
-            head = held + block[:end]  # a copy only if a '\r' is held or the cut is inside
-            held = b"\r" if head.endswith(b"\r") else b""
-            if b'"' in head or (b"\r" in head and
-                                b"\r" in head.removesuffix(held).replace(b"\r\n", b"")):
-                mid = None
-            elif at >= 0:
-                cut, mid = pos + end, None
-        pos += len(block)
-    return None if cut is None else (cut, lines, pos)
-
-
-@contextmanager
-def _forked(task: Callable[[Callable[[], Any]], Any]) -> Iterator[SimpleNamespace | None]:
-    """Run task(receive) in a forked child while the block runs in this
-    process. The block gets child, and may call child.send(value) once; in
-    the child, receive() waits for that value and returns it. Once the
-    block is done, child.value is what task returned.
-
-    The child always ends in os._exit: it flushes none of the stdio it
-    inherited and runs none of the caller's finally blocks. What task
-    returns, or an exception it raises, comes back pickled through a pipe
-    (an exception as a RuntimeError holding its traceback if it does not
-    pickle and load back); the exception is raised here once the block is
-    done. A child killed by a signal becomes a RuntimeError naming it. A
-    child that ends before it receives does not fail send. If the block
-    raises, the child is killed. Either way it is reaped before this
-    returns or raises. If no process can be forked, the block gets None,
-    and the caller does the task's work itself."""
-    import pickle  # only an audit that forks pays for these imports
-    import signal
-
-    frame_fd, send_fd = os.pipe()  # this process's value, to the child
-    read_fd, write_fd = os.pipe()  # the child's value or exception, to this process
-    try:
-        pid = os.fork()
-    except OSError:
-        for fd in (frame_fd, send_fd, read_fd, write_fd):
-            os.close(fd)
-        yield None
-        return
-    if pid == 0:  # the child
-        status = 1
-        try:
-            os.close(send_fd)
-            os.close(read_fd)
-            # closed before the payload is written, so that a send blocked
-            # on a full pipe fails at once rather than wait for this child
-            with open(frame_fd, "rb") as frame:
-                try:
-                    payload = pickle.dumps((task(lambda: pickle.loads(frame.read())), None))
-                except BaseException as exc:
-                    try:
-                        payload = pickle.dumps((None, exc))
-                        pickle.loads(payload)  # some exceptions dump but do not load
-                    except BaseException:
-                        import traceback
-                        payload = pickle.dumps(
-                            (None, RuntimeError("".join(traceback.format_exception(exc)))))
-            with open(write_fd, "wb") as pipe:
-                pipe.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(frame_fd)
-    os.close(write_fd)
-    with open(read_fd, "rb") as pipe, open(send_fd, "wb") as frame:
-        def send(value: Any) -> None:
-            # a child that ended first has its end raised below
-            with suppress(BrokenPipeError), frame:
-                frame.write(pickle.dumps(value))
-
-        child = SimpleNamespace(send=send)
-        try:
-            yield child
-            frame.close()
-            # read to the end before waiting: a payload larger than the
-            # pipe's buffer would otherwise block the child's exit
-            payload = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code:  # its payload may have been cut short
-        raise RuntimeError("the forked child " + (
-            f"was killed by {signal.Signals(-code).name}" if code < 0
-            else f"exited with status {code}"))
-    child.value, exc = pickle.loads(payload)
-    if exc is not None:
-        raise exc
 
 
 def _attach_negative_exponents(argv: list[str]) -> list[str]:
@@ -416,27 +258,7 @@ def run_audit(args: argparse.Namespace) -> int:
         raise CliValidationError(f"bad classify threshold: {exc}") from exc
     mode = AggregationMode(args.agg)
 
-    with open(args.input, "rb") as opened:  # OSError -> exit 1 before any output
-        # a pipe is read whole, so that it can be read twice
-        sheet = opened if opened.seekable() else io.BytesIO(opened.read())
-        digest = hashlib.sha256()
-        fd = opened.fileno()
-        info = os.fstat(fd)
-        # a large file is parsed in two halves, the second in a forked child
-        halves = stat.S_ISREG(info.st_mode) and info.st_size >= _FORK_MIN_BYTES and _two_cpus()
-        split = _hash_sheet(sheet, digest, info.st_size // 2 if halves else None)
-        if split is None:
-            sheet.seek(0)
-            result = parse_records(sheet)
-        else:
-            cut, lines, end = split
-            with _forked(lambda receive: parse_records(_Range(fd, cut, end), lines)) as child:
-                result = parse_records(_Range(fd, 0, cut if child else end))
-            if child:  # the child's rows follow this process's
-                result = ParseResult(Records(*map(add, vars(result.records).values(),
-                                                  vars(child.value.records).values())),
-                                     result.errors + child.value.errors)
-                del child
+    result, sha256 = read_sheet(args.input)  # OSError -> exit 1 before any output
     if result.errors:
         for err in result.errors:
             print(f"{args.input}: {err}", file=sys.stderr)
@@ -480,7 +302,7 @@ def run_audit(args: argparse.Namespace) -> int:
         "total_n": total_n,
     }
     metadata = AuditMetadata(
-        input_sha256=digest.hexdigest(), tool_version=__version__, config=config_echo)
+        input_sha256=sha256, tool_version=__version__, config=config_echo)
 
     with _artifact_writer(args.out) as staging:
         json_path = staging / "report.json"
@@ -494,7 +316,8 @@ def run_audit(args: argparse.Namespace) -> int:
             with open(json_path, "wb") as out:
                 _write_json(out, head_tail, lambda buf: buf.write(body.getbuffer()))
 
-        with _forked(write_json) if _fork_pays(args.format, retained) else nullcontext() as child:
+        forks = "json" in args.format and retained >= _FORK_MIN_STUDIES and two_cpus()
+        with forked(write_json) if forks else nullcontext() as child:
             z_panels = {}
             plots = {}
             for cls in CorrelationClass:

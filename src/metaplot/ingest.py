@@ -28,23 +28,27 @@ that fails, with a bad header, a field over the limit or bytes that are
 not UTF-8, is the one reported, whichever block it lies in. The complete
 studies are held as one flat list of record positions per class, with
 each study's offsets into it (`Groups`); no per-row or per-study object is
-kept. A parse can start past a given number of lines, on the part of a
-sheet after them: its rows are numbered on from there, and it has no
-header check and no BOM skip, so a U+FEFF that opens it stays in its first
-field.
+kept. `read_sheet` opens, hashes and parses a sheet by path, a large one in
+two processes.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
+import hashlib
 import io
+import os
+import stat
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import chain, pairwise, repeat
-from operator import length_hint
+from operator import add, length_hint
 from typing import Any, BinaryIO, Callable, Iterator, Sequence, TextIO, Union
+
+from ._fork import forked, two_cpus
 
 __all__ = [
     "CorrelationClass",
@@ -57,6 +61,7 @@ __all__ = [
     "REQUIRED_COLUMNS",
     "MAX_SAMPLE_SIZE",
     "parse_records",
+    "read_sheet",
     "group_complete_studies",
 ]
 
@@ -67,6 +72,9 @@ MAX_SAMPLE_SIZE = 2**63 - 1
 # Bytes read at a time: a block of whole lines is split without csv.reader
 # when nothing in it needs csv's quoting rules.
 _BLOCK_SIZE = 1 << 16
+# The fewest bytes at which read_sheet parses a sheet in two processes: below
+# it the fork and the records sent back cost what the halving saves (README).
+_FORK_MIN_BYTES = 1 << 20
 
 
 class CorrelationClass(str, Enum):
@@ -347,6 +355,76 @@ def parse_records(source: Source, line: int = 0) -> ParseResult:
         bad = exc.object[exc.start:exc.end].hex(" ")
         raise ParseFailure(f"row {line + 1}: input is not valid UTF-8 ({exc.reason}: {bad})") from exc
     return ParseResult(records=Records(*map(tuple, columns)), errors=errors)
+
+
+class _Range(io.RawIOBase):
+    """Bytes [pos, end) of the file open at fd, read with os.pread: it
+    leaves the file offset alone, which a forked child shares."""
+
+    def __init__(self, fd: int, pos: int, end: int) -> None:
+        self.fd, self.pos, self.end = fd, pos, end
+
+    def read(self, size: int) -> bytes:
+        data = os.pread(self.fd, min(size, self.end - self.pos), self.pos)
+        self.pos += len(data)
+        return data
+
+
+def _hash_sheet(sheet: BinaryIO, digest: Any,
+                mid: int | None) -> tuple[int, int, int] | None:
+    r"""Feed sheet's bytes to digest, and, if mid is given, return where a
+    forked child can take over the parse: (cut, lines, end), with cut just
+    past the first '\n' at or after offset mid, lines the number of '\n's
+    before it, and end the sheet's size. None if there is no such '\n', or
+    if a '"' or a '\r' outside '\r\n' comes before it, so that a line before
+    the cut need not be one row."""
+    pos = lines = 0
+    cut = None
+    held = b""  # a '\r' that ended the block before, which a '\n' may follow
+    for block in iter(partial(sheet.read, 1 << 20), b""):
+        digest.update(block)
+        if mid is not None:
+            at = block.find(b"\n", max(mid - pos, 0)) if pos + len(block) > mid else -1
+            end = at + 1 or len(block)
+            lines += block.count(b"\n", 0, end)
+            head = held + block[:end]  # a copy only if a '\r' is held or the cut is inside
+            held = b"\r" if head.endswith(b"\r") else b""
+            if b'"' in head or (b"\r" in head and
+                                b"\r" in head.removesuffix(held).replace(b"\r\n", b"")):
+                mid = None
+            elif at >= 0:
+                cut, mid = pos + end, None
+        pos += len(block)
+    return None if cut is None else (cut, lines, pos)
+
+
+def read_sheet(path: str | os.PathLike) -> tuple[ParseResult, str]:
+    """(parse_records of the sheet at path, the sha256 hex digest of its
+    bytes), or OSError if it cannot be opened or read. An unseekable file is
+    read whole first. A regular file of _FORK_MIN_BYTES or more, read with
+    one thread and two CPUs, is cut at the first line end past its middle
+    if each line before that is one row (see _hash_sheet). A forked child
+    parses the rest, from that line on, and its records and errors follow
+    this process's, as in one parse; a failure here is raised first."""
+    with open(path, "rb") as opened:
+        # a pipe is read whole, so that it can be read twice
+        sheet = opened if opened.seekable() else io.BytesIO(opened.read())
+        digest = hashlib.sha256()
+        fd = opened.fileno()
+        info = os.fstat(fd)
+        halves = stat.S_ISREG(info.st_mode) and info.st_size >= _FORK_MIN_BYTES and two_cpus()
+        split = _hash_sheet(sheet, digest, info.st_size // 2 if halves else None)
+        if split is None:
+            sheet.seek(0)
+            return parse_records(sheet), digest.hexdigest()
+        cut, lines, end = split
+        with forked(lambda receive: parse_records(_Range(fd, cut, end), lines)) as child:
+            result = parse_records(_Range(fd, 0, cut if child else end))
+    if child:  # the child's rows follow this process's
+        result = ParseResult(Records(*map(add, vars(result.records).values(),
+                                          vars(child.value.records).values())),
+                             result.errors + child.value.errors)
+    return result, digest.hexdigest()
 
 
 def group_complete_studies(records: Records) -> GroupingReport:

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from importlib.resources import files
 from pathlib import Path
@@ -12,6 +13,27 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 def bundled(name: str) -> Path:
     return Path(str(files("metaplot") / "data" / name))
+
+
+def counted_forks(monkeypatch, module, gate):
+    """Lower module's gate to 0 on two CPUs, and yield the pids os.fork
+    returned to this process; afterwards no child may be left, running or
+    unreaped."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(module, gate, 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    yield forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

@@ -15,11 +15,12 @@ from io import BytesIO, StringIO
 from pathlib import Path
 
 import pytest
-from conftest import wide_sheet
+from conftest import counted_forks, wide_sheet
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metaplot.cli
+import metaplot.ingest
 import metaplot.report
 from metaplot.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from metaplot.fisher import HISTOGRAM_MAX_BINS
@@ -412,38 +413,18 @@ def test_audit_reads_a_sheet_from_a_pipe(null_csv, tmp_path):
         assert piped.replace(b"stdin", b"null_27.csv") == (tmp_path / "file" / name).read_bytes()
 
 
-def counted_forks(monkeypatch, gate):
-    """Lower gate to 0 on two CPUs, and yield the pids os.fork returned to
-    this process; afterwards no child may be left, running or unreaped."""
-    forks = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(metaplot.cli, gate, 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "fork", counted)
-    yield forks
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.fixture
 def forking(monkeypatch):
     """Fork on every audit that writes report.json, as on a sheet above the
     gate on two CPUs."""
-    yield from counted_forks(monkeypatch, "_FORK_MIN_STUDIES")
+    yield from counted_forks(monkeypatch, metaplot.cli, "_FORK_MIN_STUDIES")
 
 
 @pytest.fixture
 def splitting(monkeypatch):
     """Parse every audit's sheet in two processes where it can be cut, as a
     file above the gate on two CPUs."""
-    yield from counted_forks(monkeypatch, "_FORK_MIN_BYTES")
+    yield from counted_forks(monkeypatch, metaplot.ingest, "_FORK_MIN_BYTES")
 
 
 def test_forked_audit_matches_manifest(forking, tmp_path):
@@ -655,7 +636,7 @@ def test_forked_child_failure_beats_a_broken_pipe(
         frame = head_tail(report)
         if while_sending:
             sending.touch()
-        else:  # the child has exited; WNOWAIT leaves it for _forked to reap
+        else:  # the child has exited; WNOWAIT leaves it for forked to reap
             os.waitid(os.P_PID, forking[0], os.WEXITED | os.WNOWAIT)
         return frame
 
@@ -729,7 +710,7 @@ def test_audit_forks_only_above_the_gate(case, null_csv, tmp_path, monkeypatch):
 
 def cut_of(data):
     """Where audit cuts data, as (cut, lines before it, end), or None."""
-    return metaplot.cli._hash_sheet(BytesIO(data), hashlib.sha256(), len(data) // 2)
+    return metaplot.ingest._hash_sheet(BytesIO(data), hashlib.sha256(), len(data) // 2)
 
 
 def audit_outcome(sheet, out):
@@ -851,13 +832,13 @@ def test_no_split_of_a_pipe(splitting, null_csv, tmp_path):
 def each_half(monkeypatch, here, there):
     """Have parse_records call here() before it parses this process's half,
     and there() before it parses the child's, which starts past line 0."""
-    parse = metaplot.cli.parse_records
+    parse = metaplot.ingest.parse_records
 
     def parse_half(source, line=0):
         (there if line else here)()
         return parse(source, line)
 
-    monkeypatch.setattr(metaplot.cli, "parse_records", parse_half)
+    monkeypatch.setattr(metaplot.ingest, "parse_records", parse_half)
 
 
 def split_csv(tmp_path):
@@ -919,7 +900,7 @@ def test_audit_parses_here_when_no_process_can_be_forked(tmp_path, monkeypatch):
 
     sheet = split_csv(tmp_path)
     serial = audit_outcome(sheet, tmp_path / "serial")
-    monkeypatch.setattr(metaplot.cli, "_FORK_MIN_BYTES", 0)
+    monkeypatch.setattr(metaplot.ingest, "_FORK_MIN_BYTES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", no_process)
     each_half(monkeypatch, here=lambda: lines.append(0), there=lambda: lines.append(1))
@@ -963,7 +944,7 @@ def test_main_restores_caller_gc_state_when_an_exception_escapes(
         seen.append(gc.isenabled())
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(metaplot.cli, "parse_records", boom)
+    monkeypatch.setattr(metaplot.ingest, "parse_records", boom)
     with pytest.raises(RuntimeError, match="boom"):
         main(["audit", "--input", str(null_csv), "--out", str(tmp_path / "out")])
     assert seen == [False]  # the collector is paused while the subcommand runs
@@ -1326,7 +1307,8 @@ def test_no_color_env_suppresses_ansi(null_csv, tmp_path, capsys):
 def test_import_cli_leaves_numpy_unloaded():
     # only simulate needs numpy, and only an audit that forks needs pickle;
     # audit and tails start without either
-    code = "import sys, metaplot.cli; sys.exit('numpy' in sys.modules or 'pickle' in sys.modules)"
+    code = ("import sys, metaplot.cli, metaplot.ingest;"
+            " sys.exit('numpy' in sys.modules or 'pickle' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 

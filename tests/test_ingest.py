@@ -1,9 +1,11 @@
 import codecs
 import csv
+import hashlib
 import io
 import os
 from itertools import accumulate
 import re
+import subprocess
 import tempfile
 import threading
 import tracemalloc
@@ -12,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import wide_sheet
+from conftest import counted_forks, wide_sheet
 
 from metaplot import ingest
+from metaplot.cli import EXIT_IO, main
 from metaplot.ingest import (
     MAX_SAMPLE_SIZE,
     CorrelationClass,
@@ -26,6 +29,7 @@ from metaplot.ingest import (
     _parse_row,
     group_complete_studies,
     parse_records,
+    read_sheet,
 )
 
 HEADER = "study_id,author,year,title,journal,class,r,n"
@@ -411,6 +415,82 @@ def test_a_parse_from_a_line_numbers_rows_from_it_and_keeps_a_bom():
     with pytest.raises(ParseFailure, match="row 43: input is not valid UTF-8"):
         parse_records(b"s1,A,2000,,,ICC,0.5,12\ns2,\xff\n", 41)
     assert parse_records(b"", 41) == parse_records("", 41) == ParseResult(Records((), (), (), ()), [])
+
+
+# read_sheet parses a regular file of _FORK_MIN_BYTES or more in two
+# processes when this one may use two CPUs; below, the gate is lowered so
+# that small sheets split, and the sched_getaffinity of two CPUs is faked.
+
+
+def parsed_and_hashed(data):
+    """What read_sheet must return for a sheet of data, however it reads it."""
+    return parse_records(data), hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    yield from counted_forks(monkeypatch, ingest, "_FORK_MIN_BYTES")
+
+
+def sheet_rows():
+    return wide_sheet(80, seed=25).encode().splitlines(keepends=True)
+
+
+def test_read_sheet_of_a_small_file(tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", refuse)  # below the gate, on any CPUs
+    data = b"".join(sheet_rows())
+    sheet = tmp_path / "sheet.csv"
+    sheet.write_bytes(data)
+    assert read_sheet(sheet) == read_sheet(str(sheet)) == parsed_and_hashed(data)
+
+
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_read_sheet_of_a_file_split_in_two(ending, forks, tmp_path):
+    rows = [row.replace(b"\n", ending) for row in sheet_rows()]
+    for k in (10, len(rows) - 10):  # one bad row in each half
+        rows[k] = rows[k][:rows[k].rindex(b",")] + b",many" + ending
+    data = b"".join(rows)
+    sheet = tmp_path / "sheet.csv"
+    sheet.write_bytes(data)
+    result, digest = read_sheet(sheet)
+    assert len(forks) == 1
+    assert (result, digest) == parsed_and_hashed(data)
+    assert [e.line for e in result.errors] == [11, len(rows) - 9]
+
+
+def test_read_sheet_does_not_split_a_quoted_sheet(forks, tmp_path):
+    rows = sheet_rows()
+    rows[10] = rows[10].replace(b",,", b',"Study, 10",', 1)
+    data = b"".join(rows)
+    sheet = tmp_path / "sheet.csv"
+    sheet.write_bytes(data)
+    assert read_sheet(sheet) == parsed_and_hashed(data)
+    assert forks == []
+
+
+def test_read_sheet_of_a_fifo(forks, tmp_path):
+    data = b"".join(sheet_rows())
+    (tmp_path / "sheet.csv").write_bytes(data)
+    os.mkfifo(tmp_path / "fifo.csv")
+    writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', str(tmp_path / "sheet.csv"),
+                               str(tmp_path / "fifo.csv")])
+    try:
+        assert read_sheet(tmp_path / "fifo.csv") == parsed_and_hashed(data)
+    finally:
+        assert writer.wait(timeout=30) == 0
+    assert forks == []  # a pipe is read whole here, not split
+
+
+def test_read_sheet_of_a_missing_path_raises_oserror(tmp_path, capsys):
+    with pytest.raises(OSError):
+        read_sheet(tmp_path / "nope.csv")
+    assert main(["audit", "--input", str(tmp_path / "nope.csv"),
+                 "--out", str(tmp_path / "out")]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
 
 
 def test_parsing_holds_about_the_columns_it_returns(tmp_path):
