@@ -24,7 +24,6 @@ from operator import add, sub, truediv
 from typing import Sequence
 
 from .ingest import CorrelationClass, Groups
-from .numerics import arctanh
 
 __all__ = [
     "AggregationMode",
@@ -115,7 +114,11 @@ def summarize_studies(
         rs = groups.values(cls, "r")
         # a left fold, as sum() compensates float sums from Python 3.12 on
         if mode is AggregationMode.MEAN_Z:
-            mean_r = [math.tanh(reduce(add, map(arctanh, v), 0.0) / len(v)) for v in rs]
+            try:
+                mean_r = [math.tanh(reduce(add, map(math.atanh, v), 0.0) / len(v)) for v in rs]
+            except ValueError:  # |r| >= 1; a NaN r passes through to the check below
+                r = next(r for v in rs for r in v if not abs(r) < 1.0)
+                raise ValueError(f"arctanh requires |r| < 1, got {r!r}") from None
         else:
             mean_r = [reduce(add, v, 0.0) / len(v) for v in rs]
         n = groups.study_n if shared_n else list(map(sum, groups.values(cls, "n")))
@@ -126,7 +129,7 @@ def summarize_studies(
             raise ValueError(f"arctanh requires |r| < 1, got {m!r}")
     se_of_n = {k: 1.0 / math.sqrt(k - 3) for k in set(n)}
     z_score = list(map(truediv, map(math.atanh, mean_r), map(se_of_n.__getitem__, n)))
-    # 0.5 * erfc is std_normal_sf; halving then doubling is kept on purpose,
+    # 0.5 * erfc is the normal upper tail; halving then doubling is kept on purpose,
     # as it rounds differently from erfc alone when erfc is subnormal
     if two_sided:
         p = [min(1.0, 2.0 * (0.5 * math.erfc(abs(z) / _SQRT2))) for z in z_score]

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .numerics import std_normal_sf
-
 __all__ = [
     "GaussianSpec",
     "TailRow",
@@ -77,7 +75,7 @@ def tail_area(spec: GaussianSpec, threshold: float) -> float:
     if not math.isfinite(z):  # an infinite or NaN threshold, or an overflow
         raise ValueError(f"threshold {threshold!r} is not a finite number of sigmas from "
                          f"the {spec.label} mean (mu {spec.mu!r}, sigma {spec.sigma!r})")
-    return std_normal_sf(z)
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 def ratio_table(

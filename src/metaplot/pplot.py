@@ -16,11 +16,11 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from enum import Enum
-from operator import sub
+from functools import reduce
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .ingest import CorrelationClass
-from .numerics import kolmogorov_sf
 
 __all__ = [
     "PlotClass",
@@ -100,6 +100,29 @@ def _sorted_unit(p_values: Iterable[float]) -> list[float]:
     return ps
 
 
+def _kolmogorov_sf(t: float) -> float:
+    """Survival function of the Kolmogorov distribution, for finite t.
+
+    Two classical series for the limiting distribution of sqrt(n)*D_n:
+    the Jacobi theta form for small t (where the alternating series
+    converges slowly) and the alternating exponential series elsewhere.
+    """
+    if t <= 0.0:
+        return 1.0
+    if t < 0.755:
+        a = -math.pi * math.pi / (8.0 * t * t)
+        # a left fold, as sum() compensates float sums from Python 3.12 on
+        s = reduce(add, (math.exp(a * k * k) for k in (1, 3, 5, 7, 9, 11)), 0.0)
+        return max(0.0, 1.0 - math.sqrt(2.0 * math.pi) / t * s)
+    s = 0.0
+    for k in range(1, 101):
+        term = math.exp(-2.0 * k * k * t * t)
+        s += -term if k % 2 == 0 else term
+        if term < 1e-18:
+            break
+    return min(1.0, max(0.0, 2.0 * s))
+
+
 def _ks_sorted(ps: Sequence[float]) -> tuple[float, float]:
     """One-sample Kolmogorov-Smirnov test against Uniform(0, 1) of ps, which
     are non-empty, each in [0, 1] and sorted ascending: the exact
@@ -108,7 +131,7 @@ def _ks_sorted(ps: Sequence[float]) -> tuple[float, float]:
     n = len(ps)
     ranks = [i / n for i in range(n + 1)]
     d = max(max(map(sub, ranks[1:], ps)), max(map(sub, ps, ranks)))
-    return d, kolmogorov_sf(math.sqrt(n) * d)
+    return d, _kolmogorov_sf(math.sqrt(n) * d)
 
 
 def classify(

@@ -125,10 +125,10 @@ def _zsummary_to_dict(z: ZSummary) -> dict[str, Any]:
 def _diagnostics_to_dict(d: PlotDiagnostics) -> dict[str, Any]:
     return {
         "ks_statistic": d.ks_statistic,
-        "ks_p": float(d.ks_p),
+        "ks_p": d.ks_p,
         "slope_fit": d.slope_fit,
-        "frac_below_alpha": float(d.frac_below_alpha),
-        "min_p": float(d.min_p),
+        "frac_below_alpha": d.frac_below_alpha,
+        "min_p": d.min_p,
         "classification": d.classification.value,
     }
 
@@ -145,8 +145,8 @@ def tail_table_to_dict(t: TailTable) -> dict[str, Any]:
         "rows": [
             {
                 "threshold": r.threshold,
-                "auc_ref": float(r.auc_ref),
-                "auc_other": float(r.auc_other),
+                "auc_ref": r.auc_ref,
+                "auc_other": r.auc_other,
                 # JSON has no Infinity; the overflow sentinel is the string "inf"
                 "ratio": "inf" if r.overflow else r.ratio,
                 "overflow": r.overflow,

@@ -22,8 +22,8 @@ import metaplot
 from metaplot.cli import EXIT_OK, main
 from metaplot.cohort import CohortConfig, Confounder, Pcg32, gap_decomposition
 from metaplot.fisher import summarize_studies
+from metaplot.gaussian import GaussianSpec, tail_area
 from metaplot.ingest import CorrelationClass, Groups, Records
-from metaplot.numerics import std_normal_quantile, std_normal_sf
 from metaplot.pplot import PlotClass, build_plot
 
 TABLE_G = {
@@ -85,7 +85,7 @@ def test_table2_reproduction(tmp_path, monkeypatch):
 def test_standard_normal_oracle():
     expected = {0.0: 0.50000, 1.0: 0.15866, 2.0: 0.02275, 3.0: 0.00135}
     for x, value in expected.items():
-        assert std_normal_sf(x) == pytest.approx(value, abs=5e-6)
+        assert tail_area(GaussianSpec("standard", 0.0, 1.0), x) == pytest.approx(value, abs=5e-6)
     report_line("standard normal survival at {0,1,2,3} within 5e-6")
 
 
@@ -107,7 +107,7 @@ def _null_pvalues(seed):
     rs_ns = []
     for _ in range(27):
         n = 20 + rng.next_uint32() % 41
-        z = std_normal_quantile(rng.random())
+        z = rng.normal()
         rs_ns.append((math.tanh(z / math.sqrt(n - 3)), n))
     return _summaries(rs_ns).p_value
 
@@ -118,7 +118,7 @@ def _effect_pvalues(seed):
     shift = math.atanh(0.5) * math.sqrt(97)
     rs_ns = []
     for _ in range(27):
-        z = shift + std_normal_quantile(rng.random())
+        z = shift + rng.normal()
         rs_ns.append((math.tanh(z / math.sqrt(97)), 100))
     return _summaries(rs_ns).p_value
 
@@ -258,10 +258,10 @@ def test_roundtrip_and_invariant_suites(null_csv):
 
     # numeric round trips
     rng = random.Random(314159)
-    cdf = NormalDist().cdf
+    normal = NormalDist()
     for _ in range(1000):
         x = rng.uniform(-5.0, 5.0)
-        assert std_normal_quantile(cdf(x)) == pytest.approx(x, abs=1e-8)
+        assert normal.inv_cdf(normal.cdf(x)) == pytest.approx(x, abs=1e-8)
 
     # plot permutation invariance
     ps = [rng.random() for _ in range(27)]

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -16,6 +17,7 @@ from metaplot.fisher import (
     summarize_studies,
     summarize_z,
 )
+from metaplot.gaussian import GaussianSpec, tail_area
 from metaplot.ingest import (
     CorrelationClass,
     Groups,
@@ -141,12 +143,11 @@ def test_two_sided_sign_invariance():
 
 
 def test_p_consistent_with_stored_z():
-    from metaplot.numerics import std_normal_sf
-
+    standard = GaussianSpec("standard", 0.0, 1.0)
     rng = random.Random(11)
     for _ in range(100):
         s = one_study([(rng.uniform(-0.99, 0.99), rng.randint(4, 300))])
-        recomputed = min(1.0, 2.0 * std_normal_sf(abs(s.z_score)))
+        recomputed = min(1.0, 2.0 * tail_area(standard, abs(s.z_score)))
         assert abs(recomputed - s.p_value) <= 1e-12
 
 
@@ -259,10 +260,11 @@ def test_summarize_studies_error_messages():
     for shared_n in (False, True):
         with pytest.raises(ValueError, match=r"^sample size must exceed 3$"):
             summarize_studies(small_n, CorrelationClass.ICC, shared_n=shared_n)
-    unit_r = icc_groups([(1.0, 30)])
-    for mode in AggregationMode:
-        with pytest.raises(ValueError, match=r"^arctanh requires \|r\| < 1, got 1\.0$"):
-            summarize_studies(unit_r, CorrelationClass.ICC, mode=mode)
+    for r in (1.0, -1.0, 1.5, math.nan):
+        message = rf"^arctanh requires \|r\| < 1, got {re.escape(repr(r))}$"
+        for mode in AggregationMode:
+            with pytest.raises(ValueError, match=message):
+                summarize_studies(icc_groups([(r, 30)]), CorrelationClass.ICC, mode=mode)
 
 
 def summaries_from_z(zs, cls=CorrelationClass.ICC):

@@ -10,12 +10,12 @@ from metaplot.pplot import (
     ClassifyThresholds,
     DEFAULT_CLASSIFY_THRESHOLDS,
     PlotClass,
+    _kolmogorov_sf,
     _ks_sorted,
     build_plot,
     classify,
 )
 from metaplot.ingest import CorrelationClass
-from metaplot.numerics import kolmogorov_sf
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 ICC = CorrelationClass.ICC
@@ -100,7 +100,7 @@ def reference_diagnostics(p_values, alpha):
         sxy += x * p
         sxx += x * x
     below = sum(1 for p in ps if p < alpha) / n
-    return [v.hex() for v in (d, kolmogorov_sf(math.sqrt(n) * d), sxy / sxx, below, ps[0])]
+    return [v.hex() for v in (d, _kolmogorov_sf(math.sqrt(n) * d), sxy / sxx, below, ps[0])]
 
 
 @settings(max_examples=300, deadline=None)
