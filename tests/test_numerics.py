@@ -11,6 +11,7 @@ for gaussian.tail_area and the Kolmogorov series of pplot's KS test.
 import json
 import math
 import random
+import re
 from pathlib import Path
 from statistics import NormalDist
 
@@ -19,7 +20,9 @@ import pytest
 from scipy.special import kolmogorov as scipy_kolmogorov
 from scipy.stats import norm as scipy_norm
 
+from metaplot.fisher import AggregationMode, summarize_studies
 from metaplot.gaussian import GaussianSpec, tail_area
+from metaplot.ingest import CorrelationClass, Groups, Records
 from metaplot.pplot import _kolmogorov_sf
 
 # The stdlib CDF, 0.5 * (1 + erf(x / sqrt 2)): an erf-based counterpart to
@@ -173,6 +176,21 @@ def test_arctanh_strictly_increasing():
         cur = math.atanh(i / 100.0)
         assert cur > prev
         prev = cur
+
+
+@pytest.mark.parametrize("bad", [1.0, -1.0, 1.5, float("nan")])
+def test_arctanh_rejects_unit_and_beyond(bad):
+    # math.atanh raises for |r| = 1 and beyond but returns NaN for a NaN r;
+    # summarize_studies' z-scale step rejects all of them, in both modes.
+    # The one-record ICC study is built as columns, since parse_records
+    # would reject the r itself.
+    records = Records(["s0"], [CorrelationClass.ICC], [bad], [30])
+    groups = Groups(records, ["s0"], {CorrelationClass.ICC: [0]},
+                    {CorrelationClass.ICC: [0, 1]}, [30])
+    message = rf"^arctanh requires \|r\| < 1, got {re.escape(repr(bad))}$"
+    for mode in AggregationMode:
+        with pytest.raises(ValueError, match=message):
+            summarize_studies(groups, CorrelationClass.ICC, mode=mode)
 
 
 def test_kolmogorov_sf_matches_scipy():
