@@ -14,7 +14,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from statistics import NormalDist
+from itertools import repeat
+from statistics import NormalDist, _normal_dist_inv_cdf
 from typing import Any, Sequence
 
 import numpy as np
@@ -33,7 +34,8 @@ __all__ = [
     "gap_over_seeds",
 ]
 
-# Wichura's AS241 (Appl. Stat. 37, 1988), accurate to a few ulps across (0, 1)
+# Wichura's AS241 (Appl. Stat. 37, 1988), accurate to a few ulps across (0, 1).
+# Pcg32.normal calls this public method; generate_cohort calls its C kernel.
 _STD_NORMAL = NormalDist()
 
 
@@ -42,7 +44,8 @@ class Pcg32:
 
     The integer stream is exact and identical everywhere. Uniform doubles
     come from (u32 + 0.5) / 2^32, which never produces 0 or 1; normals use
-    the inverse-CDF method via NormalDist().inv_cdf, so simulated cohorts
+    the inverse-CDF method via the public NormalDist().inv_cdf, the oracle for
+    generate_cohort's direct calls to its C kernel, so simulated cohorts
     replay bit-identically for the same CPython and C math library.
 
     random_array(m) draws the next m uniforms at once with numpy uint64
@@ -205,17 +208,18 @@ def generate_cohort(config: CohortConfig) -> Cohort:
     Rows are the reference group (indicator 0) first, then the comparison
     group (indicator 1). Draw order is fixed (per subject: confounders in
     declared order, then the noise term), so a given seed always yields a
-    byte-identical data set. All uniforms come from one
-    Pcg32.random_array call in that order, and each confounder value is
-    mean + sigma * z, the same floating-point operations as Pcg32.normal;
-    tests/test_cohort.py keeps the one-draw-at-a-time loop as the oracle
-    and requires equal bytes.
+    byte-identical data set. All uniforms come from one Pcg32.random_array
+    call in that order; each z is the C kernel that NormalDist().inv_cdf
+    calls after its 0 < u < 1 check, which no (u32 + 0.5) / 2^32 can fail.
+    Each confounder value is mean + sigma * z, the same floating-point
+    operations as Pcg32.normal; tests/test_cohort.py keeps the
+    one-draw-at-a-time loop as the oracle and requires equal bytes.
     """
     n = config.n_per_group
     k = len(config.confounders)
     width = k + (config.noise_sigma > 0.0)
-    u = Pcg32(config.seed).random_array(2 * n * width)
-    z = np.array(list(map(_STD_NORMAL.inv_cdf, u.tolist())), dtype=float)
+    u = Pcg32(config.seed).random_array(2 * n * width).tolist()
+    z = np.fromiter(map(_normal_dist_inv_cdf, u, repeat(0.0), repeat(1.0)), float, count=len(u))
     z = z.reshape(2 * n, width)
     x = np.empty((2 * n, 2 + k), dtype=float)
     x[:, 0] = 1.0

@@ -58,7 +58,7 @@ class TailRow:
     threshold: float
     auc_ref: float
     auc_other: float
-    ratio: float  # math.inf when auc_other underflows to zero
+    ratio: float  # math.inf when auc_ref / auc_other overflows, or auc_other is zero
     overflow: bool = False
 
 
@@ -85,8 +85,9 @@ def ratio_table(
 ) -> TailTable:
     """Tail areas for both groups at each threshold plus their ratio.
 
-    Thresholds must be sorted ascending. A vanishing comparison-group tail
-    is flagged and its ratio reported as infinity (serialized as "inf").
+    Thresholds must be sorted ascending. A ratio that overflows, over a
+    comparison-group tail that underflows to zero or to a subnormal, is
+    flagged and reported as infinity (serialized as "inf").
     """
     ts = [float(t) for t in thresholds]
     if not ts:
@@ -97,10 +98,8 @@ def ratio_table(
     for t in ts:
         a_ref = tail_area(ref, t)
         a_other = tail_area(other, t)
-        if a_other == 0.0:
-            rows.append(TailRow(t, a_ref, a_other, math.inf, overflow=True))
-        else:
-            rows.append(TailRow(t, a_ref, a_other, a_ref / a_other))
+        ratio = a_ref / a_other if a_other else math.inf
+        rows.append(TailRow(t, a_ref, a_other, ratio, overflow=math.isinf(ratio)))
     return TailTable(ref=ref, other=other, rows=tuple(rows))
 
 

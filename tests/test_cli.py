@@ -1135,6 +1135,15 @@ def test_tails_byte_identical_runs(tmp_path):
         assert read_dir(a) == read_dir(b)
 
 
+def test_tails_ratio_that_overflows_over_a_nonzero_tail_writes_inf(tmp_path):
+    # at mu -37.6 the comparison tail is a nonzero subnormal and 0.5 / it overflows
+    out = tmp_path / "t"
+    assert main(["tails", "--other-mu=-37.6", "--thresholds", "0", "--out", str(out)]) == EXIT_OK
+    (row,) = json.loads((out / "tails.json").read_bytes())["table"]["rows"]
+    assert row["auc_other"] > 0.0
+    assert row["overflow"] is True and row["ratio"] == "inf"
+
+
 def test_simulate_demo_prints_gaps_and_writes_json(tmp_path, capsys):
     out = tmp_path / "sim"
     code = main(["simulate", "--demo", "--out", str(out)])

@@ -4,6 +4,7 @@ import warnings
 
 from dataclasses import asdict
 from pathlib import Path
+from statistics import NormalDist, _normal_dist_inv_cdf
 
 import numpy as np
 import pytest
@@ -174,6 +175,19 @@ def test_generate_cohort_equals_loop_oracle(config):
     cohort = generate_cohort(config)
     assert cohort.x.tobytes() == x.tobytes()
     assert cohort.y.tobytes() == y.tobytes()
+
+
+def test_inv_cdf_kernel_equals_public_method_bit_for_bit():
+    # generate_cohort calls the C kernel behind NormalDist().inv_cdf directly.
+    # A CPython that changes or drops it fails here instead of changing gap.json.
+    lo, hi = (0 + 0.5) / 4294967296.0, (0xFFFFFFFF + 0.5) / 4294967296.0  # Pcg32's extremes
+    assert 0.0 < lo and hi < 1.0  # so the method's 0 < p < 1 check never fires for a draw
+    ps = [lo, hi, 0.5]
+    # AS241's branch points: |p - 0.5| = 0.425, and r = sqrt(-log(p)) = 5
+    for p in (0.075, 0.925, math.exp(-25.0)):
+        ps += [math.nextafter(p, 0.0), p, math.nextafter(p, 1.0)]
+    for p in ps:
+        assert _normal_dist_inv_cdf(p, 0.0, 1.0).hex() == NormalDist().inv_cdf(p).hex(), p
 
 
 def test_confounder_group_means_shift():

@@ -112,6 +112,12 @@ def test_ratio_overflow_flagged():
     row = table.rows[0]
     assert row.overflow
     assert math.isinf(row.ratio)
+    # A subnormal comparison tail is not zero, yet 0.5 / it overflows.
+    for mu in (-37.6, -38.0):
+        row = ratio_table(G_MALE, GaussianSpec("far", mu, 1.0), [0.0]).rows[0]
+        assert row.auc_other > 0.0
+        assert row.overflow
+        assert math.isinf(row.ratio)
 
 
 def test_thresholds_must_ascend():
