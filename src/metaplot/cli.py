@@ -423,7 +423,8 @@ def run_simulate(args: argparse.Namespace) -> int:
     seeds = list(range(config.seed, config.seed + args.seeds))
     try:
         reports = gap_over_seeds(config, seeds)
-    except ValueError as exc:  # a rank-deficient design or an overflowing model
+    except (ValueError, MemoryError) as exc:  # a rank-deficient design, an
+        # overflowing model, or a cohort too large to allocate
         raise CliValidationError(f"{path}: bad cohort config: {exc}") from exc
     payload: dict = {"config": asdict(config), "tool_version": __version__}
     if args.seeds == 1:

@@ -35,8 +35,31 @@ __all__ = [
 ]
 
 # Wichura's AS241 (Appl. Stat. 37, 1988), accurate to a few ulps across (0, 1).
-# Pcg32.normal calls this public method; generate_cohort calls its C kernel.
+# Pcg32.normal calls this public method, the oracle for _std_normal_quantiles.
 _STD_NORMAL = NormalDist()
+
+# AS241's central-branch coefficients (|p - 0.5| <= 0.425), highest power of r
+# first, digit for digit as in CPython's statistics._normal_dist_inv_cdf.
+_AS241_CENTRAL_NUM = (
+    2.50908_09287_30122_6727e+3,
+    3.34305_75583_58812_8105e+4,
+    6.72657_70927_00870_0853e+4,
+    4.59219_53931_54987_1457e+4,
+    1.37316_93765_50946_1125e+4,
+    1.97159_09503_06551_4427e+3,
+    1.33141_66789_17843_7745e+2,
+    3.38713_28727_96366_6080e+0,
+)
+_AS241_CENTRAL_DEN = (
+    5.22649_52788_52854_5610e+3,
+    2.87290_85735_72194_2674e+4,
+    3.93078_95800_09271_0610e+4,
+    2.12137_94301_58659_5867e+4,
+    5.39419_60214_24751_1077e+3,
+    6.87187_00749_20579_0830e+2,
+    4.23133_30701_60091_1252e+1,
+    1.0,
+)
 
 
 class Pcg32:
@@ -45,8 +68,9 @@ class Pcg32:
     The integer stream is exact and identical everywhere. Uniform doubles
     come from (u32 + 0.5) / 2^32, which never produces 0 or 1; normals use
     the inverse-CDF method via the public NormalDist().inv_cdf, the oracle for
-    generate_cohort's direct calls to its C kernel, so simulated cohorts
-    replay bit-identically for the same CPython and C math library.
+    generate_cohort's _std_normal_quantiles (numpy for AS241's central branch,
+    the C kernel for its tails), so simulated cohorts replay bit-identically
+    for the same CPython and C math library.
 
     random_array(m) draws the next m uniforms at once with numpy uint64
     arithmetic and jump-ahead (Brown 1994, "Random number generation with
@@ -202,6 +226,45 @@ class GapReport:
     residual_sd: float
 
 
+def _horner(coefficients: Sequence[float], r: np.ndarray) -> np.ndarray:
+    """((c0 * r + c1) * r + ...) * r + c_last, one rounded operation at a time."""
+    acc = coefficients[0] * r
+    for c in coefficients[1:-1]:
+        acc += c
+        acc *= r
+    acc += coefficients[-1]
+    return acc
+
+
+def _std_normal_quantiles(u: np.ndarray) -> np.ndarray:
+    """NormalDist().inv_cdf of each uniform in u, a float64 array in (0, 1).
+
+    Draws with |u - 0.5| <= 0.425 take AS241's central branch, a rational
+    function of r = 0.180625 - q * q, here evaluated on the whole array with
+    CPython's coefficients in its Horner order. IEEE 754 rounds each + - * /
+    exactly once in numpy as in C, so the bits are the kernel's, provided
+    CPython's kernel was compiled without fused multiply-add; a build that
+    contracts them fails tests/test_cohort.py's plain-float check of the
+    branch instead of changing gap.json. The kernel's mu + x * sigma is x
+    itself for (0, 1), since q is never 0. The other draws need libm's log,
+    so the C kernel statistics._normal_dist_inv_cdf is mapped over them and
+    overwrites the central form's values there, which stay finite: the
+    denominator has no root in r's range.
+    """
+    q = u - 0.5
+    r = 0.180625 - q * q
+    x = _horner(_AS241_CENTRAL_NUM, r)
+    x *= q
+    x /= _horner(_AS241_CENTRAL_DEN, r)
+    tail = np.flatnonzero(np.abs(q) > 0.425)  # the complement of C's fabs(q) <= 0.425
+    x[tail] = np.fromiter(
+        map(_normal_dist_inv_cdf, u[tail].tolist(), repeat(0.0), repeat(1.0)),
+        float,
+        count=tail.size,
+    )
+    return x
+
+
 def generate_cohort(config: CohortConfig) -> Cohort:
     """Deterministically generate a cohort for the configured model.
 
@@ -209,17 +272,17 @@ def generate_cohort(config: CohortConfig) -> Cohort:
     group (indicator 1). Draw order is fixed (per subject: confounders in
     declared order, then the noise term), so a given seed always yields a
     byte-identical data set. All uniforms come from one Pcg32.random_array
-    call in that order; each z is the C kernel that NormalDist().inv_cdf
-    calls after its 0 < u < 1 check, which no (u32 + 0.5) / 2^32 can fail.
-    Each confounder value is mean + sigma * z, the same floating-point
-    operations as Pcg32.normal; tests/test_cohort.py keeps the
-    one-draw-at-a-time loop as the oracle and requires equal bytes.
+    call in that order, and _std_normal_quantiles turns them into the z that
+    NormalDist().inv_cdf returns after its 0 < u < 1 check, which no
+    (u32 + 0.5) / 2^32 can fail: AS241's central branch in numpy, its tails
+    through the C kernel. Each confounder value is mean + sigma * z, the
+    same floating-point operations as Pcg32.normal; tests/test_cohort.py
+    keeps the one-draw-at-a-time loop as the oracle and requires equal bytes.
     """
     n = config.n_per_group
     k = len(config.confounders)
     width = k + (config.noise_sigma > 0.0)
-    u = Pcg32(config.seed).random_array(2 * n * width).tolist()
-    z = np.fromiter(map(_normal_dist_inv_cdf, u, repeat(0.0), repeat(1.0)), float, count=len(u))
+    z = _std_normal_quantiles(Pcg32(config.seed).random_array(2 * n * width))
     z = z.reshape(2 * n, width)
     x = np.empty((2 * n, 2 + k), dtype=float)
     x[:, 0] = 1.0

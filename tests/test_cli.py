@@ -1258,6 +1258,33 @@ def test_simulate_bad_number_config_exit_2_without_outputs(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda c: c.update(n_per_group=10**15),  # the uniforms: ~57 PiB
+        lambda c: c.update(n_per_group=10**15, confounders=[], noise_sigma=0.0),  # x: ~28 PiB
+    ],
+    ids=["uniforms", "width-0-design"],
+)
+def test_simulate_cohort_too_large_to_allocate_exit_2_without_outputs(
+    demo_config, tmp_path, capsys, edit
+):
+    # Both sizes are far above the 128 TiB user address space, so the
+    # allocation fails at once and touches no memory.
+    config = json.loads(demo_config.read_text())
+    edit(config)
+    cfg = tmp_path / "cohort.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "sim"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {cfg}: bad cohort config: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_simulate_missing_config_exit_1(tmp_path):
     assert (
         main(["simulate", "--config", str(tmp_path / "no.json"), "--out", str(tmp_path)])

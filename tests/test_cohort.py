@@ -21,6 +21,7 @@ from metaplot.cohort import (
     generate_cohort,
     ols_fit,
 )
+from metaplot.cohort import _AS241_CENTRAL_DEN, _AS241_CENTRAL_NUM, _std_normal_quantiles
 
 
 def test_pcg32_reference_stream():
@@ -188,6 +189,68 @@ def test_inv_cdf_kernel_equals_public_method_bit_for_bit():
         ps += [math.nextafter(p, 0.0), p, math.nextafter(p, 1.0)]
     for p in ps:
         assert _normal_dist_inv_cdf(p, 0.0, 1.0).hex() == NormalDist().inv_cdf(p).hex(), p
+
+
+def _branch_point_neighbours(steps):
+    """The uniforms within `steps` nextafter steps of AS241's branch points
+    (|p - 0.5| = 0.425 and r = sqrt(-log(p)) = 5), and of 0.5 without 0.5
+    itself, which no draw can be."""
+    ps = [0.075, 0.925, math.exp(-25.0)]
+    for p in (*ps, 0.5):
+        lo = hi = p
+        for _ in range(steps):
+            lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)
+            ps += [lo, hi]
+    return ps
+
+
+def test_std_normal_quantiles_equal_public_method_bit_for_bit():
+    # generate_cohort's normals: numpy's central branch and the C kernel's tails.
+    extremes = [(0 + 0.5) / 4294967296.0, (0xFFFFFFFF + 0.5) / 4294967296.0]
+    every_4096th = (np.arange(0, 2**32, 4096, dtype=np.float64) + 0.5) / 4294967296.0
+    for u in (
+        np.array(extremes + _branch_point_neighbours(50)),
+        every_4096th,
+        np.empty(0),  # the width-0 config draws none
+    ):
+        got = _std_normal_quantiles(u)
+        want = np.array([NormalDist().inv_cdf(p) for p in u.tolist()], dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == u.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_as241_central_branch_is_plain_float_arithmetic():
+    # The central branch, in plain Python floats and CPython's Horner order,
+    # equals the public method bit for bit: the premise of the numpy branch.
+    # A CPython whose C kernel fuses multiply-adds fails here first.
+    def central(p):
+        q = p - 0.5
+        r = 0.180625 - q * q
+        num = den = 0.0
+        for a, b in zip(_AS241_CENTRAL_NUM, _AS241_CENTRAL_DEN):
+            num, den = num * r + a, den * r + b
+        return num * q / den
+
+    ps = [(k + 0.5) / 4294967296.0 for k in range(0, 2**32, 2**15)]
+    ps += _branch_point_neighbours(50)
+    ps = [p for p in ps if abs(p - 0.5) <= 0.425]
+    assert len(ps) > 100_000
+    for p in ps:
+        assert central(p).hex() == NormalDist().inv_cdf(p).hex(), p
+
+
+@pytest.mark.parametrize(
+    "config",
+    [DEMO_CONFIG, CohortConfig(n_per_group=40, beta0=1.0, beta1=-2.0)],
+    ids=["demo", "width-0"],
+)
+def test_generate_cohort_raises_no_floating_point_warning(config):
+    # The central form's values at tail draws are thrown away, but computed:
+    # they must stay finite outside gap_decomposition's np.errstate too.
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        cohort = generate_cohort(config)
+    assert np.isfinite(cohort.x).all() and np.isfinite(cohort.y).all()
 
 
 def test_confounder_group_means_shift():
