@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
-import io
 import json
 import math
 import os
@@ -31,7 +30,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 from ._fork import forked, two_cpus
 from ._version import __version__
@@ -56,10 +55,8 @@ from .pplot import (
 from .report import (
     AuditMetadata,
     AuditReport,
-    _json_head_tail,
-    _write_json,
-    _write_json_summaries,
     json_bytes,
+    json_head_tail,
     pplot_filename,
     render_json,
     render_markdown,
@@ -67,6 +64,7 @@ from .report import (
     render_svg_pplot,
     render_svg_zpanel,
     tail_table_to_dict,
+    write_json,
 )
 
 EXIT_OK = 0
@@ -156,13 +154,16 @@ def _artifact_writer(out: str) -> Iterator[Path]:
         raise
 
 
-def _attach_negative_exponents(argv: list[str]) -> list[str]:
-    """argv with each negative number in exponent notation joined to the long
-    option before it, "--alpha", "-5e-2" as "--alpha=-5e-2": argparse takes
-    "-40" for a value, but "-5e-2" for an option of its own."""
+def _attach_negative_numbers(argv: list[str]) -> list[str]:
+    """argv with each argument that starts as a negative number does, with
+    "-" and then a digit or "." and a digit, joined to the long option
+    before it: "--alpha", "-5e-2" as "--alpha=-5e-2" and "--thresholds",
+    "-1,0,1" as "--thresholds=-1,0,1". argparse takes "-40" and "-.5" for
+    values, but "-5e-2" and "-1,0,1" for options of their own; no metaplot
+    option starts that way."""
     out: list[str] = []
     for arg in argv:
-        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.fullmatch(r"-[\d.]+[eE][-+]?\d+", arg):
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-\.?\d", arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -306,18 +307,10 @@ def run_audit(args: argparse.Namespace) -> int:
 
     with _artifact_writer(args.out) as staging:
         json_path = staging / "report.json"
-
-        def write_json(receive: Callable[[], tuple[bytes, bytes]]) -> None:
-            # the summaries need nothing but summarize_studies, so a child
-            # renders them while this process computes all else
-            body = io.BytesIO()
-            _write_json_summaries(body, summaries)
-            head_tail = receive()
-            with open(json_path, "wb") as out:
-                _write_json(out, head_tail, lambda buf: buf.write(body.getbuffer()))
-
+        # the summaries need nothing but summarize_studies, so a child
+        # renders them while this process computes all else
         forks = "json" in args.format and retained >= _FORK_MIN_STUDIES and two_cpus()
-        with forked(write_json) if forks else nullcontext() as child:
+        with forked(partial(write_json, json_path, summaries)) if forks else nullcontext() as child:
             z_panels = {}
             plots = {}
             for cls in CorrelationClass:
@@ -337,7 +330,7 @@ def run_audit(args: argparse.Namespace) -> int:
                 (staging / "zpanel.svg").write_bytes(
                     render_svg_zpanel([z_panels[c.value] for c in CorrelationClass]))
             if child:
-                child.send(_json_head_tail(report))
+                child.send(json_head_tail(report))
             elif "json" in args.format:
                 json_path.write_bytes(render_json(report))
 
@@ -417,10 +410,10 @@ def run_simulate(args: argparse.Namespace) -> int:
         if args.seed is not None:
             config = config.with_seed(args.seed)
         config.with_seed(config.seed + args.seeds - 1)  # the last seed of the range
-    except ValueError as exc:
-        raise CliValidationError(f"bad --seed/--seeds: {exc}") from exc
-
-    seeds = list(range(config.seed, config.seed + args.seeds))
+        seeds = list(range(config.seed, config.seed + args.seeds))
+    except (ValueError, MemoryError) as exc:
+        why = str(exc) or f"{args.seeds} seeds do not fit in memory"  # MemoryError() says none
+        raise CliValidationError(f"bad --seed/--seeds: {why}") from exc
     try:
         reports = gap_over_seeds(config, seeds)
     except (ValueError, MemoryError) as exc:  # a rank-deficient design, an
@@ -452,7 +445,7 @@ def run_simulate(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_negative_exponents(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_attach_negative_numbers(sys.argv[1:] if argv is None else argv))
     collecting = gc.isenabled()
     gc.disable()  # see the module docstring
     try:

@@ -22,11 +22,14 @@ fixed text between the fields, encoded and written. So the document is held
 once, beside one block's strings. The tests re-encode `render_json`'s
 output with the stdlib and require the same bytes.
 
-`render_json` joins two pieces, which a forked audit renders in two
-processes (see `cli.run_audit`) into the same bytes: `_write_json_summaries`
-writes the `summaries` value, and `_json_head_tail` renders the document
-around it, `metadata`, `plots` and `schema_version` before it and
-`z_panels` after it. `_write_json` puts them in that order for both.
+report.json is two pieces: `_write_json_summaries` writes the `summaries`
+value, and `json_head_tail` renders the document around it, `metadata`,
+`plots` and `schema_version` before it and `z_panels` after it. The small
+sections take their keys from their dataclasses' fields (`vars`), a
+z-panel's `cls` written as `class`. `render_json` writes both in one
+process; `write_json` renders the summaries first and only then asks for
+the head and tail, which a forked audit's child receives from the parent
+(see `cli.run_audit`), into the same bytes.
 
 report.json is schema 2 (`"schema_version": 2`). Its keys are `metadata`
 (with the run's `config`), `plots` (each class's alpha, class and
@@ -62,19 +65,22 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
+from pathlib import Path
 from typing import Any, BinaryIO, Callable, Sequence
 
 from .fisher import Summaries, ZSummary
 from .gaussian import GaussianSpec, TailTable, curve_points
-from .pplot import PlotDiagnostics, PValuePlot
+from .pplot import PValuePlot
 
 __all__ = [
     "AuditMetadata",
     "AuditReport",
     "json_block",
     "json_bytes",
+    "json_head_tail",
     "tail_table_to_dict",
     "render_json",
+    "write_json",
     "render_markdown",
     "render_svg_pplot",
     "render_svg_gaussians",
@@ -109,50 +115,13 @@ _float = float.__repr__
 _int = int.__repr__
 
 
-def _zsummary_to_dict(z: ZSummary) -> dict[str, Any]:
-    return {
-        "class": z.cls.value,
-        "count": z.count,
-        "min": z.min,
-        "q1": z.q1,
-        "median": z.median,
-        "q3": z.q3,
-        "max": z.max,
-        "histogram": [[lo, hi, c] for lo, hi, c in z.histogram],
-    }
-
-
-def _diagnostics_to_dict(d: PlotDiagnostics) -> dict[str, Any]:
-    return {
-        "ks_statistic": d.ks_statistic,
-        "ks_p": d.ks_p,
-        "slope_fit": d.slope_fit,
-        "frac_below_alpha": d.frac_below_alpha,
-        "min_p": d.min_p,
-        "classification": d.classification.value,
-    }
-
-
-def _spec_to_dict(s: GaussianSpec) -> dict[str, Any]:
-    return {"label": s.label, "mu": s.mu, "sigma": s.sigma}
-
-
 def tail_table_to_dict(t: TailTable) -> dict[str, Any]:
-    """The JSON form of a tail table, shared by report.json and tails.json."""
+    """The JSON form of a tail table, as tails.json writes it."""
     return {
-        "ref": _spec_to_dict(t.ref),
-        "other": _spec_to_dict(t.other),
-        "rows": [
-            {
-                "threshold": r.threshold,
-                "auc_ref": r.auc_ref,
-                "auc_other": r.auc_other,
-                # JSON has no Infinity; the overflow sentinel is the string "inf"
-                "ratio": "inf" if r.overflow else r.ratio,
-                "overflow": r.overflow,
-            }
-            for r in t.rows
-        ],
+        "ref": vars(t.ref),
+        "other": vars(t.other),
+        # JSON has no Infinity; the overflow sentinel is the string "inf"
+        "rows": [{**vars(r), "ratio": "inf" if r.overflow else r.ratio} for r in t.rows],
     }
 
 
@@ -225,37 +194,44 @@ def _write_json_summaries(buf: BinaryIO, summaries: dict[str, Summaries]) -> Non
     buf.write(b"\n  }" if summaries else b"{}")
 
 
-def _json_head_tail(report: AuditReport) -> tuple[bytes, bytes]:
+def json_head_tail(report: AuditReport) -> tuple[bytes, bytes]:
     """report.json before and after its "summaries" value."""
     plots = {
-        tag: {"alpha": plot.alpha, "class": plot.cls.value,
-              "diagnostics": _diagnostics_to_dict(plot.diagnostics)}
+        tag: {"alpha": plot.alpha, "class": plot.cls.value, "diagnostics": vars(plot.diagnostics)}
         for tag, plot in report.plots.items()
     }
-    z_panels = {tag: _zsummary_to_dict(z) for tag, z in report.z_panels.items()}
+    # a new dict per panel: vars(z) is the ZSummary's own __dict__
+    z_panels = {tag: {"class" if k == "cls" else k: v for k, v in vars(z).items()}
+                for tag, z in report.z_panels.items()}
     head = (f'{{\n  "metadata": {json_block(asdict(report.metadata), "  ")},\n'
             f'  "plots": {json_block(plots, "  ")},\n'
             '  "schema_version": 2,\n  "summaries": ')
     return head.encode(), f',\n  "z_panels": {json_block(z_panels, "  ")}\n}}\n'.encode()
 
 
-def _write_json(out: BinaryIO, head_tail: tuple[bytes, bytes],
-                write_summaries: Callable[[BinaryIO], object]) -> None:
-    """report.json into out: its head, the "summaries" value that
-    write_summaries(out) writes, and its tail."""
-    head, tail = head_tail
-    out.write(head)
-    write_summaries(out)
-    out.write(tail)
-
-
 def render_json(report: AuditReport) -> bytes:
     """Deterministic JSON encoding: sorted keys, full float precision. See the
     module docstring for the format and how it is written."""
+    head, tail = json_head_tail(report)
     buf = io.BytesIO()
-    _write_json(buf, _json_head_tail(report),
-                lambda out: _write_json_summaries(out, report.summaries))
+    buf.write(head)
+    _write_json_summaries(buf, report.summaries)
+    buf.write(tail)
     return buf.getvalue()
+
+
+def write_json(path: Path, summaries: dict[str, Summaries],
+               head_tail: Callable[[], tuple[bytes, bytes]]) -> None:
+    """report.json at path, as render_json writes it: the "summaries" value
+    is rendered first, and only then is head_tail() called for the document
+    around it."""
+    body = io.BytesIO()
+    _write_json_summaries(body, summaries)
+    head, tail = head_tail()
+    with open(path, "wb") as out:
+        out.write(head)
+        out.write(body.getbuffer())
+        out.write(tail)
 
 
 # ---------------------------------------------------------------------------

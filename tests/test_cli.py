@@ -459,7 +459,9 @@ def test_forked_render_failure_leaves_nothing(
     def boom(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(metaplot.cli, renderer, boom)
+    # the child looks its render up in report, this process in cli
+    owner = metaplot.report if renderer == "_write_json_summaries" else metaplot.cli
+    monkeypatch.setattr(owner, renderer, boom)
     kept = tmp_path / "kept"  # an --out that exists: its own file stays
     kept.mkdir()
     (kept / "notes.txt").write_bytes(b"keep")
@@ -483,24 +485,25 @@ def test_forked_audit_renders_report_md_and_the_svgs_here(
     # calls is this process's list: a call in the child appends to its copy
     calls = []
 
-    def spy(name):
-        render = getattr(metaplot.cli, name)
+    def spy(module, name):
+        render = getattr(module, name)
 
         def spied(*args):
             calls.append((name, os.getpid()))
             return render(*args)
 
-        monkeypatch.setattr(metaplot.cli, name, spied)
+        monkeypatch.setattr(module, name, spied)
 
-    for name in ("_write_json_summaries", "_json_head_tail", "render_json", "render_markdown",
+    spy(metaplot.report, "_write_json_summaries")
+    for name in ("json_head_tail", "render_json", "render_markdown",
                  "render_svg_pplot", "render_svg_zpanel"):
-        spy(name)
+        spy(metaplot.cli, name)
     out = tmp_path / "out"
     assert main(["audit", "--input", str(null_csv), "--out", str(out)]) == EXIT_OK
     assert len(forking) == 1
     here = os.getpid()
     assert calls == [("render_markdown", here), *[("render_svg_pplot", here)] * 3,
-                     ("render_svg_zpanel", here), ("_json_head_tail", here)]
+                     ("render_svg_zpanel", here), ("json_head_tail", here)]
     # the child rendered the summaries and wrote report.json
     whole = json.loads((out / "report.json").read_bytes())
     assert set(whole["summaries"]) == {"ICC", "ECC", "IEC"} and "z_panels" in whole
@@ -543,7 +546,7 @@ def killed_in_the_child(render=None):
 def test_forked_child_killed_by_a_signal_leaves_nothing(
     forking, null_csv, tmp_path, capsys, monkeypatch
 ):
-    monkeypatch.setattr(metaplot.cli, "_write_json_summaries", killed_in_the_child())
+    monkeypatch.setattr(metaplot.report, "_write_json_summaries", killed_in_the_child())
     with pytest.raises(RuntimeError, match="killed by SIGKILL"):
         main(["audit", "--input", str(null_csv), "--out", str(tmp_path / "a" / "out")])
     assert capsys.readouterr().out == ""
@@ -576,7 +579,7 @@ def test_forked_child_is_killed_when_this_side_is_interrupted(
     def render_markdown(report):  # here
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(metaplot.cli, "_write_json_summaries", render_summaries)
+    monkeypatch.setattr(metaplot.report, "_write_json_summaries", render_summaries)
     monkeypatch.setattr(metaplot.cli, "render_markdown", render_markdown)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
@@ -630,7 +633,7 @@ def test_forked_child_failure_beats_a_broken_pipe(
     while_sending, exc, forking, huge_n_csv, tmp_path, tmp_path_factory, capsys, monkeypatch
 ):
     sending = tmp_path_factory.mktemp("marker") / "sending"
-    head_tail = metaplot.cli._json_head_tail
+    head_tail = metaplot.cli.json_head_tail
 
     def about_to_send(report):  # here, just before send
         frame = head_tail(report)
@@ -649,8 +652,8 @@ def test_forked_child_failure_beats_a_broken_pipe(
     def hung(signum, frame):
         raise AssertionError("hung")
 
-    monkeypatch.setattr(metaplot.cli, "_json_head_tail", about_to_send)
-    monkeypatch.setattr(metaplot.cli, "_write_json_summaries", boom)
+    monkeypatch.setattr(metaplot.cli, "json_head_tail", about_to_send)
+    monkeypatch.setattr(metaplot.report, "_write_json_summaries", boom)
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(30)
     try:
@@ -1100,6 +1103,20 @@ def test_tails_takes_negative_means_in_exponent_notation(spec, ref_mu, other_mu,
     assert (table["ref"]["mu"], table["other"]["mu"]) == (ref_mu, other_mu)
 
 
+@pytest.mark.parametrize("spec, thresholds", [
+    (["--thresholds", "-1,0,1"], [-1.0, 0.0, 1.0]),
+    (["--thresholds", "-1e0,2"], [-1.0, 2.0]),
+])
+def test_tails_takes_a_threshold_list_that_starts_negative(spec, thresholds, tmp_path):
+    # argparse takes neither list for a value of its own: it admits only
+    # "-" and a number, such as "-2", as one
+    out = tmp_path / "t"
+    assert main(["tails", *spec, "--format", "json", "--out", str(out)]) == EXIT_OK
+    written = json.loads((out / "tails.json").read_bytes())
+    assert written["config"]["thresholds"] == thresholds
+    assert [row["threshold"] for row in written["table"]["rows"]] == thresholds
+
+
 @pytest.mark.parametrize("spec", [["--alpha", "-5e-1"], ["--alpha=-5e-1"]])
 def test_audit_negative_alpha_in_exponent_notation_reaches_its_check(
     spec, null_csv, tmp_path, capsys
@@ -1281,6 +1298,18 @@ def test_simulate_cohort_too_large_to_allocate_exit_2_without_outputs(
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {cfg}: bad cohort config: ")
     assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_simulate_seed_count_too_large_to_allocate_exit_2_without_outputs(tmp_path, capsys):
+    # The list of 10**15 seeds would take 8 PB, far above the 128 TiB user
+    # address space, so the allocation fails at once and touches no memory.
+    out = tmp_path / "sim"
+    code = main(["simulate", "--demo", "--seeds", str(10**15), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad --seed/--seeds: {10**15} seeds do not fit in memory\n"
     assert captured.out == ""
     assert not out.exists()
 

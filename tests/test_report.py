@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from conftest import wide_sheet
 
 import metaplot.report
-from metaplot.fisher import AggregationMode, Summaries, summarize_studies, summarize_z
-from metaplot.gaussian import GaussianSpec, PRESETS, ratio_table
+from metaplot.fisher import AggregationMode, Summaries, ZSummary, summarize_studies, summarize_z
+from metaplot.gaussian import GaussianSpec, PRESETS, TailRow, ratio_table
 from metaplot.ingest import CorrelationClass, group_complete_studies, parse_records
 from metaplot.pplot import PlotClass, PlotDiagnostics, PValuePlot, build_plot
 from metaplot.report import (
@@ -338,6 +338,29 @@ def test_overflow_ratio_serializes_as_inf_token():
     row = payload["rows"][0]
     assert row["ratio"] == "inf"
     assert row["overflow"] is True
+
+
+def field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_json_section_keys_are_their_dataclass_fields(null_csv):
+    report = build_report(null_csv)
+    fields_before = {tag: dict(vars(z)) for tag, z in report.z_panels.items()}
+    first = render_json(report)
+    # rendering renames cls in a copy: the ZSummary keeps its own fields
+    assert render_json(report) == first
+    assert {tag: vars(z) for tag, z in report.z_panels.items()} == fields_before
+    assert all(isinstance(z.cls, CorrelationClass) for z in report.z_panels.values())
+    payload = json.loads(first)
+    for plot in payload["plots"].values():
+        assert set(plot["diagnostics"]) == field_names(PlotDiagnostics)
+    for panel in payload["z_panels"].values():
+        assert set(panel) == field_names(ZSummary) - {"cls"} | {"class"}
+    # tails.json writes its table through tail_table_to_dict and json_block
+    table = json.loads(json_block(tail_table_to_dict(ratio_table(*PRESETS["g"], [0.0, 1.0]))))
+    assert set(table["ref"]) == set(table["other"]) == field_names(GaussianSpec)
+    assert [set(row) for row in table["rows"]] == [field_names(TailRow)] * 2
 
 
 def test_json_has_sorted_keys(null_csv):
