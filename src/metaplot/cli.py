@@ -27,7 +27,7 @@ import statistics
 import sys
 import warnings
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 from typing import Iterator
@@ -402,14 +402,14 @@ def run_simulate(args: argparse.Namespace) -> int:
         raise CliValidationError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise CliValidationError(f"{path}: bad cohort config: {exc}") from exc
     if args.seeds < 1:
         raise CliValidationError("--seeds must be at least 1")
     try:
         if args.seed is not None:
-            config = config.with_seed(args.seed)
-        config.with_seed(config.seed + args.seeds - 1)  # the last seed of the range
+            config = replace(config, seed=args.seed)
+        replace(config, seed=config.seed + args.seeds - 1)  # the last seed of the range
         seeds = list(range(config.seed, config.seed + args.seeds))
     except (ValueError, MemoryError) as exc:
         why = str(exc) or f"{args.seeds} seeds do not fit in memory"  # MemoryError() says none

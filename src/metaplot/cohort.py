@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from itertools import repeat
 from statistics import NormalDist, _normal_dist_inv_cdf
 from typing import Any, Sequence
@@ -63,22 +63,11 @@ _AS241_CENTRAL_DEN = (
 
 
 class Pcg32:
-    """PCG-XSH-RR 32-bit generator (M.E. O'Neill), 64-bit state.
-
-    The integer stream is exact and identical everywhere. Uniform doubles
-    come from (u32 + 0.5) / 2^32, which never produces 0 or 1; normals use
-    the inverse-CDF method via the public NormalDist().inv_cdf, the oracle for
-    generate_cohort's _std_normal_quantiles (numpy for AS241's central branch,
-    the C kernel for its tails), so simulated cohorts replay bit-identically
-    for the same CPython and C math library.
-
-    random_array(m) draws the next m uniforms at once with numpy uint64
-    arithmetic and jump-ahead (Brown 1994, "Random number generation with
-    arbitrary strides"): the state before draw i is
-    MULT^i * s + inc * (1 + MULT + ... + MULT^(i-1)) mod 2^64, so one
-    cumprod and one cumsum give every state. It is the same stream as m
-    calls of random(), and leaves the same state behind; the scalar methods
-    stay the single-draw API and the reference the tests compare against.
+    """PCG-XSH-RR 32-bit generator (M.E. O'Neill), 64-bit state: an integer
+    stream identical everywhere, uniforms (u32 + 0.5) / 2^32 in the open
+    (0, 1), and normal() by the public NormalDist().inv_cdf, the oracle for
+    generate_cohort's draws; random_array(m) is m calls of random() at once,
+    by jump-ahead (Brown 1994), leaving the same state (README).
     """
 
     _MULT = 6364136223846793005
@@ -137,6 +126,18 @@ def _store_finite(obj: Any, names: Sequence[str], prefix: str = "") -> None:
         object.__setattr__(obj, name, float(v))
 
 
+def _fields_of(cls: type, obj: Any, what: str) -> dict[str, Any]:
+    """obj, if it is a JSON object that names every field of the dataclass
+    cls without a default and no other field; ValueError otherwise."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    if unknown := obj.keys() - {f.name for f in fields(cls)}:
+        raise ValueError(f"unknown {what} field(s): {', '.join(sorted(unknown))}")
+    if missing := [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]:
+        raise ValueError(f"missing {what} field(s): {', '.join(missing)}")
+    return obj
+
+
 @dataclass(frozen=True)
 class Confounder:
     """One confounder column: outcome coefficient and per-group means."""
@@ -154,8 +155,9 @@ class Confounder:
 
 @dataclass(frozen=True)
 class CohortConfig:
-    """The simulation's inputs, checked here and in Confounder only: n_per_group
-    and seed must be ints (not bools), every other number a finite number."""
+    """The simulation's inputs, their values checked here and in Confounder:
+    n_per_group and seed must be ints (not bools), every other number a
+    finite number. from_json checks the JSON's objects and their fields."""
 
     n_per_group: int
     beta0: float
@@ -182,21 +184,15 @@ class CohortConfig:
             raise ValueError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
 
     @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "CohortConfig":
-        if not isinstance(d, dict):
-            raise ValueError(f"cohort config must be a JSON object, got {type(d).__name__}")
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown cohort config field(s): {', '.join(sorted(unknown))}")
-        confs = tuple(Confounder(**c) for c in d.get("confounders", ()))
-        return cls(**{**d, "confounders": confs})
-
-    @classmethod
     def from_json(cls, text: str | bytes) -> "CohortConfig":
-        return cls.from_dict(json.loads(text))
-
-    def with_seed(self, seed: int) -> "CohortConfig":
-        return replace(self, seed=seed)
+        """The config in JSON text: an object of CohortConfig's fields, its
+        confounders an array of objects of Confounder's fields."""
+        config = _fields_of(cls, json.loads(text), "cohort config")
+        confounders = config.get("confounders", [])
+        if not isinstance(confounders, list):
+            raise ValueError(f"confounders must be a JSON array, got {type(confounders).__name__}")
+        return cls(**{**config, "confounders": tuple(
+            Confounder(**_fields_of(Confounder, c, "confounder")) for c in confounders)})
 
 
 @dataclass(frozen=True)
@@ -214,7 +210,6 @@ class RankDeficiencyError(ValueError):
 @dataclass(frozen=True)
 class OlsFit:
     coefficients: np.ndarray
-    residuals: np.ndarray
     residual_sd: float
 
 
@@ -237,25 +232,16 @@ def _horner(coefficients: Sequence[float], r: np.ndarray) -> np.ndarray:
 
 
 def _std_normal_quantiles(u: np.ndarray) -> np.ndarray:
-    """NormalDist().inv_cdf of each uniform in u, a float64 array in (0, 1).
-
-    Draws with |u - 0.5| <= 0.425 take AS241's central branch, a rational
-    function of r = 0.180625 - q * q, here evaluated on the whole array with
-    CPython's coefficients in its Horner order. IEEE 754 rounds each + - * /
-    exactly once in numpy as in C, so the bits are the kernel's, provided
-    CPython's kernel was compiled without fused multiply-add; a build that
-    contracts them fails tests/test_cohort.py's plain-float check of the
-    branch instead of changing gap.json. The kernel's mu + x * sigma is x
-    itself for (0, 1), since q is never 0. The other draws need libm's log,
-    so the C kernel statistics._normal_dist_inv_cdf is mapped over them and
-    overwrites the central form's values there, which stay finite: the
-    denominator has no root in r's range.
-    """
+    """NormalDist().inv_cdf of each uniform in u, a float64 array in (0, 1),
+    bit for bit on a CPython built without fused multiply-add: AS241's
+    central branch in numpy, in CPython's Horner order, and its tails
+    through the C kernel (README)."""
     q = u - 0.5
     r = 0.180625 - q * q
     x = _horner(_AS241_CENTRAL_NUM, r)
     x *= q
-    x /= _horner(_AS241_CENTRAL_DEN, r)
+    x /= _horner(_AS241_CENTRAL_DEN, r)  # the kernel's 0.0 + x * 1.0 is x: q is never 0
+    # the tails overwrite the central form's values, which stay finite there
     tail = np.flatnonzero(np.abs(q) > 0.425)  # the complement of C's fabs(q) <= 0.425
     x[tail] = np.fromiter(
         map(_normal_dist_inv_cdf, u[tail].tolist(), repeat(0.0), repeat(1.0)),
@@ -269,15 +255,9 @@ def generate_cohort(config: CohortConfig) -> Cohort:
     """Deterministically generate a cohort for the configured model.
 
     Rows are the reference group (indicator 0) first, then the comparison
-    group (indicator 1). Draw order is fixed (per subject: confounders in
-    declared order, then the noise term), so a given seed always yields a
-    byte-identical data set. All uniforms come from one Pcg32.random_array
-    call in that order, and _std_normal_quantiles turns them into the z that
-    NormalDist().inv_cdf returns after its 0 < u < 1 check, which no
-    (u32 + 0.5) / 2^32 can fail: AS241's central branch in numpy, its tails
-    through the C kernel. Each confounder value is mean + sigma * z, the
-    same floating-point operations as Pcg32.normal; tests/test_cohort.py
-    keeps the one-draw-at-a-time loop as the oracle and requires equal bytes.
+    group (indicator 1). Each subject draws its confounders in declared
+    order, then its noise term, from Pcg32(config.seed), so the cohort is
+    byte for byte the one Pcg32.normal draws one at a time.
     """
     n = config.n_per_group
     k = len(config.confounders)
@@ -332,7 +312,7 @@ def ols_fit(x: np.ndarray, y: np.ndarray) -> OlsFit:
     dof = rows - cols
     rss = float(residuals @ residuals)
     residual_sd = math.sqrt(rss / dof) if dof > 0 else 0.0
-    return OlsFit(coefficients=beta, residuals=residuals, residual_sd=residual_sd)
+    return OlsFit(coefficients=beta, residual_sd=residual_sd)
 
 
 def gap_decomposition(config: CohortConfig) -> GapReport:
@@ -356,4 +336,4 @@ def gap_decomposition(config: CohortConfig) -> GapReport:
 
 def gap_over_seeds(config: CohortConfig, seeds: Sequence[int]) -> list[GapReport]:
     """Gap decomposition replicated across seeds (for mean +- sd reporting)."""
-    return [gap_decomposition(config.with_seed(s)) for s in seeds]
+    return [gap_decomposition(replace(config, seed=s)) for s in seeds]

@@ -9,9 +9,9 @@ may be empty; `r` must lie strictly inside (-1, 1); `n` must exceed 3 so
 the Fisher standard error 1/sqrt(n-3) exists, and may not exceed
 MAX_SAMPLE_SIZE.
 
-A sheet is parsed as it is read. A binary file (or bytes) is read in
-blocks of 64 KiB, decoded as UTF-8 after an optional BOM by one incremental
-decoder, and cut at the last line end of each. A block with no `"`, no NUL,
+A sheet is parsed as it is read from a binary stream: in blocks of 64
+KiB, decoded as UTF-8 after an optional BOM by one incremental decoder,
+and cut at the last line end of each. A block with no `"`, no NUL,
 no `\r` but in `\r\n` and no line longer than `csv.field_size_limit()`
 holds exactly the rows `csv.reader` would give, one per line and split at
 its commas, so `str.split` splits it. From the first block that fails that
@@ -22,10 +22,10 @@ the fields the audit reads, `study_id`, `class`, `r` and `n`; `author`,
 integer), not kept. Each row is checked inline, on its fields as they are;
 a row that check does not accept goes to `_parse_row`, which strips every
 field first and names what is wrong.
-Neither the whole text nor a list of rows is ever held (text and any other
-reader are read whole first). Failures follow input order: the first line
-that fails, with a bad header, a field over the limit or bytes that are
-not UTF-8, is the one reported, whichever block it lies in. The complete
+Neither the whole text nor a list of rows is ever held. Failures follow
+input order: the first line that fails, with a bad header, a field over
+the limit or bytes that are not UTF-8, is the one reported, whichever
+block it lies in. The complete
 studies are held as one flat list of record positions per class, with
 each study's offsets into it (`Groups`); no per-row or per-study object is
 kept. `read_sheet` opens, hashes and parses a sheet by path, a large one in
@@ -46,7 +46,7 @@ from enum import Enum
 from functools import partial
 from itertools import chain, pairwise, repeat
 from operator import add, length_hint
-from typing import Any, BinaryIO, Callable, Iterator, Sequence, TextIO, Union
+from typing import Any, BinaryIO, Callable, Iterator, Sequence
 
 from ._fork import forked, two_cpus
 
@@ -158,9 +158,6 @@ class GroupingReport:
 
     groups: Groups
     dropped: list[tuple[str, str]]  # (study_id, reason)
-
-
-Source = Union[bytes, str, TextIO, BinaryIO]
 
 
 def _check_header(header: list[str] | None) -> None:
@@ -300,28 +297,19 @@ def _take_rows(rows: Iterator[list[str]], line_of: Callable[[], int],
         add_n(n)
 
 
-def parse_records(source: Source, line: int = 0) -> ParseResult:
+def parse_records(source: BinaryIO, line: int = 0) -> ParseResult:
     """Parse CSV input into validated study records.
 
     Every data row yields exactly one record or one positioned error, and
     all errors are collected so a whole extraction sheet can be fixed in
     one pass. Input that cannot be read as a sheet at all raises
-    ParseFailure, for its first line that fails. A binary file (an
-    io.RawIOBase or io.BufferedIOBase) is read as it is parsed, and left
-    open; any other object with .read() is read whole first. A leading byte
-    order mark is skipped, in text as in bytes, unless line is past 0:
+    ParseFailure, for its first line that fails. source is a binary stream,
+    such as a file opened "rb" or an io.BytesIO, read as it is parsed and
+    left open. A leading byte order mark is skipped unless line is past 0:
     source is then the part of a sheet after its first line lines, with no
     header, and its rows are numbered from line + 1.
     """
-    binary = isinstance(source, (io.RawIOBase, io.BufferedIOBase))
-    if not binary and hasattr(source, "read"):
-        source = source.read()  # type: ignore[union-attr]
-    if isinstance(source, str):
-        text = source if line else source.removeprefix("\ufeff")  # as utf-8-sig does
-        blocks = iter((text,) if text else ())
-    else:
-        blocks = _blocks(source if binary else io.BytesIO(source),
-                         "utf-8" if line else "utf-8-sig")
+    blocks = _blocks(source, "utf-8" if line else "utf-8-sig")
     limit = csv.field_size_limit()
     columns: tuple[list, ...] = ([], [], [], [])
     errors: list[RowError] = []

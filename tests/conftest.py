@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import random
@@ -6,13 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from metaplot.ingest import CorrelationClass
+from metaplot.ingest import CorrelationClass, ParseResult, parse_records
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def bundled(name: str) -> Path:
     return Path(str(files("metaplot") / "data" / name))
+
+
+def parse_text(text: str, line: int = 0) -> ParseResult:
+    """parse_records of text's UTF-8 bytes, read from a binary stream."""
+    return parse_records(io.BytesIO(text.encode()), line)
 
 
 def counted_forks(monkeypatch, module, gate):

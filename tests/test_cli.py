@@ -104,6 +104,16 @@ def test_audit_oversized_field_exit_2_without_outputs(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sheet", [b"", b"\xef\xbb\xbf"], ids=["empty", "bom-only"])
+def test_audit_of_a_sheet_without_a_header_row_exit_2_without_outputs(sheet, tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(sheet)
+    out = tmp_path / "out"
+    assert main(["audit", "--input", str(empty), "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: empty input: missing header row\n"
+    assert not out.exists()
+
+
 def test_audit_incomplete_studies_reported(tmp_path, capsys):
     csv = tmp_path / "partial.csv"
     csv.write_text(
@@ -1137,11 +1147,16 @@ def test_tails_labels_close_large_means_apart(tmp_path):
     assert "1.23457e+08" not in svg
 
 
-def test_tails_bad_threshold_list_exit_2(tmp_path):
+def test_tails_bad_threshold_list_exit_2(tmp_path, capsys):
     assert (
         main(["tails", "--preset", "g", "--thresholds", "2,1", "--out", str(tmp_path)])
         == EXIT_VALIDATION
     )
+    out = tmp_path / "t"
+    assert main(["tails", "--thresholds", "1,x", "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.endswith(
+        "error: bad threshold list '1,x': could not convert string to float: 'x'\n")
+    assert not out.exists()
 
 
 def test_tails_byte_identical_runs(tmp_path):
@@ -1202,6 +1217,18 @@ def test_simulate_malformed_json_exit_2_with_position(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
+def test_simulate_config_that_is_not_an_object_exit_2_without_outputs(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {cfg}: bad cohort config: "
+                            "cohort config must be a JSON object, got list\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_simulate_config_that_is_not_utf8_exit_2_naming_the_byte(tmp_path, capsys):
     cfg = tmp_path / "latin1.json"
     cfg.write_bytes(b'{"label": "\xff"}')
@@ -1254,9 +1281,17 @@ def _first_confounder(**fields):
         (lambda c: c.update(beta0=1e308, beta1=1e308), "the gaps overflow float64"),
         # a confounder that is constant to float64 precision: a multiple of the intercept
         (_first_confounder(mean_f=1e10, mean_m=1e10, sigma=1e-300), "linearly dependent"),
+        # the config's shape, named by field rather than by a Python call
+        (_first_confounder(rho=0.5), "unknown confounder field(s): rho"),
+        (lambda c: c.update(confounders=5), "confounders must be a JSON array, got int"),
+        (lambda c: c.update(confounders=[1]), "confounder must be a JSON object, got int"),
+        (lambda c: (c.clear(), c.update(beta0=0)),
+         "missing cohort config field(s): n_per_group, beta1"),
     ],
     ids=["nan-noise", "inf-mean_f", "bool-beta0", "str-beta0", "str-confounder-beta",
-         "400-digit-beta0", "overflowing-gaps", "constant-confounder"],
+         "400-digit-beta0", "overflowing-gaps", "constant-confounder",
+         "unknown-confounder-field", "number-confounders", "number-confounder",
+         "missing-fields"],
 )
 @pytest.mark.parametrize("seeds", ["1", "3"])
 def test_simulate_bad_number_config_exit_2_without_outputs(
@@ -1314,6 +1349,15 @@ def test_simulate_seed_count_too_large_to_allocate_exit_2_without_outputs(tmp_pa
     assert not out.exists()
 
 
+def test_simulate_seed_count_below_one_exit_2_without_outputs(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--demo", "--seeds", "0", "--out", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seeds must be at least 1\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_simulate_missing_config_exit_1(tmp_path):
     assert (
         main(["simulate", "--config", str(tmp_path / "no.json"), "--out", str(tmp_path)])
@@ -1364,9 +1408,26 @@ def test_simulate_byte_identical_runs(tmp_path):
     assert read_dir(a) == read_dir(b)
 
 
-def test_no_color_env_suppresses_ansi(null_csv, tmp_path, capsys):
+class _Terminal(StringIO):
+    def isatty(self):
+        return True
+
+
+def test_no_color_env_suppresses_ansi(null_csv, tmp_path, capsys, monkeypatch):
     main(["audit", "--input", str(null_csv), "--out", str(tmp_path / "o")])
     assert "\x1b[" not in capsys.readouterr().out
+
+    def on_a_terminal():
+        with redirect_stdout(_Terminal()) as stdout:
+            assert main(["audit", "--input", str(null_csv),
+                         "--out", str(tmp_path / "o")]) == EXIT_OK
+        return stdout.getvalue().splitlines()
+
+    monkeypatch.delenv("METAPLOT_NO_COLOR")
+    assert on_a_terminal()[0] == "ICC: \x1b[32mNullConsistent\x1b[0m"
+    monkeypatch.setenv("METAPLOT_NO_COLOR", "1")
+    plain = on_a_terminal()
+    assert plain[0] == "ICC: NullConsistent" and "\x1b[" not in "".join(plain)
 
 
 def test_import_cli_leaves_numpy_unloaded():

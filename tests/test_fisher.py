@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import parse_text
+
 from metaplot.fisher import (
     HISTOGRAM_BIN_WIDTH,
     HISTOGRAM_MAX_BINS,
@@ -22,7 +24,6 @@ from metaplot.ingest import (
     Groups,
     Records,
     group_complete_studies,
-    parse_records,
 )
 
 HEADER = "study_id,author,year,title,journal,class,r,n"
@@ -38,7 +39,7 @@ def make_groups(studies, cls=CorrelationClass.ICC):
         lines += [f"s{i:03d},A,2000,,,{cls.value},{r!r},{n}" for r, n in rs_ns]
         lines += [f"s{i:03d},A,2000,,,{other.value},0.0,10"
                   for other in CorrelationClass if other is not cls]
-    result = parse_records("\n".join(lines) + "\n")
+    result = parse_text("\n".join(lines) + "\n")
     assert not result.errors
     return group_complete_studies(result.records).groups
 
@@ -217,7 +218,7 @@ def test_summarize_studies_equals_reference(sheet, mode, shared_n, two_sided):
         for cls, values in by_class.items()
         for r, n in values
     ]
-    result = parse_records("\n".join(lines) + "\n")
+    result = parse_text("\n".join(lines) + "\n")
     assert not result.errors
     groups = group_complete_studies(result.records).groups
     studies = sorted((f"s{i}", by_class) for i, by_class in enumerate(sheet))
@@ -235,7 +236,7 @@ def test_one_negative_zero_record_writes_positive_zero_mean_r(mode):
     # was when every class went through sum(list) / len.
     rows = [f"s1,A,2000,,,{cls.value},{'-0.0' if cls is CorrelationClass.ICC else '0.1'},10"
             for cls in CorrelationClass]
-    result = parse_records("study_id,author,year,title,journal,class,r,n\n" + "\n".join(rows))
+    result = parse_text("study_id,author,year,title,journal,class,r,n\n" + "\n".join(rows))
     assert result.records.r[0].hex() == (-0.0).hex()
     groups = group_complete_studies(result.records).groups
     s = summarize_studies(groups, CorrelationClass.ICC, mode=mode)

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import wide_sheet
+from conftest import parse_text, wide_sheet
 
 import metaplot.report
 from metaplot.fisher import AggregationMode, Summaries, ZSummary, summarize_studies, summarize_z
 from metaplot.gaussian import GaussianSpec, PRESETS, TailRow, ratio_table
-from metaplot.ingest import CorrelationClass, group_complete_studies, parse_records
+from metaplot.ingest import CorrelationClass, group_complete_studies
 from metaplot.pplot import PlotClass, PlotDiagnostics, PValuePlot, build_plot
 from metaplot.report import (
     AuditMetadata,
@@ -30,11 +30,11 @@ from metaplot.report import (
 
 
 def build_report(csv_path, two_sided=True):
-    return build_report_from_text(csv_path.read_bytes(), two_sided)
+    return build_report_from_text(csv_path.read_bytes().decode(), two_sided)
 
 
 def build_report_from_text(sheet, two_sided=True):
-    result = parse_records(sheet)
+    result = parse_text(sheet)
     assert not result.errors
     groups = group_complete_studies(result.records).groups
     summaries, z_panels, plots = {}, {}, {}
@@ -150,7 +150,7 @@ def test_json_matches_stdlib_encoder(fixture, two_sided, request):
 
 def fixture_report(csv_path, mode, two_sided):
     """A report holding only the summaries of a sheet, per class."""
-    groups = group_complete_studies(parse_records(csv_path.read_bytes()).records).groups
+    groups = group_complete_studies(parse_text(csv_path.read_bytes().decode()).records).groups
     summaries = {cls.value: summarize_studies(groups, cls, mode=mode, two_sided=two_sided)
                  for cls in CorrelationClass}
     return AuditReport(
@@ -392,7 +392,7 @@ def test_markdown_study_cell_escapes_pipes_and_line_breaks():
         for cls in CorrelationClass
     ]
     csv_text = "study_id,author,year,title,journal,class,r,n\n" + "\n".join(rows) + "\n"
-    result = parse_records(csv_text)
+    result = parse_text(csv_text)
     assert not result.errors
     groups = group_complete_studies(result.records).groups
     summaries = {cls.value: summarize_studies(groups, cls) for cls in CorrelationClass}
