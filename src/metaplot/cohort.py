@@ -15,13 +15,13 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from itertools import repeat
-from statistics import NormalDist, _normal_dist_inv_cdf
+from statistics import _normal_dist_inv_cdf
 from typing import Any, Sequence
 
 import numpy as np
+from numpy.random import PCG64
 
 __all__ = [
-    "Pcg32",
     "Confounder",
     "CohortConfig",
     "Cohort",
@@ -33,10 +33,6 @@ __all__ = [
     "gap_decomposition",
     "gap_over_seeds",
 ]
-
-# Wichura's AS241 (Appl. Stat. 37, 1988), accurate to a few ulps across (0, 1).
-# Pcg32.normal calls this public method, the oracle for _std_normal_quantiles.
-_STD_NORMAL = NormalDist()
 
 # AS241's central-branch coefficients (|p - 0.5| <= 0.425), highest power of r
 # first, digit for digit as in CPython's statistics._normal_dist_inv_cdf.
@@ -62,57 +58,18 @@ _AS241_CENTRAL_DEN = (
 )
 
 
-class Pcg32:
-    """PCG-XSH-RR 32-bit generator (M.E. O'Neill), 64-bit state: an integer
-    stream identical everywhere, uniforms (u32 + 0.5) / 2^32 in the open
-    (0, 1), and normal() by the public NormalDist().inv_cdf, the oracle for
-    generate_cohort's draws; random_array(m) is m calls of random() at once,
-    by jump-ahead (Brown 1994), leaving the same state (README).
-    """
+# The JSON name of each type that json.loads returns
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number",
+               float: "number", bool: "boolean", type(None): "null"}
 
-    _MULT = 6364136223846793005
-    _MASK = (1 << 64) - 1
-    _DEFAULT_STREAM = 1442695040888963407
 
-    def __init__(self, seed: int, stream: int = _DEFAULT_STREAM) -> None:
-        self._inc = ((stream << 1) | 1) & self._MASK
-        self._state = 0
-        self.next_uint32()
-        self._state = (self._state + (seed & self._MASK)) & self._MASK
-        self.next_uint32()
-
-    def next_uint32(self) -> int:
-        old = self._state
-        self._state = (old * self._MULT + self._inc) & self._MASK
-        xorshifted = (((old >> 18) ^ old) >> 27) & 0xFFFFFFFF
-        rot = old >> 59
-        return ((xorshifted >> rot) | (xorshifted << ((-rot) & 31))) & 0xFFFFFFFF
-
-    def random(self) -> float:
-        """Uniform double in the open interval (0, 1)."""
-        return (self.next_uint32() + 0.5) / 4294967296.0
-
-    def random_array(self, m: int) -> np.ndarray:
-        """The next m values of random() as a float64 array, in stream order."""
-        if m < 0:
-            raise ValueError(f"draw count must be non-negative, got {m!r}")
-        # numpy uint64 arrays wrap mod 2^64 silently; scalars would warn.
-        powers = np.full(m + 1, self._MULT, dtype=np.uint64)
-        powers[0] = 1
-        np.cumprod(powers, out=powers)  # MULT^i
-        geometric = np.zeros(m + 1, dtype=np.uint64)
-        np.cumsum(powers[:-1], out=geometric[1:])  # 1 + MULT + ... + MULT^(i-1)
-        states = powers * np.uint64(self._state) + geometric * np.uint64(self._inc)
-        self._state = int(states[m])
-        old = states[:m]
-        xorshifted = (((old >> np.uint64(18)) ^ old) >> np.uint64(27)) & np.uint64(0xFFFFFFFF)
-        rot = old >> np.uint64(59)
-        out = (xorshifted >> rot) | (xorshifted << ((np.uint64(32) - rot) & np.uint64(31)))
-        out &= np.uint64(0xFFFFFFFF)
-        return (out.astype(np.float64) + 0.5) / 4294967296.0
-
-    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        return mu + sigma * _STD_NORMAL.inv_cdf(self.random())
+def _json_text(value: Any) -> str:
+    """value as JSON spells it (null, true, "x"), or its Python type where
+    JSON cannot hold it (a set, an int of over 4,300 digits)."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError, RecursionError):
+        return f"a Python {type(value).__name__}"
 
 
 def _store_finite(obj: Any, names: Sequence[str], prefix: str = "") -> None:
@@ -122,7 +79,7 @@ def _store_finite(obj: Any, names: Sequence[str], prefix: str = "") -> None:
     for name in names:
         v = getattr(obj, name)
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
-            raise ValueError(f"{prefix}{name} must be a finite JSON number, got {v!r}")
+            raise ValueError(f"{prefix}{name} must be a finite JSON number, got {_json_text(v)}")
         object.__setattr__(obj, name, float(v))
 
 
@@ -130,7 +87,7 @@ def _fields_of(cls: type, obj: Any, what: str) -> dict[str, Any]:
     """obj, if it is a JSON object that names every field of the dataclass
     cls without a default and no other field; ValueError otherwise."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+        raise ValueError(f"{what} must be a JSON object, got {_JSON_TYPES[type(obj)]}")
     if unknown := obj.keys() - {f.name for f in fields(cls)}:
         raise ValueError(f"unknown {what} field(s): {', '.join(sorted(unknown))}")
     if missing := [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]:
@@ -170,7 +127,7 @@ class CohortConfig:
         for name in ("n_per_group", "seed"):
             value = getattr(self, name)
             if type(value) is not int:  # int() would truncate 7.9 and accept true or "7"
-                raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+                raise ValueError(f"{name} must be a JSON integer, got {_json_text(value)}")
         _store_finite(self, ("beta0", "beta1", "noise_sigma"))
         object.__setattr__(self, "confounders", tuple(self.confounders))
         if self.n_per_group < 2 + len(self.confounders):
@@ -180,8 +137,8 @@ class CohortConfig:
             )
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be non-negative")
-        if not 0 <= self.seed <= Pcg32._MASK:  # Pcg32 would mask a larger seed
-            raise ValueError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
+        if not 0 <= self.seed <= 2**64 - 1:
+            raise ValueError(f"seed must be in [0, 2**64 - 1], got {_json_text(self.seed)}")
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "CohortConfig":
@@ -190,7 +147,7 @@ class CohortConfig:
         config = _fields_of(cls, json.loads(text), "cohort config")
         confounders = config.get("confounders", [])
         if not isinstance(confounders, list):
-            raise ValueError(f"confounders must be a JSON array, got {type(confounders).__name__}")
+            raise ValueError(f"confounders must be a JSON array, got {_JSON_TYPES[type(confounders)]}")
         return cls(**{**config, "confounders": tuple(
             Confounder(**_fields_of(Confounder, c, "confounder")) for c in confounders)})
 
@@ -251,18 +208,26 @@ def _std_normal_quantiles(u: np.ndarray) -> np.ndarray:
     return x
 
 
+def _uniforms(seed: int, m: int) -> np.ndarray:
+    """m uniforms (u32 + 0.5) / 2^32 in the open (0, 1), u32 the top 32 bits of
+    each PCG64(seed).random_raw draw: numpy fixes that integer stream for a
+    seed (NEP 19), not what Generator methods make of it. Take at most 52
+    bits: from k = 2^52 on, k + 0.5 rounds, to 1.0 at the top."""
+    return ((PCG64(seed).random_raw(m) >> np.uint64(32)) + 0.5) / 4294967296.0
+
+
 def generate_cohort(config: CohortConfig) -> Cohort:
     """Deterministically generate a cohort for the configured model.
 
     Rows are the reference group (indicator 0) first, then the comparison
     group (indicator 1). Each subject draws its confounders in declared
-    order, then its noise term, from Pcg32(config.seed), so the cohort is
-    byte for byte the one Pcg32.normal draws one at a time.
+    order, then its noise term, each mean + sigma * NormalDist().inv_cdf(u)
+    of the next uniform u of _uniforms(config.seed, ...).
     """
     n = config.n_per_group
     k = len(config.confounders)
     width = k + (config.noise_sigma > 0.0)
-    z = _std_normal_quantiles(Pcg32(config.seed).random_array(2 * n * width))
+    z = _std_normal_quantiles(_uniforms(config.seed, 2 * n * width))
     z = z.reshape(2 * n, width)
     x = np.empty((2 * n, 2 + k), dtype=float)
     x[:, 0] = 1.0
@@ -273,7 +238,7 @@ def generate_cohort(config: CohortConfig) -> Cohort:
     x[:n, 2:] = np.array([c.mean_m for c in confs], dtype=float) + sigma * z[:n, :k]
     x[n:, 2:] = np.array([c.mean_f for c in confs], dtype=float) + sigma * z[n:, :k]
     if width > k:
-        eps = 0.0 + config.noise_sigma * z[:, k]  # Pcg32.normal(0.0, noise_sigma)
+        eps = 0.0 + config.noise_sigma * z[:, k]  # mean + sigma * z at mean 0.0: never -0.0
     else:
         eps = np.zeros(2 * n, dtype=float)
     betas = np.array(

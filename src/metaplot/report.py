@@ -34,13 +34,7 @@ the head and tail, which a forked audit's child receives from the parent
 report.json is schema 2 (`"schema_version": 2`). Its keys are `metadata`
 (with the run's `config`), `plots` (each class's alpha, class and
 diagnostics), `summaries` (per study: `study_id`, `mean_r`, `n` and
-`p_value`) and `z_panels`. Schema 1 also held each study's class, Fisher
-z, standard error and z-score, each plot's sorted p-values as `points`,
-and the always-empty `gap_report` and `tail_tables`. The dropped study
-fields are exact functions of what is kept, as `fisher.summarize_studies`
-computes them: z = `math.atanh(mean_r)`, se = `1 / math.sqrt(n - 3)` and
-z-score = z / se; a plot's points are its class's `p_value`s, sorted,
-against their ranks 1 to n. Later fields only add keys to schema 2.
+`p_value`) and `z_panels`. Later fields only add keys to schema 2.
 
 `render_markdown` also writes into one `io.BytesIO`: its head, then each
 class's study table (study, mean r, n, z-score and p), formatted and
@@ -366,8 +360,8 @@ def render_svg_pplot(plot: PValuePlot) -> bytes:
     One circle is drawn per occupied whole-pixel cell `(int(x), int(y))`: the
     first point of the cell in rank order, at its own coordinates. Up to 407
     points the ranks lie at least a pixel apart, so every point is drawn; a
-    large plot draws a few hundred circles (690 of 98,031 on one benchmark
-    sheet), and each point left out lies in the cell of a circle drawn."""
+    large plot draws a few hundred circles, and each point left out lies in
+    the cell of a circle drawn."""
     n = plot.n
     if n == 0:
         raise ValueError("cannot render an empty plot")

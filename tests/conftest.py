@@ -4,6 +4,7 @@ import os
 import random
 from importlib.resources import files
 from pathlib import Path
+from statistics import NormalDist
 
 import pytest
 
@@ -19,6 +20,35 @@ def bundled(name: str) -> Path:
 def parse_text(text: str, line: int = 0) -> ParseResult:
     """parse_records of text's UTF-8 bytes, read from a binary stream."""
     return parse_records(io.BytesIO(text.encode()), line)
+
+
+class Pcg32:
+    """PCG-XSH-RR 32-bit generator (O'Neill 2014, HMC-CS-2014-0905), the
+    tests' seeded data: uniforms (u32 + 0.5) / 2^32 in the open (0, 1), and
+    normals by NormalDist().inv_cdf."""
+
+    _MULT = 6364136223846793005
+    _MASK = (1 << 64) - 1
+
+    def __init__(self, seed: int, stream: int = 1442695040888963407) -> None:
+        self._inc = ((stream << 1) | 1) & self._MASK
+        self._state = 0
+        self.next_uint32()
+        self._state = (self._state + (seed & self._MASK)) & self._MASK
+        self.next_uint32()
+
+    def next_uint32(self) -> int:
+        old = self._state
+        self._state = (old * self._MULT + self._inc) & self._MASK
+        xorshifted = (((old >> 18) ^ old) >> 27) & 0xFFFFFFFF
+        rot = old >> 59
+        return ((xorshifted >> rot) | (xorshifted << ((-rot) & 31))) & 0xFFFFFFFF
+
+    def random(self) -> float:
+        return (self.next_uint32() + 0.5) / 4294967296.0
+
+    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
+        return mu + sigma * NormalDist().inv_cdf(self.random())
 
 
 def counted_forks(monkeypatch, module, gate):

@@ -18,10 +18,11 @@ from pathlib import Path
 from statistics import NormalDist
 
 import pytest
+from conftest import Pcg32
 
 import metaplot
 from metaplot.cli import EXIT_OK, main
-from metaplot.cohort import CohortConfig, Confounder, Pcg32, gap_decomposition
+from metaplot.cohort import CohortConfig, Confounder, gap_decomposition
 from metaplot.fisher import summarize_studies
 from metaplot.gaussian import GaussianSpec, tail_area
 from metaplot.ingest import CorrelationClass, Groups, Records

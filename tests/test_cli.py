@@ -1224,7 +1224,7 @@ def test_simulate_config_that_is_not_an_object_exit_2_without_outputs(tmp_path, 
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.err == (f"error: {cfg}: bad cohort config: "
-                            "cohort config must be a JSON object, got list\n")
+                            "cohort config must be a JSON object, got array\n")
     assert captured.out == ""
     assert not out.exists()
 
@@ -1273,9 +1273,10 @@ def _first_confounder(**fields):
     [
         (lambda c: c.update(noise_sigma=float("nan")), "noise_sigma must be a finite JSON number"),
         (_first_confounder(mean_f=float("inf")), "confounder mean_f must be a finite JSON number"),
-        (lambda c: c.update(beta0=True), "beta0 must be a finite JSON number"),
+        (lambda c: c.update(beta0=True), "beta0 must be a finite JSON number, got true"),
         (lambda c: c.update(beta0="2.5"), "beta0 must be a finite JSON number"),
         (_first_confounder(beta="2"), "confounder beta must be a finite JSON number"),
+        (_first_confounder(sigma=None), "confounder sigma must be a finite JSON number, got null"),
         (lambda c: c.update(beta0=10**400), "beta0 must be a finite JSON number"),
         # finite inputs whose outcomes overflow float64
         (lambda c: c.update(beta0=1e308, beta1=1e308), "the gaps overflow float64"),
@@ -1283,15 +1284,16 @@ def _first_confounder(**fields):
         (_first_confounder(mean_f=1e10, mean_m=1e10, sigma=1e-300), "linearly dependent"),
         # the config's shape, named by field rather than by a Python call
         (_first_confounder(rho=0.5), "unknown confounder field(s): rho"),
-        (lambda c: c.update(confounders=5), "confounders must be a JSON array, got int"),
-        (lambda c: c.update(confounders=[1]), "confounder must be a JSON object, got int"),
+        (lambda c: c.update(confounders=5), "confounders must be a JSON array, got number"),
+        (lambda c: c.update(confounders=None), "confounders must be a JSON array, got null"),
+        (lambda c: c.update(confounders=[1]), "confounder must be a JSON object, got number"),
         (lambda c: (c.clear(), c.update(beta0=0)),
          "missing cohort config field(s): n_per_group, beta1"),
     ],
     ids=["nan-noise", "inf-mean_f", "bool-beta0", "str-beta0", "str-confounder-beta",
-         "400-digit-beta0", "overflowing-gaps", "constant-confounder",
-         "unknown-confounder-field", "number-confounders", "number-confounder",
-         "missing-fields"],
+         "null-confounder-sigma", "400-digit-beta0", "overflowing-gaps", "constant-confounder",
+         "unknown-confounder-field", "number-confounders", "null-confounders",
+         "number-confounder", "missing-fields"],
 )
 @pytest.mark.parametrize("seeds", ["1", "3"])
 def test_simulate_bad_number_config_exit_2_without_outputs(
@@ -1398,7 +1400,7 @@ def test_simulate_demo_20_seeds_gap_json_bytes(tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", "--demo", "--seeds", "20", "--out", str(out)]) == EXIT_OK
     digest = hashlib.sha256((out / "gap.json").read_bytes()).hexdigest()
-    assert digest == "754a93608c220a10753a8a629badb091631c69a0d253a9346a1bdcd40f5288ca"
+    assert digest == "59780b5dced8b44595b43acfe9cf1021e430a6f69165c8a82584a157ececb186"
 
 
 def test_simulate_byte_identical_runs(tmp_path):

@@ -8,25 +8,27 @@ from statistics import NormalDist, _normal_dist_inv_cdf
 
 import numpy as np
 import pytest
+from conftest import Pcg32
+from numpy.random import PCG64
 
 import metaplot
+import metaplot.cohort
 
 from metaplot.cohort import (
     CohortConfig,
     Confounder,
-    Pcg32,
     RankDeficiencyError,
     gap_decomposition,
     gap_over_seeds,
     generate_cohort,
     ols_fit,
 )
-from metaplot.cohort import _AS241_CENTRAL_DEN, _AS241_CENTRAL_NUM, _std_normal_quantiles
+from metaplot.cohort import _AS241_CENTRAL_DEN, _AS241_CENTRAL_NUM, _std_normal_quantiles, _uniforms
 
 
 def test_pcg32_reference_stream():
-    # First outputs of the pcg32 reference implementation for
-    # seed=42, stream=54 (the values published with the minimal C version).
+    # The tests' data generator (conftest): first outputs of the pcg32 reference
+    # implementation for seed=42, stream=54 (published with the minimal C version).
     rng = Pcg32(42, stream=54)
     expected = [0xA15C02B7, 0x7B47F409, 0xBA1D3330, 0x83D2F293, 0xBFA4784B, 0xCBED606E]
     assert [rng.next_uint32() for _ in range(6)] == expected
@@ -41,33 +43,33 @@ def test_pcg32_deterministic_and_seed_sensitive():
     assert all(0.0 < u < 1.0 for u in a)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [lambda: Pcg32(42, stream=54), lambda: Pcg32(0), lambda: Pcg32(2**64 - 1)],
-    ids=["seed42-stream54", "seed0", "seed2**64-1"],
-)
-def test_pcg32_random_array_is_the_scalar_stream(make):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a numpy uint64 scalar overflow warning fails
-        for m in (0, 1, 2, 3, 17, 1000):
-            batch, scalar = make(), make()
-            batch.random()
-            scalar.random()
-            got = batch.random_array(m)
-            assert got.dtype == np.float64 and got.shape == (m,)
-            assert got.tolist() == [scalar.random() for _ in range(m)]
-            assert batch._state == scalar._state
-            assert batch.next_uint32() == scalar.next_uint32()
-            assert batch.random_array(m).tolist() == [scalar.random() for _ in range(m)]
-    with pytest.raises(ValueError, match="non-negative"):
-        make().random_array(-1)
-
-
 def test_pcg32_normal_moments():
     rng = Pcg32(2024)
     draws = [rng.normal() for _ in range(20000)]
     assert np.mean(draws) == pytest.approx(0.0, abs=0.03)
     assert np.std(draws) == pytest.approx(1.0, abs=0.03)
+
+
+def test_pcg64_raw_stream_is_numpys_fixed_stream():
+    # numpy fixes this integer stream for a seed (NEP 19): every cohort rests on it
+    assert PCG64(0).random_raw(3).tolist() == [
+        11749869230777074271, 4976686463289251617, 755828109848996024]
+
+
+def test_uniforms_stay_inside_the_open_interval(monkeypatch):
+    class Raw:  # raw draws whose top 32 bits are 0 or 2**32 - 1, low bits clear or set
+        def __init__(self, seed):
+            pass
+
+        def random_raw(self, m):
+            return np.array([0, 2**32 - 1, (2**32 - 1) << 32, 2**64 - 1], dtype=np.uint64)[:m]
+
+    monkeypatch.setattr(metaplot.cohort, "PCG64", Raw)
+    lo, hi = 0.5 / 2**32, (2**32 - 0.5) / 2**32
+    assert _uniforms(0, 4).tolist() == [lo, lo, hi, hi]
+    assert 0.0 < lo and hi < 1.0
+    monkeypatch.undo()
+    assert _uniforms(7, 0).dtype == np.float64 and _uniforms(7, 0).shape == (0,)
 
 
 def test_config_validation():
@@ -82,6 +84,9 @@ def test_config_validation():
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64 - 1\]"):
             CohortConfig(n_per_group=10, beta0=0, beta1=0, seed=seed)
     assert CohortConfig(n_per_group=10, beta0=0, beta1=0, seed=2**64 - 1).seed == 2**64 - 1
+    for value in ({1.0}, 10**5000):  # no JSON text holds these, and the message still forms
+        with pytest.raises(ValueError, match="beta0 must be a finite JSON number, got a Python"):
+            CohortConfig(n_per_group=10, beta0=value, beta1=0)
 
 
 def test_config_json_round_trip():
@@ -128,8 +133,14 @@ def test_generate_cohort_byte_identical_for_fixed_seed():
 
 
 def loop_cohort(config):
-    """The one-draw-at-a-time generator generate_cohort must reproduce."""
-    rng = Pcg32(config.seed)
+    """The one-draw-at-a-time generator generate_cohort must reproduce: each
+    draw mean + sigma * NormalDist().inv_cdf(u), u from the top 32 bits of
+    PCG64's next raw draw, in Python ints."""
+    bits = PCG64(config.seed)
+
+    def normal(mean, sigma):
+        return mean + sigma * NormalDist().inv_cdf(((bits.random_raw() >> 32) + 0.5) / 2**32)
+
     n = config.n_per_group
     k = len(config.confounders)
     x = np.empty((2 * n, 2 + k), dtype=float)
@@ -141,9 +152,9 @@ def loop_cohort(config):
             x[row, 1] = group
             for j, conf in enumerate(config.confounders):
                 mean = conf.mean_f if group == 1.0 else conf.mean_m
-                x[row, 2 + j] = rng.normal(mean, conf.sigma)
+                x[row, 2 + j] = normal(mean, conf.sigma)
             if config.noise_sigma > 0.0:
-                eps[row] = rng.normal(0.0, config.noise_sigma)
+                eps[row] = normal(0.0, config.noise_sigma)
             row += 1
     betas = np.array(
         [config.beta0, config.beta1] + [c.beta for c in config.confounders], dtype=float
@@ -181,7 +192,7 @@ def test_generate_cohort_equals_loop_oracle(config):
 def test_inv_cdf_kernel_equals_public_method_bit_for_bit():
     # generate_cohort calls the C kernel behind NormalDist().inv_cdf directly.
     # A CPython that changes or drops it fails here instead of changing gap.json.
-    lo, hi = (0 + 0.5) / 4294967296.0, (0xFFFFFFFF + 0.5) / 4294967296.0  # Pcg32's extremes
+    lo, hi = (0 + 0.5) / 4294967296.0, (0xFFFFFFFF + 0.5) / 4294967296.0  # _uniforms' extremes
     assert 0.0 < lo and hi < 1.0  # so the method's 0 < p < 1 check never fires for a draw
     ps = [lo, hi, 0.5]
     # AS241's branch points: |p - 0.5| = 0.425, and r = sqrt(-log(p)) = 5
