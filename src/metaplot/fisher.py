@@ -5,17 +5,19 @@ the z scale (arctanh), scaled by the standard error 1/sqrt(n-3), and
 converted back to a p-value under the standard normal distribution.
 
 `summarize_studies` works on columns: it reads a `Groups` and returns a
-`Summaries`, whose fields are lists with one entry per study, computed with
-`math` functions mapped over those lists. When every study has one record
-of the class, mean r is read straight from the record column as 0.0 + r,
-which equals sum([r]) / 1 bit for bit. It keeps each study's mean r, n,
-z-score and p-value; Fisher z and its standard error follow exactly from
-mean r and n, and are not kept.
+`Summaries`, whose fields hold one entry per study, computed with `math`
+functions mapped over columns; mean r, z-score and p-value are arrays of
+doubles, and n is a list, as a summed n can exceed 64 bits. When every
+study has one record of the class, mean r is read straight from the record
+column as 0.0 + r, which equals sum([r]) / 1 bit for bit. It keeps each
+study's mean r, n, z-score and p-value; Fisher z and its standard error
+follow exactly from mean r and n, and are not kept.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -52,7 +54,9 @@ class AggregationMode(str, Enum):
 class Summaries:
     """Per-study summaries as parallel columns, one entry per study.
 
-    `summarize_studies` checks each `p_value` to lie in [0, 1].
+    `summarize_studies` returns `mean_r`, `z_score` and `p_value` as
+    array('d') and `n` as a list, and checks each `p_value` to lie in
+    [0, 1].
     """
 
     study_id: Sequence[str]
@@ -108,19 +112,20 @@ def summarize_studies(
     if mode is AggregationMode.MEAN_R and len(positions) == len(groups.offsets[cls]) - 1:
         # one record of cls a study: sum([r]) / 1 is 0.0 + r (-0.0 gives +0.0)
         r_col, n_col = groups.records.r, groups.records.n
-        mean_r = [0.0 + r_col[j] for j in positions]
+        mean_r = array("d", [0.0 + r_col[j] for j in positions])
         n = groups.study_n if shared_n else [n_col[j] for j in positions]
     else:
         rs = groups.values(cls, "r")
         # a left fold, as sum() compensates float sums from Python 3.12 on
         if mode is AggregationMode.MEAN_Z:
             try:
-                mean_r = [math.tanh(reduce(add, map(math.atanh, v), 0.0) / len(v)) for v in rs]
+                mean_r = array("d", [math.tanh(reduce(add, map(math.atanh, v), 0.0) / len(v))
+                                     for v in rs])
             except ValueError:  # |r| >= 1; a NaN r passes through to the check below
                 r = next(r for v in rs for r in v if not abs(r) < 1.0)
                 raise ValueError(f"arctanh requires |r| < 1, got {r!r}") from None
         else:
-            mean_r = [reduce(add, v, 0.0) / len(v) for v in rs]
+            mean_r = array("d", [reduce(add, v, 0.0) / len(v) for v in rs])
         n = groups.study_n if shared_n else list(map(sum, groups.values(cls, "n")))
     for k, m in zip(n, mean_r):
         if k < 4:
@@ -128,13 +133,13 @@ def summarize_studies(
         if not abs(m) < 1.0:  # also rejects NaN
             raise ValueError(f"arctanh requires |r| < 1, got {m!r}")
     se_of_n = {k: 1.0 / math.sqrt(k - 3) for k in set(n)}
-    z_score = list(map(truediv, map(math.atanh, mean_r), map(se_of_n.__getitem__, n)))
+    z_score = array("d", map(truediv, map(math.atanh, mean_r), map(se_of_n.__getitem__, n)))
     # 0.5 * erfc is the normal upper tail; halving then doubling is kept on purpose,
     # as it rounds differently from erfc alone when erfc is subnormal
     if two_sided:
-        p = [min(1.0, 2.0 * (0.5 * math.erfc(abs(z) / _SQRT2))) for z in z_score]
+        p = array("d", [min(1.0, 2.0 * (0.5 * math.erfc(abs(z) / _SQRT2))) for z in z_score])
     else:
-        p = [0.5 * math.erfc(z / _SQRT2) for z in z_score]
+        p = array("d", [0.5 * math.erfc(z / _SQRT2) for z in z_score])
     for v in p:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"probability must lie in [0, 1], got {v!r}")

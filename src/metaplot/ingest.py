@@ -26,10 +26,10 @@ Neither the whole text nor a list of rows is ever held. Failures follow
 input order: the first line that fails, with a bad header, a field over
 the limit or bytes that are not UTF-8, is the one reported, whichever
 block it lies in. The complete
-studies are held as one flat list of record positions per class, with
+studies are held as one flat array of record positions per class, with
 each study's offsets into it (`Groups`); no per-row or per-study object is
-kept. `read_sheet` opens, hashes and parses a sheet by path, a large one in
-two processes.
+kept but each study's id, one str that all its records share. `read_sheet`
+opens, hashes and parses a sheet by path, a large one in two processes.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import hashlib
 import io
 import os
 import stat
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -107,7 +108,9 @@ class RowError:
 
 @dataclass(frozen=True)
 class Records:
-    """Study records as parallel columns (one tuple per field), in input order."""
+    """Study records as parallel columns, in input order: tuples of study ids
+    (one str per study, shared by its records) and classes, r in an
+    array('d') and n in an array('q')."""
 
     study_id: Sequence[str]
     cls: Sequence[CorrelationClass]
@@ -128,18 +131,18 @@ class ParseResult:
 class Groups:
     """Complete studies in ascending study_id order, as columns.
 
-    `positions[cls]` lists the positions in `records` of the studies' records
-    of class cls, study after study, each study's in input order; study i's
-    are `positions[cls][offsets[cls][i]:offsets[cls][i + 1]]`. `study_n[i]` is
-    study i's study-level n, its largest record n: extraction sheets
-    typically repeat one study-level n across rows, in which case this is
-    exactly that n.
+    `positions[cls]`, an array('q'), holds the positions in `records` of the
+    studies' records of class cls, study after study, each study's in input
+    order; study i's are `positions[cls][offsets[cls][i]:offsets[cls][i + 1]]`,
+    with `offsets[cls]` an array('q') too. `study_n[i]` is study i's
+    study-level n, its largest record n: extraction sheets typically repeat
+    one study-level n across rows, in which case this is exactly that n.
     """
 
     records: Records
     study_id: list[str]
-    positions: dict[CorrelationClass, list[int]]
-    offsets: dict[CorrelationClass, list[int]]
+    positions: dict[CorrelationClass, Sequence[int]]
+    offsets: dict[CorrelationClass, Sequence[int]]
     study_n: list[int]
 
     def __len__(self) -> int:
@@ -266,11 +269,13 @@ def _splits_like_csv(text: str, limit: int) -> list[str] | None:
     return lines
 
 
-def _take_rows(rows: Iterator[list[str]], line_of: Callable[[], int],
-               columns: tuple[list, ...], errors: list[RowError]) -> None:
+def _take_rows(rows: Iterator[list[str]], line_of: Callable[[], int], columns: tuple,
+               ids: dict[str, str], errors: list[RowError]) -> None:
     """Each row's record onto columns, or its RowError, at line_of(), onto
-    errors; a blank row (no fields, or only whitespace) is skipped."""
+    errors; a blank row (no fields, or only whitespace) is skipped. Each
+    study id is held once: ids maps it to its first str."""
     add_study_id, add_cls, add_r, add_n = (column.append for column in columns)
+    same_id = ids.setdefault
     class_by_tag, max_n = _CLASS_BY_TAG, MAX_SAMPLE_SIZE
     for row in rows:
         try:
@@ -291,7 +296,7 @@ def _take_rows(rows: Iterator[list[str]], line_of: Callable[[], int],
                 if "".join(row).strip():
                     errors.append(RowError(line=line_of(), message=str(exc)))
                 continue
-        add_study_id(study_id)
+        add_study_id(same_id(study_id, study_id))
         add_cls(cls)
         add_r(r)
         add_n(n)
@@ -311,7 +316,8 @@ def parse_records(source: BinaryIO, line: int = 0) -> ParseResult:
     """
     blocks = _blocks(source, "utf-8" if line else "utf-8-sig")
     limit = csv.field_size_limit()
-    columns: tuple[list, ...] = ([], [], [], [])
+    columns = ([], [], array("d"), array("q"))  # every accepted n fits int64
+    ids: dict[str, str] = {}
     errors: list[RowError] = []
     # from here on, line counts the lines parsed before the block being parsed
     reader = None
@@ -323,7 +329,7 @@ def parse_records(source: BinaryIO, line: int = 0) -> ParseResult:
                     map(io.StringIO, chain((text,), blocks), repeat(""))))
                 if not line:
                     _check_header(next(reader, None))
-                _take_rows(reader, lambda: line + reader.line_num, columns, errors)
+                _take_rows(reader, lambda: line + reader.line_num, columns, ids, errors)
                 break
             unread = iter(lines)
             if not line:
@@ -332,7 +338,7 @@ def parse_records(source: BinaryIO, line: int = 0) -> ParseResult:
             # alive for the cyclic collector to scan, and the line it split
             # last is line + len(lines) - length_hint(unread)
             _take_rows(map(str.split, unread, repeat(",")),
-                       lambda: line + len(lines) - length_hint(unread), columns, errors)
+                       lambda: line + len(lines) - length_hint(unread), columns, ids, errors)
             line += len(lines)
         if not line and reader is None:
             _check_header(None)
@@ -342,7 +348,8 @@ def parse_records(source: BinaryIO, line: int = 0) -> ParseResult:
         line += reader.line_num if reader else 0
         bad = exc.object[exc.start:exc.end].hex(" ")
         raise ParseFailure(f"row {line + 1}: input is not valid UTF-8 ({exc.reason}: {bad})") from exc
-    return ParseResult(records=Records(*map(tuple, columns)), errors=errors)
+    study_id, cls, r, n = columns
+    return ParseResult(records=Records(tuple(study_id), tuple(cls), r, n), errors=errors)
 
 
 class _Range(io.RawIOBase):
@@ -432,8 +439,8 @@ def group_complete_studies(records: Records) -> GroupingReport:
     study_n: list[int] = []
     dropped: list[tuple[str, str]] = []
     # unrolled over the three classes: no generator or zip per study
-    positions = p0, p1, p2 = [], [], []
-    offsets = o0, o1, o2 = [0], [0], [0]
+    positions = p0, p1, p2 = array("q"), array("q"), array("q")
+    offsets = o0, o1, o2 = array("q", [0]), array("q", [0]), array("q", [0])
     for study_id in sorted(by_study):
         members = by_study[study_id]
         index = i0, i1, i2 = [], [], []
@@ -442,9 +449,9 @@ def group_complete_studies(records: Records) -> GroupingReport:
         if i0 and i1 and i2:
             kept.append(study_id)
             study_n.append(max(map(n_of, members)))
-            p0 += i0
-            p1 += i1
-            p2 += i2
+            p0.fromlist(i0)
+            p1.fromlist(i1)
+            p2.fromlist(i2)
             o0.append(len(p0))
             o1.append(len(p1))
             o2.append(len(p2))

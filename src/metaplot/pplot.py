@@ -150,7 +150,10 @@ def classify(
     smallest p-value is not so extreme that it alone contradicts a null
     (min_p >= c = alpha * null_max_frac_below / n). At the defaults and
     n = 27, c = 2.2e-4, and under a true null P(min_p < c) = 1 - (1 - c)^27
-    = 0.60%: the rule alone turns away about one null panel in 170.
+    = 0.60% for uniform p-values: the rule alone turns away about one null
+    panel in 170. Fisher-z p-values of small studies are not uniform: at
+    n_i = 20 each falls below c with probability 1.82c (r's exact null law
+    is Student's t with 18 df), so the rule turns away 1.09% of null panels.
     Everything else is Ambiguous.
     """
     t = thresholds

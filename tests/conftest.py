@@ -2,13 +2,14 @@ import io
 import math
 import os
 import random
+from array import array
 from importlib.resources import files
 from pathlib import Path
 from statistics import NormalDist
 
 import pytest
 
-from metaplot.ingest import CorrelationClass, ParseResult, parse_records
+from metaplot.ingest import CorrelationClass, ParseResult, Records, parse_records
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -20,6 +21,18 @@ def bundled(name: str) -> Path:
 def parse_text(text: str, line: int = 0) -> ParseResult:
     """parse_records of text's UTF-8 bytes, read from a binary stream."""
     return parse_records(io.BytesIO(text.encode()), line)
+
+
+def typed_records(study_id=(), cls=(), r=(), n=()) -> Records:
+    """Records with the column types parse_records gives: study ids and
+    classes in tuples, r in an array('d') and n in an array('q')."""
+    return Records(tuple(study_id), tuple(cls), array("d", r), array("q", n))
+
+
+def column_types(columns) -> list:
+    """The type of each field of a Records or Summaries, with its typecode
+    if it is an array: arrays of one value compare equal across typecodes."""
+    return [(type(c), getattr(c, "typecode", None)) for c in vars(columns).values()]
 
 
 class Pcg32:
@@ -51,10 +64,10 @@ class Pcg32:
         return mu + sigma * NormalDist().inv_cdf(self.random())
 
 
-def counted_forks(monkeypatch, module, gate):
-    """Lower module's gate to 0 on two CPUs, and yield the pids os.fork
-    returned to this process; afterwards no child may be left, running or
-    unreaped."""
+def counted_forks(monkeypatch, module, gate, value=0):
+    """Set module's gate to value (0 by default) on two CPUs, and yield the
+    pids os.fork returned to this process; afterwards no child may be left,
+    running or unreaped."""
     forks = []
     fork = os.fork
 
@@ -64,7 +77,7 @@ def counted_forks(monkeypatch, module, gate):
             forks.append(pid)
         return pid
 
-    monkeypatch.setattr(module, gate, 0)
+    monkeypatch.setattr(module, gate, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", counted)
     yield forks

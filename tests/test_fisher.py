@@ -2,13 +2,15 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
+from array import array
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import parse_text
+from conftest import parse_text, wide_sheet
 
 from metaplot.fisher import (
     HISTOGRAM_BIN_WIDTH,
@@ -241,7 +243,23 @@ def test_one_negative_zero_record_writes_positive_zero_mean_r(mode):
     groups = group_complete_studies(result.records).groups
     s = summarize_studies(groups, CorrelationClass.ICC, mode=mode)
     assert s.mean_r[0].hex() == s.z_score[0].hex() == (0.0).hex()
-    assert s.p_value == [1.0]
+    assert s.p_value == array("d", [1.0])
+
+
+def test_groups_and_summaries_hold_about_200_bytes_a_study():
+    # positions, offsets, mean_r, z_score and p_value are arrays of machine
+    # values: 208-214 bytes a study on Python 3.10-3.13, against 555 when
+    # each was a list of objects
+    records = parse_text(wide_sheet(10_000, seed=12)).records
+    tracemalloc.start()
+    try:
+        groups = group_complete_studies(records).groups
+        summaries = [summarize_studies(groups, cls) for cls in CorrelationClass]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(groups) > 9_700 and len(summaries) == 3
+    assert held / len(groups) < 280, held / len(groups)
 
 
 @pytest.mark.parametrize("mode", list(AggregationMode))

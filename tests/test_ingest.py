@@ -3,6 +3,8 @@ import csv
 import hashlib
 import io
 import os
+import random
+from array import array
 from itertools import accumulate
 import re
 import subprocess
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import counted_forks, parse_text, wide_sheet
+from conftest import column_types, counted_forks, parse_text, typed_records, wide_sheet
 
 from metaplot import ingest
 from metaplot.cli import EXIT_IO, main
@@ -23,7 +25,6 @@ from metaplot.ingest import (
     CorrelationClass,
     ParseFailure,
     ParseResult,
-    Records,
     RowError,
     _check_header,
     _parse_row,
@@ -42,7 +43,8 @@ def rows(*lines):
 def test_parse_basic_row():
     result = parse_text(rows("kurdi01,Smith,2012,,,ICC,0.12,45"))
     assert not result.errors
-    assert result.records == Records(("kurdi01",), (CorrelationClass.ICC,), (0.12,), (45,))
+    assert result.records == typed_records(["kurdi01"], [CorrelationClass.ICC], [0.12], [45])
+    assert column_types(result.records) == column_types(typed_records())
     assert result.records.cls[0] is CorrelationClass.ICC
 
 
@@ -51,7 +53,7 @@ def test_parse_accepts_bytes_and_optional_fields():
     result = parse_records(io.BytesIO(data))
     assert not result.errors
     # the quoted comma stays inside the title, so the fields after it line up
-    assert result.records == Records(("s1",), (CorrelationClass.ECC,), (-0.3,), (12,))
+    assert result.records == typed_records(["s1"], [CorrelationClass.ECC], [-0.3], [12])
 
 
 def test_r_out_of_interval_reported_with_row():
@@ -105,14 +107,14 @@ def test_fields_padded_with_whitespace_parse_as_stripped(pad):
     fields = ["s1", "A", "2000", "", "", "ICC", "0.5", "12"]
     result = parse_text(rows(",".join(f"{pad}{f}{pad}" for f in fields)))
     assert not result.errors
-    assert result.records == Records(("s1",), (CorrelationClass.ICC,), (0.5,), (12,))
+    assert result.records == typed_records(["s1"], [CorrelationClass.ICC], [0.5], [12])
 
 
 def test_sample_size_upper_bound():
     result = parse_text(rows(f"s1,A,2000,,,ICC,0.2,{MAX_SAMPLE_SIZE}",
                              f"s2,A,2000,,,ICC,0.2,{MAX_SAMPLE_SIZE + 1}",
                              f"s3,A,2000,,,ICC,0.2,{10**400}"))
-    assert result.records.n == (MAX_SAMPLE_SIZE,)
+    assert result.records.n == array("q", [MAX_SAMPLE_SIZE])
     message = f"sample size must not exceed {MAX_SAMPLE_SIZE}"
     assert [(e.line, e.message) for e in result.errors] == [(3, message), (4, message)]
 
@@ -315,8 +317,7 @@ def reference_parsed(text):
         return f"row {reader.line_num}: {exc}"
     except ParseFailure as exc:
         return str(exc)
-    return ParseResult(Records(*map(tuple, zip(*records))) if records
-                       else Records((), (), (), ()), errors)
+    return ParseResult(typed_records(*zip(*records)), errors)
 
 
 def reference_parsed_bytes(data):
@@ -390,7 +391,7 @@ def test_a_parse_from_a_line_numbers_rows_from_it_and_keeps_a_bom():
         "row 43: correlation out of open interval (-1,1)"]
     with pytest.raises(ParseFailure, match="row 43: input is not valid UTF-8"):
         parse_records(io.BytesIO(b"s1,A,2000,,,ICC,0.5,12\ns2,\xff\n"), 41)
-    assert parse_records(io.BytesIO(b""), 41) == ParseResult(Records((), (), (), ()), [])
+    assert parse_records(io.BytesIO(b""), 41) == ParseResult(typed_records(), [])
 
 
 # read_sheet parses a regular file of _FORK_MIN_BYTES or more in two
@@ -460,6 +461,42 @@ def test_read_sheet_of_a_fifo(forks, tmp_path):
     assert forks == []  # a pipe is read whole here, not split
 
 
+@pytest.fixture
+def forks_at_the_gate(monkeypatch):
+    yield from counted_forks(monkeypatch, ingest, "_FORK_MIN_BYTES", ingest._FORK_MIN_BYTES)
+
+
+def test_a_split_across_one_study_gives_the_typed_columns_of_one_parse(forks_at_the_gate,
+                                                                       tmp_path):
+    # above the gate, and cut between two rows of one study
+    data = wide_sheet(12_000, seed=14).encode()
+    assert len(data) >= ingest._FORK_MIN_BYTES
+    cut = ingest._hash_sheet(io.BytesIO(data), hashlib.sha256(), len(data) // 2)[0]
+    before, after = data[:cut].splitlines()[-1], data[cut:].split(b"\n", 1)[0]
+    study = before.split(b",")[0].decode()
+    assert after.split(b",")[0].decode() == study
+    sheet = tmp_path / "sheet.csv"
+    sheet.write_bytes(data)
+    result, _ = read_sheet(sheet)
+    assert len(forks_at_the_gate) == 1 and not result.errors
+    one = parse_records(io.BytesIO(data))
+    assert result.records == one.records
+    assert column_types(result.records) == column_types(one.records) == column_types(
+        typed_records())
+    kept = group_complete_studies(result.records).groups.study_id
+    assert kept.count(study) == 1
+    assert kept == group_complete_studies(one.records).groups.study_id
+
+
+def test_a_parse_holds_one_study_id_object_per_study():
+    # rows of one study need not be adjacent
+    head, *lines = wide_sheet(300, seed=3).splitlines()
+    random.Random(5).shuffle(lines)
+    ids = parse_text("\n".join([head, *lines]) + "\n").records.study_id
+    assert len(ids) == len(lines) > 880
+    assert len({id(s) for s in ids}) == len(set(ids)) == 300
+
+
 def test_read_sheet_of_a_missing_path_raises_oserror(tmp_path, capsys):
     with pytest.raises(OSError):
         read_sheet(tmp_path / "nope.csv")
@@ -500,7 +537,7 @@ def complete_study(sid, n=10, r=0.1):
 
 
 def group(rows):
-    return group_complete_studies(Records(*zip(*rows)) if rows else Records((), (), (), ()))
+    return group_complete_studies(typed_records(*zip(*rows)))
 
 
 def test_grouping_keeps_only_complete_studies():
@@ -532,8 +569,9 @@ def test_grouping_idempotent_on_duplication():
 def test_duplicate_rows_are_retained_not_deduplicated():
     report = group(complete_study("s1") + complete_study("s1"))
     # both copies of each class's record, in input order
-    assert report.groups.positions == {cls: [k, k + 3] for k, cls in enumerate(CorrelationClass)}
-    assert report.groups.offsets == {cls: [0, 2] for cls in CorrelationClass}
+    assert report.groups.positions == {
+        cls: array("q", [k, k + 3]) for k, cls in enumerate(CorrelationClass)}
+    assert report.groups.offsets == {cls: array("q", [0, 2]) for cls in CorrelationClass}
 
 
 def test_every_study_accounted_for_exactly_once():
@@ -570,8 +608,8 @@ def test_grouping_equals_a_dict_of_lists_reference(rows):
     assert groups.study_n == [max(n for s, _, _, n in rows if s == sid) for sid in kept]
     for cls in CorrelationClass:
         members = [by_study[sid][cls] for sid in kept]
-        assert groups.positions[cls] == [i for idx in members for i in idx]
-        assert groups.offsets[cls] == [0, *accumulate(map(len, members))]
+        assert groups.positions[cls] == array("q", [i for idx in members for i in idx])
+        assert groups.offsets[cls] == array("q", [0, *accumulate(map(len, members))])
         assert [[r.hex() for r in v] for v in groups.values(cls, "r")] == [
             [rows[i][2].hex() for i in idx] for idx in members]
     assert report.dropped == [

@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import kstest
+from scipy.stats import kstest, norm
+from scipy.stats import t as student_t
 
 from metaplot.pplot import (
     ClassifyThresholds,
@@ -210,6 +211,13 @@ def test_null_rates_stated_for_the_default_thresholds():
     assert round(1.0 - (1.0 - cutoff) ** n, 4) == 0.0060
     assert classify(0.0, 0.9, cutoff, alpha, n, t) is PlotClass.NULL_CONSISTENT
     assert classify(0.0, 0.9, math.nextafter(cutoff, 0.0), alpha, n, t) is PlotClass.AMBIGUOUS
+
+    # a Fisher-z p-value of a null study of 20 falls below the cutoff when |r|
+    # exceeds r_c, and r * sqrt(18 / (1 - r^2)) is exactly Student's t, 18 df
+    r_c = math.tanh(norm.isf(cutoff / 2) / math.sqrt(20 - 3))
+    per_study = 2 * student_t.sf(r_c * math.sqrt(18 / (1 - r_c**2)), 18)
+    assert round(per_study / cutoff, 2) == 1.82
+    assert round(1.0 - (1.0 - per_study) ** n, 4) == 0.0109
 
 
 def test_classify_thresholds_configurable():
