@@ -1,5 +1,5 @@
-"""A forked child that works beside this process, and when one can: for
-`ingest.read_sheet`'s split parse and `cli.run_audit`'s report.json."""
+"""A task run in a forked child beside this process when one can, else here:
+for `ingest.read_sheet`'s split parse and `cli.run_audit`'s report.json."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, Iterator
 
 
-def two_cpus() -> bool:
+def _two_cpus() -> bool:
     """Whether a forked child would run beside this process: this process
     runs one thread, so that a fork is safe, and may use a second CPU."""
     return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
@@ -18,34 +18,33 @@ def two_cpus() -> bool:
 
 
 @contextmanager
-def forked(task: Callable[[Callable[[], Any]], Any]) -> Iterator[SimpleNamespace | None]:
-    """Run task(receive) in a forked child while the block runs in this
-    process. The block gets child, and may call child.send(value) once; in
-    the child, receive() waits for that value and returns it. Once the
-    block is done, child.value is what task returned.
+def forked(task: Callable[[Callable[[], Any]], Any]) -> Iterator[SimpleNamespace]:
+    """Run task(receive) beside the block, and set child.value to what it
+    returned once the block is done. The block gets child, and may call
+    child.send(value) once; receive() returns that value.
 
-    The child always ends in os._exit: it flushes none of the stdio it
-    inherited and runs none of the caller's finally blocks. What task
-    returns, or an exception it raises, comes back pickled through a pipe
-    (an exception as a RuntimeError holding its traceback if it does not
-    pickle and load back); the exception is raised here once the block is
-    done. A child killed by a signal becomes a RuntimeError naming it. A
-    child that ends before it receives does not fail send. If the block
-    raises, the child is killed. Either way it is reaped before this
-    returns or raises. If no process can be forked, the block gets None,
-    and the caller does the task's work itself."""
-    import pickle  # only a run that forks pays for these imports
+    task runs in a forked child if this process may use two CPUs and the
+    fork succeeds. The child ends in os._exit, so it flushes none of the
+    stdio it inherited and runs none of the caller's finally blocks, and
+    sends back only what task returns, pickled. A child that ends before it
+    receives does not fail send. If the block raises, the child is killed;
+    either way it is reaped before this returns or raises. With no child,
+    or one that did not exit 0, task runs here once the block is done, so
+    it must be safe to run again here after a failed child."""
+    import pickle  # only a run that calls forked pays for these imports
     import signal
 
-    frame_fd, send_fd = os.pipe()  # this process's value, to the child
-    read_fd, write_fd = os.pipe()  # the child's value or exception, to this process
-    try:
-        pid = os.fork()
-    except OSError:
-        for fd in (frame_fd, send_fd, read_fd, write_fd):
-            os.close(fd)
-        yield None
-        return
+    sent = []
+    child = SimpleNamespace(send=sent.append)
+    pid = payload = None  # payload: the child's pickled value, once it exited 0
+    if _two_cpus():
+        frame_fd, send_fd = os.pipe()  # this process's value, to the child
+        read_fd, write_fd = os.pipe()  # the child's value, to this process
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (frame_fd, send_fd, read_fd, write_fd):
+                os.close(fd)
     if pid == 0:  # the child
         status = 1
         try:
@@ -54,45 +53,35 @@ def forked(task: Callable[[Callable[[], Any]], Any]) -> Iterator[SimpleNamespace
             # closed before the payload is written, so that a send blocked
             # on a full pipe fails at once rather than wait for this child
             with open(frame_fd, "rb") as frame:
-                try:
-                    payload = pickle.dumps((task(lambda: pickle.loads(frame.read())), None))
-                except BaseException as exc:
-                    try:
-                        payload = pickle.dumps((None, exc))
-                        pickle.loads(payload)  # some exceptions dump but do not load
-                    except BaseException:
-                        import traceback
-                        payload = pickle.dumps(
-                            (None, RuntimeError("".join(traceback.format_exception(exc)))))
+                payload = pickle.dumps(task(lambda: pickle.loads(frame.read())))
             with open(write_fd, "wb") as pipe:
                 pipe.write(payload)
             status = 0
         finally:
             os._exit(status)
-    os.close(frame_fd)
-    os.close(write_fd)
-    with open(read_fd, "rb") as pipe, open(send_fd, "wb") as frame:
-        def send(value: Any) -> None:
-            # a child that ended first has its end raised below
-            with suppress(BrokenPipeError), frame:
-                frame.write(pickle.dumps(value))
+    if pid is None:
+        yield child
+    else:
+        os.close(frame_fd)
+        os.close(write_fd)
+        with open(read_fd, "rb") as pipe, open(send_fd, "wb") as frame:
+            def send(value: Any) -> None:
+                sent.append(value)
+                # a child that ended first failed, or never receives
+                with suppress(BrokenPipeError), frame:
+                    frame.write(pickle.dumps(value))
 
-        child = SimpleNamespace(send=send)
-        try:
-            yield child
-            frame.close()
-            # read to the end before waiting: a payload larger than the
-            # pipe's buffer would otherwise block the child's exit
-            payload = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code:  # its payload may have been cut short
-        raise RuntimeError("the forked child " + (
-            f"was killed by {signal.Signals(-code).name}" if code < 0
-            else f"exited with status {code}"))
-    child.value, exc = pickle.loads(payload)
-    if exc is not None:
-        raise exc
+            child.send = send
+            try:
+                yield child
+                frame.close()
+                # read to the end before waiting: a payload larger than the
+                # pipe's buffer would otherwise block the child's exit
+                payload = pipe.read()
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
+                    payload = None  # it may have been cut short
+    child.value = task(sent.pop) if payload is None else pickle.loads(payload)

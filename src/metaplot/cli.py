@@ -32,7 +32,7 @@ from functools import partial
 from pathlib import Path
 from typing import Iterator
 
-from ._fork import forked, two_cpus
+from ._fork import forked
 from ._version import __version__
 from .fisher import AggregationMode, summarize_studies, summarize_z
 from .gaussian import (
@@ -79,8 +79,8 @@ _COLORS = {
 _RESET = "\x1b[0m"
 
 
-# The fewest retained studies at which audit writes report.json in a forked
-# child: a fork costs time that grows with the process's memory (see README).
+# The fewest retained studies at which audit writes report.json by `forked`: a
+# fork costs time that grows with the process's memory (see README).
 _FORK_MIN_STUDIES = 10_000
 
 
@@ -309,7 +309,7 @@ def run_audit(args: argparse.Namespace) -> int:
         json_path = staging / "report.json"
         # the summaries need nothing but summarize_studies, so a child
         # renders them while this process computes all else
-        forks = "json" in args.format and retained >= _FORK_MIN_STUDIES and two_cpus()
+        forks = "json" in args.format and retained >= _FORK_MIN_STUDIES
         with forked(partial(write_json, json_path, summaries)) if forks else nullcontext() as child:
             z_panels = {}
             plots = {}
@@ -329,7 +329,7 @@ def run_audit(args: argparse.Namespace) -> int:
                     (staging / pplot_filename(tag)).write_bytes(render_svg_pplot(plot))
                 (staging / "zpanel.svg").write_bytes(
                     render_svg_zpanel([z_panels[c.value] for c in CorrelationClass]))
-            if child:
+            if forks:
                 child.send(json_head_tail(report))
             elif "json" in args.format:
                 json_path.write_bytes(render_json(report))

@@ -29,7 +29,7 @@ block it lies in. The complete
 studies are held as one flat array of record positions per class, with
 each study's offsets into it (`Groups`); no per-row or per-study object is
 kept but each study's id, one str that all its records share. `read_sheet`
-opens, hashes and parses a sheet by path, a large one in two processes.
+opens, hashes and parses a sheet by path, a large one in two halves.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from itertools import chain, pairwise, repeat
 from operator import add, length_hint
 from typing import Any, BinaryIO, Callable, Iterator, Sequence
 
-from ._fork import forked, two_cpus
+from ._fork import forked
 
 __all__ = [
     "CorrelationClass",
@@ -73,8 +73,8 @@ MAX_SAMPLE_SIZE = 2**63 - 1
 # Bytes read at a time: a block of whole lines is split without csv.reader
 # when nothing in it needs csv's quoting rules.
 _BLOCK_SIZE = 1 << 16
-# The fewest bytes at which read_sheet parses a sheet in two processes: below
-# it the fork and the records sent back cost what the halving saves (README).
+# The fewest bytes at which read_sheet parses a sheet in two halves: below it
+# the fork and the records sent back cost what the halving saves (README).
 _FORK_MIN_BYTES = 1 << 20
 
 
@@ -396,30 +396,28 @@ def _hash_sheet(sheet: BinaryIO, digest: Any,
 def read_sheet(path: str | os.PathLike) -> tuple[ParseResult, str]:
     """(parse_records of the sheet at path, the sha256 hex digest of its
     bytes), or OSError if it cannot be opened or read. An unseekable file is
-    read whole first. A regular file of _FORK_MIN_BYTES or more, read with
-    one thread and two CPUs, is cut at the first line end past its middle
-    if each line before that is one row (see _hash_sheet). A forked child
-    parses the rest, from that line on, and its records and errors follow
-    this process's, as in one parse; a failure here is raised first."""
+    read whole, and parsed whole. A regular file of _FORK_MIN_BYTES or more
+    is cut at the first line end past its middle if each line before that
+    is one row (see _hash_sheet). The lines before it are parsed here, and
+    the rest by `forked`; its records and errors follow this process's, as
+    in one parse, and a failure before the cut is raised first."""
     with open(path, "rb") as opened:
         # a pipe is read whole, so that it can be read twice
         sheet = opened if opened.seekable() else io.BytesIO(opened.read())
         digest = hashlib.sha256()
         fd = opened.fileno()
         info = os.fstat(fd)
-        halves = stat.S_ISREG(info.st_mode) and info.st_size >= _FORK_MIN_BYTES and two_cpus()
+        halves = stat.S_ISREG(info.st_mode) and info.st_size >= _FORK_MIN_BYTES
         split = _hash_sheet(sheet, digest, info.st_size // 2 if halves else None)
         if split is None:
             sheet.seek(0)
             return parse_records(sheet), digest.hexdigest()
         cut, lines, end = split
         with forked(lambda receive: parse_records(_Range(fd, cut, end), lines)) as child:
-            result = parse_records(_Range(fd, 0, cut if child else end))
-    if child:  # the child's rows follow this process's
-        result = ParseResult(Records(*map(add, vars(result.records).values(),
-                                          vars(child.value.records).values())),
-                             result.errors + child.value.errors)
-    return result, digest.hexdigest()
+            result = parse_records(_Range(fd, 0, cut))
+    return ParseResult(Records(*map(add, vars(result.records).values(),
+                                    vars(child.value.records).values())),
+                       result.errors + child.value.errors), digest.hexdigest()
 
 
 def group_complete_studies(records: Records) -> GroupingReport:

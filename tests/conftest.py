@@ -64,10 +64,10 @@ class Pcg32:
         return mu + sigma * NormalDist().inv_cdf(self.random())
 
 
-def counted_forks(monkeypatch, module, gate, value=0):
-    """Set module's gate to value (0 by default) on two CPUs, and yield the
-    pids os.fork returned to this process; afterwards no child may be left,
-    running or unreaped."""
+def counted_forks(monkeypatch, module=None, gate=None, value=0):
+    """Set module's gate, if one is given, to value (0 by default) on two
+    CPUs, and yield the pids os.fork returned to this process; afterwards no
+    child may be left, running or unreaped."""
     forks = []
     fork = os.fork
 
@@ -77,12 +77,28 @@ def counted_forks(monkeypatch, module, gate, value=0):
             forks.append(pid)
         return pid
 
-    monkeypatch.setattr(module, gate, value)
+    if module is not None:
+        monkeypatch.setattr(module, gate, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", counted)
     yield forks
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def reaped(monkeypatch):
+    """The exit code of each child os.waitpid reaps from here on."""
+    codes = []
+    waitpid = os.waitpid
+
+    def counted(pid, options):
+        got = waitpid(pid, options)
+        if got[0]:
+            codes.append(os.waitstatus_to_exitcode(got[1]))
+        return got
+
+    monkeypatch.setattr(os, "waitpid", counted)
+    return codes
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from io import BytesIO, StringIO
 from pathlib import Path
 
 import pytest
-from conftest import counted_forks, wide_sheet
+from conftest import counted_forks, reaped, wide_sheet
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -478,12 +478,8 @@ def test_forked_render_failure_leaves_nothing(
     for out in (tmp_path / "out", tmp_path / "a" / "b" / "out", kept):
         with pytest.raises(Exception) as raised:
             main(["audit", "--input", str(null_csv), "--out", str(out)])
-        if isinstance(exc, (Unpicklable, Unloadable)):  # its traceback, as text
-            assert type(raised.value) is RuntimeError
-            assert f"{type(exc).__name__}: {exc}" in str(raised.value)
-            assert "in boom" in str(raised.value)
-        else:
-            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        # a failed child's render runs again here, and raises the same
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
         assert capsys.readouterr().out == ""
         assert sorted(tmp_path.rglob("*")) == [kept, kept / "notes.txt"]
     assert len(forking) == 3
@@ -536,47 +532,68 @@ def test_forked_audit_into_an_existing_out_keeps_its_files(
     assert sorted(os.listdir(tmp_path)) == ["out", "serial"]
 
 
-def killed_in_the_child(render=None):
-    """A renderer that SIGKILLs the process rendering report.json's
-    summaries, which is never this one: at once, or on its second call to
-    render if one is given."""
+def killed_in_the_child(render, renders=0):
+    """render, but SIGKILLing the process that calls it unless that is this
+    one: at once, or once it has rendered that many times. each_half takes
+    one as its there=, with a render that does nothing."""
     here = os.getpid()
     calls = []
 
     def die(*args):
-        assert os.getpid() != here  # only ever in the child
         calls.append(args)
-        if render is not None and len(calls) < 2:
+        if os.getpid() == here or len(calls) <= renders:
             return render(*args)
         os.kill(os.getpid(), signal.SIGKILL)
 
     return die
 
 
+def one_process_outcome(argv, capsys, monkeypatch):
+    """main(argv)'s exit code, stdout and stderr on one CPU, where no
+    process is forked; affinity goes back to two CPUs afterwards."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    code = main(argv)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return code, *capsys.readouterr()
+
+
 def test_forked_child_killed_by_a_signal_leaves_nothing(
     forking, null_csv, tmp_path, capsys, monkeypatch
 ):
-    monkeypatch.setattr(metaplot.report, "_write_json_summaries", killed_in_the_child())
-    with pytest.raises(RuntimeError, match="killed by SIGKILL"):
-        main(["audit", "--input", str(null_csv), "--out", str(tmp_path / "a" / "out")])
-    assert capsys.readouterr().out == ""
-    assert list(tmp_path.iterdir()) == []
+    one = tmp_path / "one"
+    want = one_process_outcome(["audit", "--input", str(null_csv), "--out", str(one)],
+                               capsys, monkeypatch)
+    codes = reaped(monkeypatch)
+    monkeypatch.setattr(metaplot.report, "_write_json_summaries",
+                        killed_in_the_child(metaplot.report._write_json_summaries))
+    out = tmp_path / "a" / "out"
+    # the killed child's render runs again here, as on one CPU
+    assert (main(["audit", "--input", str(null_csv), "--out", str(out)]),
+            *capsys.readouterr()) == want
+    assert want[0] == EXIT_OK and codes == [-signal.SIGKILL]
+    assert read_dir(out) == read_dir(one) and len(read_dir(one)) == 6
+    assert sorted(os.listdir(tmp_path)) == ["a", "one"] and os.listdir(out.parent) == ["out"]
     assert len(forking) == 1
 
 
 def test_forked_child_killed_while_rendering_the_part_leaves_nothing(
     forking, null_csv, tmp_path, capsys, monkeypatch
 ):
+    one = tmp_path / "one"
+    want = one_process_outcome(["audit", "--input", str(null_csv), "--out", str(one)],
+                               capsys, monkeypatch)
+    codes = reaped(monkeypatch)
     # killed with one class's array in its buffer, the next one begun
     monkeypatch.setattr(metaplot.report, "_write_summaries",
-                        killed_in_the_child(metaplot.report._write_summaries))
+                        killed_in_the_child(metaplot.report._write_summaries, renders=1))
     out = tmp_path / "kept"
     out.mkdir()
     (out / "notes.txt").write_bytes(b"keep")
-    with pytest.raises(RuntimeError, match="killed by SIGKILL"):
-        main(["audit", "--input", str(null_csv), "--out", str(out)])
-    assert capsys.readouterr().out == ""
-    assert sorted(tmp_path.rglob("*")) == [out, out / "notes.txt"]
+    assert (main(["audit", "--input", str(null_csv), "--out", str(out)]),
+            *capsys.readouterr()) == want
+    assert want[0] == EXIT_OK and codes == [-signal.SIGKILL]
+    assert read_dir(out) == {"notes.txt": b"keep", **read_dir(one)}
+    assert sorted(os.listdir(tmp_path)) == ["kept", "one"]  # no staging directory
     assert len(forking) == 1
 
 
@@ -611,13 +628,16 @@ def test_audit_renders_here_when_no_process_can_be_forked(null_csv, tmp_path, mo
     monkeypatch.setattr(metaplot.cli, "_FORK_MIN_STUDIES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", no_process)
-    render_json = metaplot.cli.render_json
-    rendered = []
+    render_json, write_json = metaplot.cli.render_json, metaplot.cli.write_json
+    rendered, written = [], []
     monkeypatch.setattr(metaplot.cli, "render_json",
                         lambda report: rendered.append(True) or render_json(report))
+    monkeypatch.setattr(metaplot.cli, "write_json",
+                        lambda *args: written.append(os.getpid()) or write_json(*args))
     assert main(["audit", "--input", str(null_csv), "--out", str(fallback)]) == EXIT_OK
-    # the refused fork took the one-process path, as a run below the gate does
-    assert tried and rendered and read_dir(fallback) == read_dir(serial)
+    # the refused fork's task, write_json, ran here once all else was written
+    assert tried and written == [os.getpid()] and not rendered
+    assert read_dir(fallback) == read_dir(serial)
 
 
 # On the huge_n_csv sheet each z-panel has hundreds of bins, so report.json's
@@ -791,8 +811,12 @@ def test_split_parse_matches_one_cpu(case, splitting, tmp_path, monkeypatch):
     sheet.write_bytes(data)
     split = audit_outcome(sheet, tmp_path / "split")
     assert len(splitting) == 1
+    # on one CPU both halves are parsed here
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert audit_outcome(sheet, tmp_path / "one") == split
+    # and below the gate the sheet is parsed whole, in one call
+    monkeypatch.setattr(metaplot.ingest, "_FORK_MIN_BYTES", len(data) + 1)
+    assert audit_outcome(sheet, tmp_path / "whole") == split
     assert len(splitting) == 1 and all(text in split[1] for text in says)
     assert split[0] == (EXIT_VALIDATION if case.startswith("bad") or "-bad-" in case else EXIT_OK)
 
@@ -870,24 +894,49 @@ def test_split_child_failure_leaves_nothing(exc, splitting, tmp_path, capsys, mo
     sheet = split_csv(tmp_path)
     with pytest.raises(Exception) as raised:
         main(["audit", "--input", str(sheet), "--out", str(tmp_path / "a" / "out")])
-    if isinstance(exc, Unpicklable):  # its traceback, as text
-        assert type(raised.value) is RuntimeError and "in boom" in str(raised.value)
-    else:
-        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+    # a failed child's half is parsed again here, and raises the same
+    assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
     assert capsys.readouterr().out == ""
     assert list(tmp_path.iterdir()) == [sheet]
     assert len(splitting) == 1
 
 
 def test_split_child_killed_by_a_signal_leaves_nothing(splitting, tmp_path, capsys, monkeypatch):
-    each_half(monkeypatch, here=lambda: None,
-              there=lambda: os.kill(os.getpid(), signal.SIGKILL))
     sheet = split_csv(tmp_path)
-    with pytest.raises(RuntimeError, match="killed by SIGKILL"):
-        main(["audit", "--input", str(sheet), "--out", str(tmp_path / "out")])
-    assert capsys.readouterr().out == ""
-    assert list(tmp_path.iterdir()) == [sheet]
+    one = tmp_path / "one"
+    want = one_process_outcome(["audit", "--input", str(sheet), "--out", str(one)],
+                               capsys, monkeypatch)
+    codes = reaped(monkeypatch)
+    # the child's half is parsed again here, where nothing is killed
+    each_half(monkeypatch, here=lambda: None, there=killed_in_the_child(lambda: None))
+    out = tmp_path / "out"
+    assert (main(["audit", "--input", str(sheet), "--out", str(out)]),
+            *capsys.readouterr()) == want
+    assert want[0] == EXIT_OK and codes == [-signal.SIGKILL]
+    assert read_dir(out) == read_dir(one) and len(read_dir(one)) == 6
+    assert sorted(tmp_path.iterdir()) == [one, out, sheet]
     assert len(splitting) == 1
+
+
+def test_audit_whose_children_are_both_killed_ends_as_one_process(
+    splitting, tmp_path, capsys, monkeypatch
+):
+    # report.json renders in a forked child too
+    monkeypatch.setattr(metaplot.cli, "_FORK_MIN_STUDIES", 0)
+    sheet = split_csv(tmp_path)
+    one = tmp_path / "one"
+    want = one_process_outcome(["audit", "--input", str(sheet), "--out", str(one)],
+                               capsys, monkeypatch)
+    codes = reaped(monkeypatch)
+    each_half(monkeypatch, here=lambda: None, there=killed_in_the_child(lambda: None))
+    monkeypatch.setattr(metaplot.report, "_write_json_summaries",
+                        killed_in_the_child(metaplot.report._write_json_summaries))
+    out = tmp_path / "out"
+    got = main(["audit", "--input", str(sheet), "--out", str(out)]), *capsys.readouterr()
+    assert got == want and got[0] == EXIT_OK and "Traceback" not in got[2]
+    assert codes == [-signal.SIGKILL] * 2 and len(splitting) == 2
+    assert read_dir(out) == read_dir(one) and len(read_dir(one)) == 6
+    assert sorted(tmp_path.iterdir()) == [one, out, sheet]
 
 
 def test_split_child_is_killed_when_this_side_is_interrupted(splitting, tmp_path, monkeypatch):
@@ -917,9 +966,9 @@ def test_audit_parses_here_when_no_process_can_be_forked(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", no_process)
     each_half(monkeypatch, here=lambda: lines.append(0), there=lambda: lines.append(1))
-    # the refused fork parsed the whole sheet here, in one call
+    # the refused fork's half was parsed here, after this process's
     assert audit_outcome(sheet, tmp_path / "fallback") == serial
-    assert tried == [True] and lines == [0]
+    assert tried == [True] and lines == [0, 1]
 
 
 @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])

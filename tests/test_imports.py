@@ -7,6 +7,9 @@ annotation is parsed too), or its listing in the module's __all__.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +71,16 @@ def test_an_unused_import_is_caught():
     )
     used = _used(tree)
     assert sorted(n for n in _imported(tree) if n not in used) == ["Any", "c", "json"]
+
+
+def test_importing_the_cli_and_ingest_loads_neither_numpy_nor_pickle():
+    # numpy is for simulate only, and pickle for a run that calls forked;
+    # the benchmark's setup_s times a fresh import of metaplot.cli
+    src = str(Path(metaplot.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import metaplot.cli, metaplot.ingest, sys; "
+            "print(sorted({'numpy', 'pickle'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

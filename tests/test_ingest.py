@@ -395,8 +395,9 @@ def test_a_parse_from_a_line_numbers_rows_from_it_and_keeps_a_bom():
 
 
 # read_sheet parses a regular file of _FORK_MIN_BYTES or more in two
-# processes when this one may use two CPUs; below, the gate is lowered so
-# that small sheets split, and the sched_getaffinity of two CPUs is faked.
+# halves, the second in a forked child when this process may use two CPUs;
+# below, the gate is lowered so that small sheets split, and the
+# sched_getaffinity of two CPUs is faked.
 
 
 def parsed_and_hashed(data):
