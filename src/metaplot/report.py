@@ -3,49 +3,21 @@ SVG figures (p-value scatter with reference lines, Gaussian curve overlays,
 z-statistic histogram/box panels).
 
 All output is byte-deterministic: no timestamps, no randomness, fixed
-float formatting, sorted JSON keys. JSON keeps full float precision;
-display rounding only happens in Markdown and SVG.
-
-The JSON format is the stdlib's `json.dumps(d, sort_keys=True, indent=2,
-allow_nan=False)` plus a newline, byte for byte, where `d` is the report's
-dict form. CPython's C encoder only runs with `indent=None`, so the
-indented one is pure Python and cost more than any other layer of a large
-audit. `render_json` therefore writes the report itself, in document order,
-into one `io.BytesIO`, whose `getvalue()` hands its buffer over without a
-copy. Small sections go through `json.dumps` (`json_block`). The one bulk
-array, each class's per-study summaries, is written from the columns of its
-`fisher.Summaries`, `_BLOCK_ROWS` rows at a time: each field is formatted
-over the block's slice of its column, strings by the encoder's own
-`encode_basestring_ascii` and numbers by `float.__repr__` and
-`int.__repr__`, as `json.dumps` writes them; the rows are joined with the
-fixed text between the fields, encoded and written. So the document is held
-once, beside one block's strings. The tests re-encode `render_json`'s
-output with the stdlib and require the same bytes.
-
-report.json is two pieces: `_write_json_summaries` writes the `summaries`
-value, and `json_head_tail` renders the document around it, `metadata`,
-`plots` and `schema_version` before it and `z_panels` after it. The small
-sections take their keys from their dataclasses' fields (`vars`), a
-z-panel's `cls` written as `class`. `render_json` writes both in one
-process; `write_json` renders the summaries first and only then asks for
-the head and tail, which a forked audit's child receives from the parent
-(see `cli.run_audit`), into the same bytes.
+float formatting. JSON keeps full float precision; display rounding only
+happens in Markdown and SVG.
 
 report.json is schema 2 (`"schema_version": 2`). Its keys are `metadata`
 (with the run's `config`), `plots` (each class's alpha, class and
 diagnostics), `summaries` (per study: `study_id`, `mean_r`, `n` and
-`p_value`) and `z_panels`. Later fields only add keys to schema 2.
+`p_value`) and `z_panels`. Later fields only add keys to schema 2. Its bytes
+are those of `json.dumps(d, sort_keys=True, indent=2, allow_nan=False)` plus
+a newline, where `d` is the report's dict form, though `render_json` and
+`write_json` write the per-study summaries from their columns.
 
-`render_markdown` also writes into one `io.BytesIO`: its head, then each
-class's study table (study, mean r, n, z-score and p), formatted and
-encoded a table at a time. A class of more than `MD_TABLE_MAX_STUDIES`
-(1,000) studies gets one line in place of its table, which points to
-report.json: no Markdown viewer renders the 98k rows of a large sheet, and
-report.json keeps them all.
+report.md gives a class of more than `MD_TABLE_MAX_STUDIES` (1,000) studies
+one line, which points to report.json, in place of its study table.
 
-The three SVG figures share their elements: `_svg` (the document), `_line`,
-`_text`, `_axes` and `_xtick`. A p-value plot draws one circle per occupied
-whole-pixel cell, and finds each cell's first point by bisection (see
+A p-value plot draws one circle per occupied whole-pixel cell (see
 `render_svg_pplot`).
 """
 
@@ -56,7 +28,7 @@ import io
 import json
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -85,6 +57,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AuditMetadata:
+    """report.json's `metadata`. `config` holds JSON values only:
+    json_head_tail writes it as it stands, with no copy."""
+
     input_sha256: str
     tool_version: str
     config: dict[str, Any] = field(default_factory=dict)
@@ -197,7 +172,7 @@ def json_head_tail(report: AuditReport) -> tuple[bytes, bytes]:
     # a new dict per panel: vars(z) is the ZSummary's own __dict__
     z_panels = {tag: {"class" if k == "cls" else k: v for k, v in vars(z).items()}
                 for tag, z in report.z_panels.items()}
-    head = (f'{{\n  "metadata": {json_block(asdict(report.metadata), "  ")},\n'
+    head = (f'{{\n  "metadata": {json_block(vars(report.metadata), "  ")},\n'
             f'  "plots": {json_block(plots, "  ")},\n'
             '  "schema_version": 2,\n  "summaries": ')
     return head.encode(), f',\n  "z_panels": {json_block(z_panels, "  ")}\n}}\n'.encode()
@@ -471,7 +446,8 @@ def render_svg_gaussians(specs: Sequence[GaussianSpec], lo: float, hi: float) ->
     out.append(_text(left + pw / 2, height - 8, "score (reference SD units)"))
     for idx, (spec, curve) in enumerate(zip(specs, curves)):
         color = _PALETTE[idx]
-        pts = " ".join(f"{_f(sx(x))},{_f(sy(d))}" for x, d in curve)
+        # sx >= left and sy >= top, so .2f never gives the "-0.00" that _f mends
+        pts = " ".join([f"{sx(x):.2f},{sy(d):.2f}" for x, d in curve])
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -25,7 +25,7 @@ import metaplot.report
 from metaplot.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from metaplot.fisher import HISTOGRAM_MAX_BINS
 from metaplot.ingest import REQUIRED_COLUMNS
-from test_manifest import MANIFEST, build_manifest
+from test_manifest import MANIFEST, build_manifest, cli_digests
 
 pytestmark = pytest.mark.usefixtures("no_color")
 
@@ -1457,6 +1457,62 @@ def test_simulate_byte_identical_runs(tmp_path):
     assert main(["simulate", "--demo", "--out", str(a)]) == EXIT_OK
     assert main(["simulate", "--demo", "--out", str(b)]) == EXIT_OK
     assert read_dir(a) == read_dir(b)
+
+
+# main() parses every call with the one parser built at import: no flag,
+# default or exit of one call may reach the next.
+
+
+def test_reused_parser_forgets_one_sided(null_csv, tmp_path):
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert main(["audit", "--input", str(null_csv), "--one-sided", "--out", str(one)]) == EXIT_OK
+    assert main(["audit", "--input", str(null_csv), "--out", str(two)]) == EXIT_OK
+    configs = [json.loads((out / "report.json").read_bytes())["metadata"]["config"]
+               for out in (one, two)]
+    assert [config["sided"] for config in configs] == ["one", "two"]
+
+
+def test_reused_parser_forgets_the_preset(tmp_path):
+    assert main(["tails", "--preset", "g", "--out", str(tmp_path / "g")]) == EXIT_OK
+    spec = ["--ref-mu", "1", "--ref-sigma", "2", "--other-mu", "0", "--other-sigma", "1"]
+    assert main(["tails", *spec, "--out", str(tmp_path / "own")]) == EXIT_OK
+    payload = json.loads((tmp_path / "own" / "tails.json").read_bytes())
+    assert payload["config"]["preset"] is None
+    assert payload["table"]["ref"] == {"label": "reference", "mu": 1.0, "sigma": 2.0}
+
+
+def test_reused_parser_forgets_the_seed(demo_config, tmp_path):
+    assert main(["simulate", "--demo", "--seed", "5", "--out", str(tmp_path / "five")]) == EXIT_OK
+    assert main(["simulate", "--demo", "--out", str(tmp_path / "own")]) == EXIT_OK
+    seeds = [json.loads((tmp_path / out / "gap.json").read_bytes())["config"]["seed"]
+             for out in ("five", "own")]
+    assert seeds == [5, json.loads(demo_config.read_bytes())["seed"]] and seeds[1] != 5
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["audit", "--alpha", "x", "--input", "a.csv"], EXIT_VALIDATION),
+    (["--version"], EXIT_OK),
+    (["audit", "--help"], EXIT_OK),
+], ids=["usage-error", "version", "help"])
+def test_run_after_a_parser_exit_matches_manifest(argv, code, null_csv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    capsys.readouterr()
+    want = json.loads(MANIFEST.read_text(encoding="utf-8"))["null_27/default"]
+    assert cli_digests(["audit", "--input", str(null_csv)], tmp_path / "out") == want
+
+
+def test_help_wraps_to_the_columns_of_each_call(monkeypatch, capsys):
+    def widest_line(columns):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit):
+            main(["audit", "--help"])
+        return max(map(len, capsys.readouterr().out.splitlines()))
+
+    assert widest_line(60) <= 60
+    assert widest_line(200) > 60
+    assert widest_line(60) <= 60
 
 
 class _Terminal(StringIO):

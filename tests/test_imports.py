@@ -74,13 +74,14 @@ def test_an_unused_import_is_caught():
 
 
 def test_importing_the_cli_and_ingest_loads_neither_numpy_nor_pickle():
-    # numpy is for simulate only, and pickle for a run that calls forked;
-    # the benchmark's setup_s times a fresh import of metaplot.cli
+    # numpy and statistics (which loads decimal and fractions) are for
+    # simulate only, and pickle for a run that calls forked; the
+    # benchmark's setup_s times a fresh import of metaplot.cli
     src = str(Path(metaplot.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import metaplot.cli, metaplot.ingest, sys; "
-            "print(sorted({'numpy', 'pickle'} & set(sys.modules)))")
+            "print(sorted({'numpy', 'pickle', 'statistics'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

@@ -614,6 +614,27 @@ def test_svg_gaussians_legend_tells_close_means_apart():
     assert legend(0.0, -0.0) == ["0", "-0"]
 
 
+gaussian_specs = st.builds(GaussianSpec, st.just("g"), st.floats(-1e3, 1e3),
+                           st.floats(1e-2, 1e2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs=st.lists(gaussian_specs, min_size=1, max_size=4),
+       below=st.floats(0.0, 8.0), above=st.floats(0.01, 8.0))
+def test_svg_gaussians_polyline_coordinates_are_never_negative(specs, below, above):
+    # The range holds the first mean, so some density is above zero. The
+    # polyline formats its coordinates without _f, as x >= left and y >= top
+    # keep ".2f" from giving "-0.00".
+    first = specs[0]
+    lo, hi = first.mu - below * first.sigma, first.mu + above * first.sigma
+    svg = render_svg_gaussians(specs, lo, hi).decode()
+    points = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert len(points) == len(specs)
+    coordinates = [c for pts in points for xy in pts.split(" ") for c in xy.split(",")]
+    assert len(coordinates) == 2 * 241 * len(specs)
+    assert not [c for c in coordinates if c.startswith("-")]
+
+
 def test_svg_escapes_labels():
     spec = GaussianSpec("a<b&c", 0, 1)
     svg = render_svg_gaussians([spec], -4, 4).decode()
